@@ -71,9 +71,10 @@ class ExponentParams:
     lambda_minus: complex
 
     def is_finite(self) -> bool:
-        return all(
-            cmath.isfinite(v)
-            for v in (self.lambda_plus, self.lambda_c, self.lambda_minus)
+        return (
+            cmath.isfinite(self.lambda_plus)
+            and cmath.isfinite(self.lambda_c)
+            and cmath.isfinite(self.lambda_minus)
         )
 
 
@@ -97,9 +98,11 @@ class GroupElement:
         return cmath.exp(self.log_c)
 
     def is_finite(self) -> bool:
-        return all(
-            cmath.isfinite(v)
-            for v in (self.big_plus, self.log_c, self.big_minus, self.phase)
+        return (
+            cmath.isfinite(self.big_plus)
+            and cmath.isfinite(self.log_c)
+            and cmath.isfinite(self.big_minus)
+            and cmath.isfinite(self.phase)
         )
 
 

@@ -7,14 +7,19 @@ products are multiplied by :func:`compose_pair` and folded over sequences by
 :func:`compose_many`.  The final raising coordinate of a long product also has
 a generalized continued fraction form, :func:`alpha_continued_fraction`, kept
 as an independent cross-check of the fold.
+
+Underneath, two private kernels do the arithmetic on plain complex
+coordinate tuples, and one private fold over such tuples serves both
+compose_many and :func:`bchkit.evolve.evolve`.  The public functions wrap the
+same kernels, so every route gives the same bits.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
+from cmath import isfinite
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import AlgebraKind, ExponentParams, GroupElement
 from .errors import (
@@ -44,13 +49,94 @@ _SERIES_NU_THRESHOLD = 1e-4
 
 
 def _cosh_sinhc(nu: complex) -> tuple[complex, complex]:
-    """cosh(nu) and sinh(nu)/nu as a pair; both even in nu, finite at nu = 0."""
+    """cosh(nu) and sinh(nu)/nu as a pair; both even in nu, finite at nu = 0.
+
+    Below the threshold this is the plain sum of nu_sq**k / n! over
+    k = 0..5 (n = 2k for cosh, 2k + 1 for sinhc), added in order of k.  The
+    powers are the products that nu_sq**k multiplies out and no Horner
+    scheme is used, so the result is bit for bit that sum's.  (nu_sq**k
+    also multiplies by 1 + 0j, which can only flip the sign of a zero
+    component; a sum that starts from 1 never sees that sign.)
+    """
     if abs(nu) < _SERIES_NU_THRESHOLD:
         nu_sq = nu * nu
-        cosh_nu = sum(nu_sq**k / math.factorial(2 * k) for k in range(6))
-        sinhc_nu = sum(nu_sq**k / math.factorial(2 * k + 1) for k in range(6))
+        p2 = nu_sq * nu_sq
+        p3 = nu_sq * p2
+        p4 = p2 * p2
+        p5 = nu_sq * p4
+        cosh_nu = (1 + 0j) + nu_sq / 2.0 + p2 / 24.0 + p3 / 720.0 + p4 / 40320.0 + p5 / 3628800.0
+        sinhc_nu = (
+            (1 + 0j) + nu_sq / 6.0 + p2 / 120.0 + p3 / 5040.0 + p4 / 362880.0 + p5 / 39916800.0
+        )
         return cosh_nu, sinhc_nu
     return cmath.cosh(nu), cmath.sinh(nu) / nu
+
+
+# Raw kernels.  Coordinates travel as plain complex tuples
+# (big_plus, log_c, big_minus, phase); only the public wrappers and the
+# results of folds build dataclasses.
+
+def _disentangle_raw(eps, delta, lp, lc, lm):
+    """(big_plus, log_c, big_minus, nu) of exp(lp T+ + lc Tc + lm T-); see disentangle."""
+    if not (isfinite(lp) and isfinite(lc) and isfinite(lm)):
+        raise NonFiniteInput("exponent coordinates must be finite")
+    half_c = 0.5 * delta * lc
+    nu = cmath.sqrt(half_c * half_c - delta * eps * lp * lm)
+    cosh_nu, sinhc_nu = _cosh_sinhc(nu)
+    w = cosh_nu - half_c * sinhc_nu
+    scale = max(1.0, abs(lp), abs(lc), abs(lm))
+    if abs(w) <= TOL_SINGULAR * scale:
+        raise SingularDecomposition(
+            "no normal-ordered form: disentangling denominator "
+            f"|w| = {abs(w):.3e} is singular",
+            denominator_abs=abs(w),
+        )
+    ratio = sinhc_nu / w
+    return lp * ratio, -(2.0 / delta) * cmath.log(w), lm * ratio, nu
+
+
+def _compose_raw(eps, delta, g2, g1):
+    """Coordinate tuple of the product g2 g1 of two coordinate tuples; see compose_pair."""
+    p1, lc1, m1, ph1 = g1
+    p2, lc2, m2, ph2 = g2
+    if not (
+        isfinite(p1) and isfinite(lc1) and isfinite(m1) and isfinite(ph1)
+        and isfinite(p2) and isfinite(lc2) and isfinite(m2) and isfinite(ph2)
+    ):
+        raise NonFiniteInput("group element coordinates must be finite")
+    d = 1.0 - eps * delta * p1 * m2
+    scale = max(1.0, abs(p1), abs(m2))
+    if abs(d) <= TOL_SINGULAR * scale:
+        raise SingularDecomposition(
+            f"no normal-ordered form: composition denominator |d| = {abs(d):.3e} "
+            "is singular",
+            denominator_abs=abs(d),
+        )
+    pow_c1 = cmath.exp(delta * lc1)
+    pow_c2 = cmath.exp(delta * lc2)
+    return (
+        p2 + p1 * pow_c2 / d,
+        lc1 + lc2 - (2.0 / delta) * cmath.log(d),
+        m1 + m2 * pow_c1 / d,
+        ph1 + ph2,
+    )
+
+
+def _fold(algebra: AlgebraKind, coords: Iterable[tuple]) -> Iterator[tuple[int, tuple]]:
+    """Left fold of coordinate tuples, earliest first; yields (index, product).
+
+    The first tuple seeds the product and each later one acts after it, as
+    repeated compose_pair calls would.  ``index`` counts the tuples folded so
+    far (1-based), so an error raised while the fold is advanced belongs to
+    element index + 1 of the last pair yielded.  ``coords`` must be nonempty.
+    """
+    eps, delta = algebra.epsilon, algebra.delta
+    coords = iter(coords)
+    acc = next(coords)
+    yield 1, acc
+    for index, g in enumerate(coords, start=2):
+        acc = _compose_raw(eps, delta, g, acc)
+        yield index, acc
 
 
 @dataclass(frozen=True)
@@ -69,28 +155,15 @@ def disentangle(algebra: AlgebraKind, lam: ExponentParams) -> DisentangleResult:
     L+- = l+- * (sinh(nu)/nu) / w and lc_out = -(2/delta)*Log(w), principal
     branch.  Every ingredient is even in nu, so the root branch is irrelevant.
     """
-    if not lam.is_finite():
-        raise NonFiniteInput("exponent coordinates must be finite")
-    eps, delta = algebra.epsilon, algebra.delta
-    half_c = 0.5 * delta * lam.lambda_c
-    nu = cmath.sqrt(half_c * half_c - delta * eps * lam.lambda_plus * lam.lambda_minus)
-    cosh_nu, sinhc_nu = _cosh_sinhc(nu)
-    w = cosh_nu - half_c * sinhc_nu
-    scale = max(1.0, abs(lam.lambda_plus), abs(lam.lambda_c), abs(lam.lambda_minus))
-    if abs(w) <= TOL_SINGULAR * scale:
-        raise SingularDecomposition(
-            "no normal-ordered form: disentangling denominator "
-            f"|w| = {abs(w):.3e} is singular",
-            denominator_abs=abs(w),
-        )
-    ratio = sinhc_nu / w
-    element = GroupElement(
-        algebra,
-        big_plus=lam.lambda_plus * ratio,
-        log_c=-(2.0 / delta) * cmath.log(w),
-        big_minus=lam.lambda_minus * ratio,
+    big_plus, log_c, big_minus, nu = _disentangle_raw(
+        algebra.epsilon, algebra.delta, lam.lambda_plus, lam.lambda_c, lam.lambda_minus
     )
-    return DisentangleResult(element, nu)
+    return DisentangleResult(GroupElement(algebra, big_plus, log_c, big_minus), nu)
+
+
+def _coords(g: GroupElement) -> tuple:
+    """The coordinate tuple (big_plus, log_c, big_minus, phase) of ``g``."""
+    return g.big_plus, g.log_c, g.big_minus, g.phase
 
 
 def compose_pair(g2: GroupElement, g1: GroupElement) -> GroupElement:
@@ -101,52 +174,50 @@ def compose_pair(g2: GroupElement, g1: GroupElement) -> GroupElement:
     of the Cartan coordinates are taken as exp(delta*log_c) so each factor's
     stored branch is honoured; the principal log of d is appended to log_c.
     """
-    if g1.algebra is not g2.algebra:
-        raise AlgebraMismatch(
-            f"cannot compose {g2.algebra.value} with {g1.algebra.value}"
-        )
-    if not (g1.is_finite() and g2.is_finite()):
-        raise NonFiniteInput("group element coordinates must be finite")
-    eps, delta = g1.algebra.epsilon, g1.algebra.delta
-    d = 1.0 - eps * delta * g1.big_plus * g2.big_minus
-    scale = max(1.0, abs(g1.big_plus), abs(g2.big_minus))
-    if abs(d) <= TOL_SINGULAR * scale:
-        raise SingularDecomposition(
-            f"no normal-ordered form: composition denominator |d| = {abs(d):.3e} "
-            "is singular",
-            denominator_abs=abs(d),
-        )
-    pow_c1 = cmath.exp(delta * g1.log_c)
-    pow_c2 = cmath.exp(delta * g2.log_c)
+    algebra = g1.algebra
+    if g2.algebra is not algebra:
+        raise AlgebraMismatch(f"cannot compose {g2.algebra.value} with {algebra.value}")
     return GroupElement(
-        g1.algebra,
-        big_plus=g2.big_plus + g1.big_plus * pow_c2 / d,
-        log_c=g1.log_c + g2.log_c - (2.0 / delta) * cmath.log(d),
-        big_minus=g1.big_minus + g2.big_minus * pow_c1 / d,
-        phase=g1.phase + g2.phase,
+        algebra, *_compose_raw(algebra.epsilon, algebra.delta, _coords(g2), _coords(g1))
     )
+
+
+def _checked_coords(elements: Iterable[GroupElement], algebra: AlgebraKind) -> Iterator[tuple]:
+    """Coordinate tuples of ``elements``, each checked against ``algebra`` as it is reached."""
+    for g in elements:
+        if g.algebra is not algebra:
+            raise AlgebraMismatch(f"cannot compose {g.algebra.value} with {algebra.value}")
+        yield _coords(g)
 
 
 def compose_many(elements: Sequence[GroupElement]) -> GroupElement:
     """Fold a time-ordered sequence (earliest first) into a single element.
 
-    Equivalent to repeated compose_pair with each new element acting after
-    the accumulated product; this left fold is the recurrence that seeds on
-    the first element's coordinates.
+    Runs the same fold as :func:`bchkit.evolve.evolve`, over raw coordinate
+    tuples, and gives bit for bit the element that repeated compose_pair
+    calls would, each new element acting after the accumulated product; this
+    left fold is the recurrence that seeds on the first element's
+    coordinates.  Errors are those of compose_pair, at the same element; a
+    singular step is reported with its 1-based position.  A single element
+    is returned as it is.
     """
-    if len(elements) == 0:
+    count = len(elements)
+    if count == 0:
         raise EmptySequence("need at least one element to compose")
-    acc = elements[0]
-    for index, g in enumerate(elements[1:], start=2):
-        try:
-            acc = compose_pair(g, acc)
-        except SingularDecomposition as exc:
-            raise SingularDecomposition(
-                f"composition is singular at element {index} of {len(elements)}",
-                denominator_abs=exc.denominator_abs,
-                step=index,
-            ) from exc
-    return acc
+    if count == 1:
+        return elements[0]
+    algebra = elements[0].algebra
+    index = 0
+    try:
+        for index, acc in _fold(algebra, _checked_coords(elements, algebra)):
+            pass
+    except SingularDecomposition as exc:
+        raise SingularDecomposition(
+            f"composition is singular at element {index + 1} of {count}",
+            denominator_abs=exc.denominator_abs,
+            step=index + 1,
+        ) from exc
+    return GroupElement(algebra, *acc)
 
 
 def alpha_continued_fraction(elements: Sequence[GroupElement]) -> complex:

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .algebra import AlgebraKind, ExponentParams, GroupElement, identity_element
-from .compose import compose_pair, disentangle
+from .algebra import AlgebraKind, GroupElement, identity_element
+from .compose import _disentangle_raw, _fold
 from .errors import InvalidFrequency, SingularDecomposition
 
 __all__ = [
@@ -55,11 +55,22 @@ class EvolutionResult:
     trajectory: Optional[tuple] = None
 
 
+def _slice_coords(eps, delta, eta_j, minus_i_tau: complex) -> tuple:
+    """Coordinate tuple of exp(-i tau H_j), given -1j * tau and H_j's eta triple."""
+    eta_plus, eta_c, eta_minus = eta_j
+    big_plus, log_c, big_minus, _ = _disentangle_raw(
+        eps,
+        delta,
+        minus_i_tau * complex(eta_plus),
+        minus_i_tau * complex(eta_c),
+        minus_i_tau * complex(eta_minus),
+    )
+    return big_plus, log_c, big_minus, 0j
+
+
 def step_element(algebra: AlgebraKind, eta_j, tau: float) -> GroupElement:
     """Normal-ordered element of one short exponential exp(-i tau H_j)."""
-    eta_plus, eta_c, eta_minus = (complex(v) for v in eta_j)
-    lam = ExponentParams(-1j * tau * eta_plus, -1j * tau * eta_c, -1j * tau * eta_minus)
-    return disentangle(algebra, lam).element
+    return GroupElement(algebra, *_slice_coords(algebra.epsilon, algebra.delta, eta_j, -1j * tau))
 
 
 def default_checkpoint_stride(steps: int) -> int:
@@ -76,8 +87,12 @@ def evolve(
     """Fold N per-step elements into the evolution operator over [0, t_final].
 
     Steps are applied in time order, each new one acting after the running
-    product; the fold is the same floating-point path as composing the step
-    elements as a sequence.  ``checkpoint_every`` = k records the running
+    product.  Slices are disentangled as they are reached and folded by the
+    same raw-coordinate fold as :func:`bchkit.compose.compose_many`, so the
+    result and every checkpoint are bit for bit what compose_many (or
+    repeated compose_pair) gives over the step_element of each slice; a
+    singular slice or product is reported with its step and right-endpoint
+    time.  ``checkpoint_every`` = k records the running
     element every k steps (plus the start and the end) in the trajectory.
     ``midpoint`` samples eta at interval midpoints instead of right
     endpoints; that is a second-order variant beyond the plain product
@@ -90,34 +105,44 @@ def evolve(
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError(f"checkpoint stride must be >= 1, got {checkpoint_every}")
 
+    algebra = schedule.algebra
     tau = schedule.t_final / steps
     trajectory = None
     if checkpoint_every is not None:
-        trajectory = [(0.0, identity_element(schedule.algebra))]
+        trajectory = [(0.0, identity_element(algebra))]
 
-    acc = None
-    for j in range(1, steps + 1):
-        t_right = j * tau
-        t_sample = t_right - 0.5 * tau if midpoint else t_right
-        try:
-            g = step_element(schedule.algebra, schedule.eta(t_sample), tau)
-            acc = g if acc is None else compose_pair(g, acc)
-        except SingularDecomposition as exc:
-            raise SingularDecomposition(
-                f"evolution singular at step {j} of {steps} (t = {t_right:.6g})",
-                denominator_abs=exc.denominator_abs,
-                step=j,
-                time=t_right,
-            ) from exc
-        if trajectory is not None and (j % checkpoint_every == 0 or j == steps):
-            trajectory.append((t_right, acc))
+    step = 0
+    try:
+        for step, acc in _fold(algebra, _slices(schedule, steps, tau, midpoint)):
+            if trajectory is not None and (step % checkpoint_every == 0 or step == steps):
+                trajectory.append((step * tau, GroupElement(algebra, *acc)))
+    except SingularDecomposition as exc:
+        step += 1
+        t_right = step * tau
+        raise SingularDecomposition(
+            f"evolution singular at step {step} of {steps} (t = {t_right:.6g})",
+            denominator_abs=exc.denominator_abs,
+            step=step,
+            time=t_right,
+        ) from exc
 
     return EvolutionResult(
-        element=acc,
+        element=trajectory[-1][1] if trajectory is not None else GroupElement(algebra, *acc),
         steps=steps,
         tau=tau,
         trajectory=tuple(trajectory) if trajectory is not None else None,
     )
+
+
+def _slices(schedule: HamiltonianSchedule, steps: int, tau: float, midpoint: bool):
+    """Coordinate tuples of the N slices, earliest first, each disentangled as it is reached."""
+    algebra, eta = schedule.algebra, schedule.eta
+    eps, delta = algebra.epsilon, algebra.delta
+    minus_i_tau = -1j * tau
+    for j in range(1, steps + 1):
+        t_right = j * tau
+        t_sample = t_right - 0.5 * tau if midpoint else t_right
+        yield _slice_coords(eps, delta, eta(t_sample), minus_i_tau)
 
 
 def oscillator_schedule(

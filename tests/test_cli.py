@@ -1,6 +1,9 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from bchkit import (
     element_matrix,
     exponent_matrix,
 )
+import bchkit
 from bchkit.cli import main
 
 
@@ -425,3 +429,21 @@ def test_evolve_rejects_bad_steps(tmp_path, capsys):
     code, out = run_cli(capsys, "evolve", "--schedule", sched, "--steps", "0")
     assert code == 2
     assert "error" in json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# python -m entry points
+
+@pytest.mark.parametrize("module", ["bchkit", "bchkit.cli"])
+def test_python_dash_m_prints_what_main_prints(module, capsys):
+    argv = ["disentangle", "--algebra", "su11", "--lambda", "0.2,0.1", "0.1,0", "0.3,-0.2"]
+    code, expected = run_cli(capsys, *argv)
+    assert code == 0 and expected.strip()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bchkit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

@@ -1,0 +1,257 @@
+"""The single fold behind evolve() and compose_many(), checked bit for bit.
+
+evolve() and compose_many() run one fold over raw coordinate tuples instead
+of calling the public per-pair API.  They must still give exactly the bits
+that step_element and compose_pair give, and fail at the same element with
+the same message.
+"""
+
+import cmath
+import math
+import struct
+
+import numpy as np
+import pytest
+
+from bchkit import (
+    AlgebraKind,
+    AlgebraMismatch,
+    ExponentParams,
+    GroupElement,
+    HamiltonianSchedule,
+    NonFiniteInput,
+    SingularDecomposition,
+    compose_many,
+    compose_pair,
+    disentangle,
+    evolve,
+    identity_element,
+    step_element,
+)
+from bchkit.compose import _SERIES_NU_THRESHOLD, _cosh_sinhc
+
+
+def bits(g: GroupElement) -> tuple:
+    """Exact bit patterns of every coordinate, signed zeros included."""
+    parts = (g.big_plus, g.log_c, g.big_minus, g.phase)
+    return (g.algebra,) + tuple(struct.pack("<dd", z.real, z.imag) for z in parts)
+
+
+def complex_bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+# Smooth drives that stay clear of every chart singularity on [0, t_final].
+DRIVES = {
+    AlgebraKind.SU11: lambda t: (0.3 * math.sin(2 * t) + 0.1j, 1.0 + 0.2 * math.cos(t), 0.3 * math.sin(2 * t) - 0.1j),
+    AlgebraKind.SU2: lambda t: (0.4 + 0.3j * t, 0.7 - 0.2 * t, 0.4 - 0.3j * t),
+    AlgebraKind.SO21: lambda t: (0.2 * math.cos(t), 0.5 + 0.1j * t, -0.3 * math.sin(t)),
+}
+
+# (t_final, steps) per branch: every slice has |nu| above the series
+# threshold on the coarse grid and below it on the fine one.
+BRANCHES = {"coarse": (1.5, 48), "fine": (0.03, 300)}
+
+
+def sample_times(schedule, steps, midpoint):
+    tau = schedule.t_final / steps
+    return [j * tau - 0.5 * tau if midpoint else j * tau for j in range(1, steps + 1)], tau
+
+
+@pytest.mark.parametrize("midpoint", [False, True], ids=["endpoint", "midpoint"])
+@pytest.mark.parametrize("branch", sorted(BRANCHES))
+@pytest.mark.parametrize("algebra", list(AlgebraKind), ids=lambda a: a.value)
+def test_evolve_is_the_per_pair_fold(algebra, branch, midpoint):
+    t_final, steps = BRANCHES[branch]
+    schedule = HamiltonianSchedule(algebra, DRIVES[algebra], t_final)
+    times, tau = sample_times(schedule, steps, midpoint)
+
+    elements = []
+    for t in times:
+        eta_plus, eta_c, eta_minus = (complex(v) for v in schedule.eta(t))
+        lam = ExponentParams(-1j * tau * eta_plus, -1j * tau * eta_c, -1j * tau * eta_minus)
+        result = disentangle(algebra, lam)
+        assert (abs(result.nu) < _SERIES_NU_THRESHOLD) == (branch == "fine")
+        assert bits(result.element) == bits(step_element(algebra, schedule.eta(t), tau))
+        elements.append(result.element)
+
+    stride = 7
+    evolved = evolve(schedule, steps, checkpoint_every=stride, midpoint=midpoint)
+    assert bits(evolved.element) == bits(compose_many(elements))
+
+    acc = elements[0]
+    for g in elements[1:]:
+        acc = compose_pair(g, acc)
+    assert bits(evolved.element) == bits(acc)
+
+    rows = [(0, identity_element(algebra))] + [
+        (j, compose_many(elements[:j])) for j in range(1, steps + 1) if j % stride == 0 or j == steps
+    ]
+    assert len(evolved.trajectory) == len(rows)
+    for (t, g), (j, expected) in zip(evolved.trajectory, rows):
+        assert complex_bits(t) == complex_bits(j * tau if j else 0.0)
+        assert bits(g) == bits(expected)
+    assert evolved.trajectory[-1][1] == evolved.element
+
+
+def test_resonant_su2_drive_breaks_at_the_pi_pulse():
+    # H = T+ + T- on [0, pi]: the normal-ordered chart fails at t = pi/2
+    schedule = HamiltonianSchedule(AlgebraKind.SU2, lambda t: (1, 0, 1), math.pi)
+    tau = math.pi / 100
+    for midpoint in (False, True):
+        with pytest.raises(SingularDecomposition) as excinfo:
+            evolve(schedule, 100, checkpoint_every=10, midpoint=midpoint)
+        exc = excinfo.value
+        assert str(exc) == "evolution singular at step 50 of 100 (t = 1.5708)"
+        assert exc.step == 50
+        assert exc.time == 50 * tau
+        assert exc.denominator_abs == 7.949196856316121e-14
+        assert str(exc.__cause__) == (
+            "no normal-ordered form: composition denominator |d| = 7.949e-14 is singular"
+        )
+
+    # the per-pair API breaks at the same step with the same denominator
+    g = acc = step_element(AlgebraKind.SU2, (1, 0, 1), tau)
+    for _ in range(2, 50):
+        acc = compose_pair(g, acc)
+    with pytest.raises(SingularDecomposition) as excinfo:
+        compose_pair(g, acc)
+    assert excinfo.value.denominator_abs == 7.949196856316121e-14
+
+
+def test_evolve_reports_a_singular_slice_with_its_step():
+    # the first slice itself has no normal-ordered form: w = cos(pi/2)
+    schedule = HamiltonianSchedule(AlgebraKind.SU11, lambda t: (0.5j * math.pi, 0, 0.5j * math.pi), 1.0)
+    with pytest.raises(SingularDecomposition) as excinfo:
+        evolve(schedule, 1)
+    assert excinfo.value.step == 1
+    assert excinfo.value.time == 1.0
+    assert str(excinfo.value.__cause__).startswith("no normal-ordered form: disentangling denominator")
+
+
+def test_evolve_rejects_non_finite_slices():
+    schedule = HamiltonianSchedule(AlgebraKind.SU11, lambda t: (math.nan, 0, 0), 1.0)
+    with pytest.raises(NonFiniteInput, match="exponent coordinates must be finite"):
+        evolve(schedule, 3)
+
+
+def random_params(rng, scale):
+    parts = rng.uniform(-scale, scale, 6)
+    return ExponentParams(complex(*parts[0:2]), complex(*parts[2:4]), complex(*parts[4:6]))
+
+
+@pytest.mark.parametrize("algebra", list(AlgebraKind), ids=lambda a: a.value)
+def test_compose_many_is_the_per_pair_fold_with_phases(algebra):
+    rng = np.random.default_rng(41)
+    elements = []
+    for _ in range(40):
+        g = disentangle(algebra, random_params(rng, 0.5)).element
+        elements.append(GroupElement(algebra, g.big_plus, g.log_c, g.big_minus, complex(*rng.uniform(-1, 1, 2))))
+    acc = elements[0]
+    for g in elements[1:]:
+        acc = compose_pair(g, acc)
+    assert bits(compose_many(elements)) == bits(acc)
+    assert bits(compose_many(tuple(elements[:2]))) == bits(compose_pair(elements[1], elements[0]))
+
+
+def test_compose_many_single_element_is_returned_unchecked():
+    g = GroupElement(AlgebraKind.SU2, complex(math.inf, 0), 0j, 0j)
+    assert compose_many([g]) is g
+
+
+def test_compose_many_checks_algebra_then_finiteness_in_order():
+    su11, su2 = identity_element(AlgebraKind.SU11), identity_element(AlgebraKind.SU2)
+    bad = GroupElement(AlgebraKind.SU11, complex(math.nan, 0), 0j, 0j)
+    with pytest.raises(AlgebraMismatch, match="cannot compose su2 with su11"):
+        compose_many([su11, su11, su2, bad])
+    with pytest.raises(NonFiniteInput, match="group element coordinates must be finite"):
+        compose_many([su11, bad, su2])
+    with pytest.raises(NonFiniteInput):
+        compose_many([bad, su11])
+
+
+def test_compose_many_names_the_singular_element():
+    kind = AlgebraKind.SU11
+    raiser = GroupElement(kind, 1.0 + 0j, 0j, 0j)
+    lowerer = GroupElement(kind, 0j, 0j, 1.0 + 0j)
+    with pytest.raises(SingularDecomposition) as excinfo:
+        compose_many([identity_element(kind), raiser, lowerer, raiser])
+    exc = excinfo.value
+    assert str(exc) == "composition is singular at element 3 of 4"
+    assert exc.step == 3 and exc.time is None
+    assert exc.denominator_abs == 0.0
+    assert str(exc.__cause__) == (
+        "no normal-ordered form: composition denominator |d| = 0.000e+00 is singular"
+    )
+
+
+def seed_disentangle(algebra, lam):
+    """disentangle's arithmetic as first written, through the plain series."""
+    eps, delta = algebra.epsilon, algebra.delta
+    half_c = 0.5 * delta * lam.lambda_c
+    nu = cmath.sqrt(half_c * half_c - delta * eps * lam.lambda_plus * lam.lambda_minus)
+    if abs(nu) < _SERIES_NU_THRESHOLD:
+        cosh_nu, sinhc_nu = seed_cosh_sinhc_series(nu)
+    else:
+        cosh_nu, sinhc_nu = cmath.cosh(nu), cmath.sinh(nu) / nu
+    w = cosh_nu - half_c * sinhc_nu
+    ratio = sinhc_nu / w
+    return GroupElement(
+        algebra,
+        big_plus=lam.lambda_plus * ratio,
+        log_c=-(2.0 / delta) * cmath.log(w),
+        big_minus=lam.lambda_minus * ratio,
+    )
+
+
+def seed_compose_pair(g2, g1):
+    """compose_pair's arithmetic as first written (no guards)."""
+    eps, delta = g1.algebra.epsilon, g1.algebra.delta
+    d = 1.0 - eps * delta * g1.big_plus * g2.big_minus
+    pow_c1 = cmath.exp(delta * g1.log_c)
+    pow_c2 = cmath.exp(delta * g2.log_c)
+    return GroupElement(
+        g1.algebra,
+        big_plus=g2.big_plus + g1.big_plus * pow_c2 / d,
+        log_c=g1.log_c + g2.log_c - (2.0 / delta) * cmath.log(d),
+        big_minus=g1.big_minus + g2.big_minus * pow_c1 / d,
+        phase=g1.phase + g2.phase,
+    )
+
+
+@pytest.mark.parametrize("scale", [1e-5, 0.5, 2.0])
+@pytest.mark.parametrize("algebra", list(AlgebraKind), ids=lambda a: a.value)
+def test_kernels_keep_the_first_arithmetic_bit_for_bit(algebra, scale):
+    # a frozen copy of the per-pair arithmetic: the shared kernels may not
+    # reorder a single operation, or CLI output and old results would change
+    rng = np.random.default_rng(47)
+    acc = ref = identity_element(algebra)
+    for _ in range(60):
+        lam = random_params(rng, scale)
+        g = disentangle(algebra, lam).element
+        assert bits(g) == bits(seed_disentangle(algebra, lam))
+        g = GroupElement(algebra, g.big_plus, g.log_c, g.big_minus, complex(*rng.uniform(-1, 1, 2)))
+        acc, ref = compose_pair(g, acc), seed_compose_pair(g, ref)
+        assert bits(acc) == bits(ref)
+
+
+def seed_cosh_sinhc_series(nu):
+    """The series as first written: powers, factorials and sum() per call."""
+    nu_sq = nu * nu
+    cosh_nu = sum(nu_sq**k / math.factorial(2 * k) for k in range(6))
+    sinhc_nu = sum(nu_sq**k / math.factorial(2 * k + 1) for k in range(6))
+    return cosh_nu, sinhc_nu
+
+
+def test_cosh_sinhc_series_is_the_plain_sum_bit_for_bit():
+    rng = np.random.default_rng(43)
+    values = [0j, -0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324j]
+    for _ in range(3000):
+        magnitude = 10.0 ** rng.uniform(-320, -4)
+        values.append(magnitude * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+        values.append(complex(rng.uniform(-1e-4, 1e-4), rng.choice([0.0, -0.0])))
+        values.append(complex(rng.choice([0.0, -0.0]), rng.uniform(-1e-4, 1e-4)))
+    for nu in values:
+        assert abs(nu) < _SERIES_NU_THRESHOLD
+        got, expected = _cosh_sinhc(nu), seed_cosh_sinhc_series(nu)
+        assert [complex_bits(z) for z in got] == [complex_bits(z) for z in expected], nu
