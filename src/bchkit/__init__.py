@@ -5,6 +5,10 @@ normal-ordered (Gauss) form, composes ordered elements in closed form,
 applies the machinery to squeeze optics, and builds product-formula
 time-evolution operators, with an independent 2x2 matrix oracle for
 cross-checking every identity.
+
+The calculus and the command line run on the standard library alone.  Only
+the matrix oracle (``element_matrix`` and its companions) needs numpy, so its
+names are imported on first access: ``import bchkit`` does not load numpy.
 """
 
 from .algebra import (
@@ -38,14 +42,6 @@ from .evolve import (
     oscillator_schedule,
     step_element,
 )
-from .oracle import (
-    GeneratorSet,
-    Mat2,
-    element_matrix,
-    exponent_matrix,
-    generators_for,
-    mat_exp,
-)
 from .squeeze import (
     RotationParams,
     SqueezeParams,
@@ -57,6 +53,10 @@ from .squeeze import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = frozenset(
+    {"GeneratorSet", "Mat2", "element_matrix", "exponent_matrix", "generators_for", "mat_exp"}
+)
 
 __all__ = [
     "AlgebraKind",
@@ -97,3 +97,14 @@ __all__ = [
     "factor_squeeze_rotation",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: reached only for names not yet in the module globals.
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        value = getattr(oracle, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -95,17 +95,17 @@ def _number_field(obj: dict, key: str, label: str = "schedule") -> float:
     return float(value)
 
 
-def _complex_field(obj: dict, key: str, label: str) -> complex:
+def _complex_field(obj: dict, key: str, noun: str, pos: int) -> complex:
+    """The finite [re, im] pair under ``key``; errors name the entry "<noun> <pos>"."""
     value = obj.get(key)
-    ok = (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(_is_number(v) for v in value)
-    )
-    _require(ok, f'{label}: "{key}" must be a [re, im] pair')
-    out = complex(float(value[0]), float(value[1]))
-    _require(cmath.isfinite(out), f'{label}: "{key}" must be finite')
-    return out
+    if isinstance(value, list) and len(value) == 2:
+        re_part, im_part = value
+        if _is_number(re_part) and _is_number(im_part):
+            out = complex(re_part, im_part)
+            if cmath.isfinite(out):
+                return out
+            raise ValueError(f'{noun} {pos}: "{key}" must be finite')
+    raise ValueError(f'{noun} {pos}: "{key}" must be a [re, im] pair')
 
 
 def _parse_complex_pair(text: str) -> complex:
@@ -153,23 +153,23 @@ def cmd_disentangle(args) -> int:
 def _load_elements(path: str, algebra: AlgebraKind) -> list:
     with open(path) as fh:
         raw = json.load(fh)
-    _require(
-        isinstance(raw, list) and len(raw) > 0,
-        "element file must hold a nonempty JSON list",
-    )
+    if not (isinstance(raw, list) and raw):
+        raise ValueError("element file must hold a nonempty JSON list")
     elements = []
     for pos, entry in enumerate(raw, start=1):
-        label = f"element {pos}"
-        _require(isinstance(entry, dict), f"{label} must be an object")
-        big_plus = _complex_field(entry, "Lambda_plus", label)
-        big_minus = _complex_field(entry, "Lambda_minus", label)
+        if not isinstance(entry, dict):
+            raise ValueError(f"element {pos} must be an object")
+        big_plus = _complex_field(entry, "Lambda_plus", "element", pos)
+        big_minus = _complex_field(entry, "Lambda_minus", "element", pos)
         if "log_c" in entry:
-            log_c = _complex_field(entry, "log_c", label)
-        else:
-            _require("Lambda_c" in entry, f'{label} needs "log_c" or "Lambda_c"')
-            big_c = _complex_field(entry, "Lambda_c", label)
-            _require(big_c != 0, f'{label}: "Lambda_c" must be nonzero')
+            log_c = _complex_field(entry, "log_c", "element", pos)
+        elif "Lambda_c" in entry:
+            big_c = _complex_field(entry, "Lambda_c", "element", pos)
+            if big_c == 0:
+                raise ValueError(f'element {pos}: "Lambda_c" must be nonzero')
             log_c = cmath.log(big_c)
+        else:
+            raise ValueError(f'element {pos} needs "log_c" or "Lambda_c"')
         elements.append(GroupElement(algebra, big_plus, log_c, big_minus))
     return elements
 
@@ -284,9 +284,9 @@ def _samples_schedule(samples, algebra: AlgebraKind, t_final: float) -> Hamilton
         times.append(_number_field(entry, "t", label))
         triples.append(
             (
-                _complex_field(entry, "eta_plus", label),
-                _complex_field(entry, "eta_c", label),
-                _complex_field(entry, "eta_minus", label),
+                _complex_field(entry, "eta_plus", "sample", pos),
+                _complex_field(entry, "eta_c", "sample", pos),
+                _complex_field(entry, "eta_minus", "sample", pos),
             )
         )
     for a, b in zip(times, times[1:]):
@@ -446,8 +446,9 @@ def main(argv=None) -> int:
             step=exc.step,
             time=exc.time,
         )
-    except (OSError, ValueError) as exc:
-        # every domain error type in this package subclasses ValueError
+    except (OSError, OverflowError, ValueError) as exc:
+        # every domain error type in this package subclasses ValueError;
+        # OverflowError: a value left double range (a kernel's cmath call, a huge JSON integer)
         return _fail(EXIT_INPUT, str(exc))
 
 

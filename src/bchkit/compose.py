@@ -199,12 +199,14 @@ def compose_many(elements: Sequence[GroupElement]) -> GroupElement:
     left fold is the recurrence that seeds on the first element's
     coordinates.  Errors are those of compose_pair, at the same element; a
     singular step is reported with its 1-based position.  A single element
-    is returned as it is.
+    is checked for finiteness like every other and returned as it is.
     """
     count = len(elements)
     if count == 0:
         raise EmptySequence("need at least one element to compose")
     if count == 1:
+        if not elements[0].is_finite():
+            raise NonFiniteInput("group element coordinates must be finite")
         return elements[0]
     algebra = elements[0].algebra
     index = 0

@@ -86,6 +86,12 @@ def test_disentangle_output_is_deterministic(capsys):
     assert first == second
 
 
+def test_disentangle_overflow_exits_2(capsys):
+    code, out = run_cli(capsys, "disentangle", "--algebra", "su11", "--lambda", "800,0", "0,0", "-800,0")
+    assert code == 2
+    assert json.loads(out) == {"error": "math range error"}
+
+
 def test_disentangle_singular_exits_3(capsys):
     half_pi = repr(math.pi / 2)
     code, out = run_cli(
@@ -447,3 +453,60 @@ def test_python_dash_m_prints_what_main_prints(module, capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+# ---------------------------------------------------------------------------
+# a numpy-free start
+
+def run_python(*args):
+    """Run a fresh interpreter that imports bchkit from this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bchkit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+# Blocks numpy before bchkit.cli is imported: ``import numpy`` then raises.
+WITHOUT_NUMPY = """\
+import sys
+sys.modules["numpy"] = None
+from bchkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_every_subcommand_runs_without_numpy(tmp_path, capsys):
+    entry = {"Lambda_plus": [0.1, 0.2], "Lambda_c": [1.1, 0], "Lambda_minus": [-0.3, 0]}
+    elements = tmp_path / "elements.json"
+    elements.write_text(json.dumps([entry, entry, entry]))
+    cases = [
+        ["disentangle", "--algebra", "su2", "--lambda", "-0.3,0.1", "0.5,0", "-0.2,-0.4"],
+        ["compose", "--algebra", "su11", "--continued-fraction", str(elements)],
+        ["squeeze-compose", "--z1", "0.7,0.3", "--z2", "0.5,-1.1"],
+        ["evolve", "--schedule", constant_oscillator(tmp_path), "--steps", "64"],
+    ]
+    for argv in cases:
+        code, expected = run_cli(capsys, *argv)
+        assert code == 0
+        proc = run_python("-c", WITHOUT_NUMPY, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
+
+
+LAZY_ORACLE = """\
+import sys
+import bchkit
+assert "numpy" not in sys.modules, "import bchkit loaded numpy"
+import bchkit.cli
+assert "numpy" not in sys.modules, "import bchkit.cli loaded numpy"
+for name in bchkit.__all__:
+    getattr(bchkit, name)
+assert bchkit.element_matrix is bchkit.oracle.element_matrix
+"""
+
+
+def test_import_bchkit_leaves_numpy_unloaded_until_the_oracle_is_used():
+    proc = run_python("-c", LAZY_ORACLE)
+    assert proc.returncode == 0, proc.stderr

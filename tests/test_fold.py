@@ -154,9 +154,12 @@ def test_compose_many_is_the_per_pair_fold_with_phases(algebra):
     assert bits(compose_many(tuple(elements[:2]))) == bits(compose_pair(elements[1], elements[0]))
 
 
-def test_compose_many_single_element_is_returned_unchecked():
-    g = GroupElement(AlgebraKind.SU2, complex(math.inf, 0), 0j, 0j)
-    assert compose_many([g]) is g
+def test_compose_many_single_element_is_checked_then_returned():
+    bad = GroupElement(AlgebraKind.SU2, complex(math.inf, 0), 0j, 0j)
+    with pytest.raises(NonFiniteInput, match="group element coordinates must be finite"):
+        compose_many([bad])
+    finite = GroupElement(AlgebraKind.SU2, 0.3 + 0.1j, 0.2j, -0.4 + 0j)
+    assert compose_many([finite]) is finite
 
 
 def test_compose_many_checks_algebra_then_finiteness_in_order():
