@@ -10,12 +10,12 @@ stable contract for pipelines: 0 on success, 2 for input or parse problems,
 from __future__ import annotations
 
 import argparse
-import bisect
 import cmath
 import json
 import math
 import re
 import sys
+from bisect import bisect_right
 
 from .algebra import AlgebraKind, ExponentParams, GroupElement, make_algebra
 from .compose import alpha_continued_fraction, compose_many, disentangle
@@ -46,8 +46,6 @@ def _fmt(value: float) -> str:
 
 def _render(value) -> str:
     """Fixed-order JSON with .17g floats and complex values as [re, im]."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, int):
@@ -59,8 +57,6 @@ def _render(value) -> str:
     if isinstance(value, dict):
         inner = ", ".join(f"{json.dumps(k)}: {_render(v)}" for k, v in value.items())
         return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in value) + "]"
     raise TypeError(f"cannot render {type(value).__name__}")
 
 
@@ -86,10 +82,18 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite(a, b=0.0) -> bool:
+    """Whether the numbers are finite as doubles; an integer beyond double range is not."""
+    try:
+        return math.isfinite(a) and math.isfinite(b)
+    except OverflowError:
+        return False
+
+
 def _number_field(obj: dict, key: str, label: str = "schedule") -> float:
     value = obj.get(key)
     _require(
-        _is_number(value) and math.isfinite(value),
+        _is_number(value) and _finite(value),
         f'{label}: "{key}" must be a finite number',
     )
     return float(value)
@@ -101,31 +105,27 @@ def _complex_field(obj: dict, key: str, noun: str, pos: int) -> complex:
     if isinstance(value, list) and len(value) == 2:
         re_part, im_part = value
         if _is_number(re_part) and _is_number(im_part):
-            out = complex(re_part, im_part)
-            if cmath.isfinite(out):
-                return out
+            if _finite(re_part, im_part):
+                return complex(re_part, im_part)
             raise ValueError(f'{noun} {pos}: "{key}" must be finite')
     raise ValueError(f'{noun} {pos}: "{key}" must be a [re, im] pair')
 
 
-def _parse_complex_pair(text: str) -> complex:
-    parts = text.strip().split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected re,im but got {text!r}")
+def _split_pair(text: str, shape: str) -> tuple:
+    """The two floats of a command-line "a,b" token; ``shape`` names them in the error."""
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        first, second = map(float, text.strip().split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected re,im but got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected {shape} but got {text!r}") from None
+    return first, second
+
+
+def _parse_complex_pair(text: str) -> complex:
+    return complex(*_split_pair(text, "re,im"))
 
 
 def _parse_squeeze_pair(text: str) -> SqueezeParams:
-    parts = text.strip().split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected r,phi but got {text!r}")
-    try:
-        r, phi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected r,phi but got {text!r}") from None
+    r, phi = _split_pair(text, "r,phi")
     if r < 0:
         raise argparse.ArgumentTypeError(f"squeeze magnitude must be >= 0, got {r}")
     return SqueezeParams(r, phi)
@@ -195,12 +195,6 @@ def cmd_compose(args) -> int:
 def cmd_squeeze_compose(args) -> int:
     product = compose_squeezes(args.z2, args.z1)
     factored = factor_squeeze_rotation(product)
-    redone = factored.recompose()
-    residual = max(
-        abs(redone.big_plus - product.big_plus),
-        abs(redone.big_c() - product.big_c()),
-        abs(redone.big_minus - product.big_minus),
-    )
     _emit(
         {
             "alpha": product.big_plus,
@@ -211,10 +205,30 @@ def cmd_squeeze_compose(args) -> int:
                 "phi": factored.squeeze.phi,
                 "rotation_angle": factored.rotation.angle,
             },
-            "recomposition_residual": residual,
+            "recomposition_residual": factored.residual,
         }
     )
     return EXIT_OK
+
+
+def _interp(times: list, values: list, blend, what: str):
+    """Piecewise-linear t -> value through the knots, clamped outside them.
+
+    ``blend(a, b, frac)`` mixes two neighbouring values; ``what`` names the knots in errors.
+    """
+    for a, b in zip(times, times[1:]):
+        _require(a < b, f"{what} times must be strictly increasing")
+    first, last = times[0], times[-1]
+
+    def at(t: float):
+        if t <= first:
+            return values[0]
+        if t >= last:
+            return values[-1]
+        i = bisect_right(times, t) - 1
+        return blend(values[i], values[i + 1], (t - times[i]) / (times[i + 1] - times[i]))
+
+    return at
 
 
 def _table_omega(profile: dict):
@@ -227,21 +241,10 @@ def _table_omega(profile: dict):
     for pos, point in enumerate(points, start=1):
         ok = isinstance(point, list) and len(point) == 2 and all(_is_number(v) for v in point)
         _require(ok, f"omega_profile point {pos} must be a [t, omega] pair")
+        _require(_finite(*point), f"omega_profile point {pos} must be finite")
         times.append(float(point[0]))
         omegas.append(float(point[1]))
-    for a, b in zip(times, times[1:]):
-        _require(a < b, "omega_profile times must be strictly increasing")
-
-    def omega_of_t(t: float) -> float:
-        if t <= times[0]:
-            return omegas[0]
-        if t >= times[-1]:
-            return omegas[-1]
-        i = bisect.bisect_right(times, t) - 1
-        frac = (t - times[i]) / (times[i + 1] - times[i])
-        return omegas[i] + (omegas[i + 1] - omegas[i]) * frac
-
-    return omega_of_t
+    return _interp(times, omegas, lambda a, b, frac: a + (b - a) * frac, "omega_profile")
 
 
 def _preset_schedule(preset, algebra: AlgebraKind, t_final: float) -> HamiltonianSchedule:
@@ -289,20 +292,11 @@ def _samples_schedule(samples, algebra: AlgebraKind, t_final: float) -> Hamilton
                 _complex_field(entry, "eta_minus", "sample", pos),
             )
         )
-    for a, b in zip(times, times[1:]):
-        _require(a < b, '"samples" times must be strictly increasing')
+    eta = _interp(
+        times, triples, lambda a, b, frac: tuple(x + (y - x) * frac for x, y in zip(a, b)),
+        '"samples"',
+    )
     _require(t_final >= times[-1], '"t_final" must not precede the last sample time')
-
-    def eta(t: float):
-        # linear interpolation inside the sampled window, clamped outside it
-        if t <= times[0]:
-            return triples[0]
-        if t >= times[-1]:
-            return triples[-1]
-        i = bisect.bisect_right(times, t) - 1
-        frac = (t - times[i]) / (times[i + 1] - times[i])
-        return tuple(a + (b - a) * frac for a, b in zip(triples[i], triples[i + 1]))
-
     return HamiltonianSchedule(algebra, eta, t_final)
 
 
@@ -448,7 +442,7 @@ def main(argv=None) -> int:
         )
     except (OSError, OverflowError, ValueError) as exc:
         # every domain error type in this package subclasses ValueError;
-        # OverflowError: a value left double range (a kernel's cmath call, a huge JSON integer)
+        # OverflowError: a value left double range (a kernel's cmath call, a huge --steps)
         return _fail(EXIT_INPUT, str(exc))
 
 

@@ -86,12 +86,14 @@ class SqueezeRotationFactorization:
     factorization: the original element equals exp(phase_shift) times the
     product squeeze_element(squeeze) rotation_element(rotation).  For a
     product of two squeezes it comes out as i*angle/2, the prefactor the
-    component-level factorization silently drops.
+    component-level factorization silently drops.  ``residual`` is the
+    recomposition gap :func:`factor_squeeze_rotation` measured (None if built by hand).
     """
 
     squeeze: SqueezeParams
     rotation: RotationParams
     phase_shift: complex = 0j
+    residual: float | None = None
 
     def recompose(self) -> GroupElement:
         product = compose_pair(
@@ -179,8 +181,7 @@ def factor_squeeze_rotation(g: GroupElement) -> SqueezeRotationFactorization:
         candidates.append((abs(cmath.exp(shift) - 1.0), rotation, shift))
     _, rotation, shift = min(candidates, key=lambda c: c[0])
 
-    result = SqueezeRotationFactorization(squeeze, rotation, phase_shift=shift)
-    redone = result.recompose()
+    redone = SqueezeRotationFactorization(squeeze, rotation, phase_shift=shift).recompose()
     residual = max(
         abs(redone.big_plus - g.big_plus),
         abs(redone.big_c() - g.big_c()),
@@ -191,4 +192,4 @@ def factor_squeeze_rotation(g: GroupElement) -> SqueezeRotationFactorization:
         raise NotFactorizable(
             f"recomposition residual {residual:.3e} exceeds {_TOL_RESIDUAL:.1e}"
         )
-    return result
+    return SqueezeRotationFactorization(squeeze, rotation, shift, residual)

@@ -12,12 +12,18 @@ from bchkit import (
     AlgebraKind,
     ExponentParams,
     GroupElement,
+    SqueezeParams,
+    compose_squeezes,
     disentangle,
     element_matrix,
     exponent_matrix,
+    factor_squeeze_rotation,
 )
 import bchkit
-from bchkit.cli import main
+from bchkit.cli import load_schedule, main
+
+# json.dumps writes this as a 401-digit integer, far beyond double range
+HUGE = int("9" * 401)
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +193,14 @@ def test_compose_input_problems_exit_2(tmp_path, capsys):
     partial.write_text(json.dumps([{"Lambda_plus": [0.1, 0]}]))
     assert run_cli(capsys, "compose", "--algebra", "su11", str(partial))[0] == 2
 
+    huge = tmp_path / "huge.json"
+    for key, value in (("Lambda_plus", [HUGE, 0]), ("log_c", [0, -HUGE])):
+        entry = {"Lambda_plus": [0.1, 0], "log_c": [0, 0], "Lambda_minus": [0, 0], key: value}
+        huge.write_text(json.dumps([entry]))
+        code, out = run_cli(capsys, "compose", "--algebra", "su11", str(huge))
+        assert code == 2
+        assert json.loads(out) == {"error": f'element 1: "{key}" must be finite'}
+
 
 def test_compose_singular_exits_3(tmp_path, capsys):
     path = tmp_path / "singular.json"
@@ -227,6 +241,8 @@ def test_squeeze_compose_generic(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["recomposition_residual"] <= 1e-10
+    factored = factor_squeeze_rotation(compose_squeezes(SqueezeParams(0.5, -1.1), SqueezeParams(0.7, 0.3)))
+    assert payload["recomposition_residual"] == factored.residual
     alpha, gamma = as_complex(payload["alpha"]), as_complex(payload["gamma"])
     assert abs(abs(alpha) - abs(gamma)) <= 1e-12
 
@@ -383,51 +399,166 @@ def test_evolve_midpoint_flag(tmp_path, capsys):
     assert "alpha" in json.loads(out)
 
 
-def test_evolve_schema_violations_exit_2(tmp_path, capsys):
-    cases = [
+def oscillator_with(profile, t_final=1.0):
+    return {
+        "format": 1, "algebra": "su11", "t_final": t_final,
+        "preset": {"name": "oscillator", "omega0": 1.0, "omega_profile": profile},
+    }
+
+
+def one_sample(**fields):
+    entry = {"t": 0.0, "eta_plus": [0, 0], "eta_c": [1, 0], "eta_minus": [0, 0]}
+    return dict(entry, **fields)
+
+
+# (schedule file, the exact error it gets); the cases run with --steps 4
+SCHEDULE_ERRORS = [
+    (
         {"format": 2, "algebra": "su11", "t_final": 1.0, "samples": []},
+        'schedule "format" must be the number 1',
+    ),
+    (
         {"format": 1, "algebra": "su11", "t_final": 1.0},
-        {
-            "format": 1, "algebra": "su11", "t_final": 1.0,
-            "preset": {"name": "oscillator", "omega0": 1.0,
-                       "omega_profile": {"type": "constant", "omega": 1.0}},
-            "samples": [],
-        },
-        {
-            "format": 1, "algebra": "su11", "t_final": 1.0,
-            "preset": {"name": "oscillator", "omega0": 1.0,
-                       "omega_profile": {"type": "sawtooth"}},
-        },
-        {
-            "format": 1, "algebra": "su2", "t_final": 1.0,
-            "preset": {"name": "oscillator", "omega0": 1.0,
-                       "omega_profile": {"type": "constant", "omega": 1.0}},
-        },
-        {
-            "format": 1, "algebra": "su11", "t_final": 1.0,
-            "samples": [
-                {"t": 0.5, "eta_plus": [0, 0], "eta_c": [1, 0], "eta_minus": [0, 0]},
-                {"t": 0.25, "eta_plus": [0, 0], "eta_c": [1, 0], "eta_minus": [0, 0]},
-            ],
-        },
-        {
-            "format": 1, "algebra": "su11", "t_final": 1.0,
-            "samples": [
-                {"t": 0.0, "eta_plus": [0, 0], "eta_c": [1, 0], "eta_minus": [0, 0]},
-                {"t": 4.0, "eta_plus": [0, 0], "eta_c": [1, 0], "eta_minus": [0, 0]},
-            ],
-        },
-        {
-            "format": 1, "algebra": "su11", "t_final": 1.0,
-            "preset": {"name": "oscillator", "omega0": 1.0,
-                       "omega_profile": {"type": "constant", "omega": -2.0}},
-        },
-    ]
-    for index, payload in enumerate(cases):
+        'schedule needs exactly one of "preset" or "samples"',
+    ),
+    (
+        dict(oscillator_with({"type": "constant", "omega": 1.0}), samples=[]),
+        'schedule needs exactly one of "preset" or "samples"',
+    ),
+    (oscillator_with({"type": "sawtooth"}), "unknown omega_profile type 'sawtooth'"),
+    (
+        dict(oscillator_with({"type": "constant", "omega": 1.0}), algebra="su2"),
+        'the oscillator preset requires algebra "su11"',
+    ),
+    (
+        {"format": 1, "algebra": "su11", "t_final": 1.0,
+         "samples": [one_sample(t=0.5), one_sample(t=0.25)]},
+        '"samples" times must be strictly increasing',
+    ),
+    (
+        {"format": 1, "algebra": "su11", "t_final": 1.0,
+         "samples": [one_sample(t=0.0), one_sample(t=4.0)]},
+        '"t_final" must not precede the last sample time',
+    ),
+    (oscillator_with({"type": "constant", "omega": -2.0}), "omega(0.25) = -2.0 is not positive"),
+    (
+        oscillator_with({"type": "table", "points": [[0, 1.2], [math.inf, 1]]}),
+        "omega_profile point 2 must be finite",
+    ),
+    (
+        oscillator_with({"type": "table", "points": [[-math.inf, 1.2], [1, 1]]}),
+        "omega_profile point 1 must be finite",
+    ),
+    (
+        oscillator_with({"type": "table", "points": [[0, 1.2], [math.nan, 1]]}),
+        "omega_profile point 2 must be finite",
+    ),
+    (
+        oscillator_with({"type": "table", "points": [[0, 1.2], [1, HUGE]]}),
+        "omega_profile point 2 must be finite",
+    ),
+    (
+        oscillator_with({"type": "table", "points": [[0, 1.2], [1, "fast"]]}),
+        "omega_profile point 2 must be a [t, omega] pair",
+    ),
+    (
+        oscillator_with({"type": "constant", "omega": 1.0}, t_final=HUGE),
+        'schedule: "t_final" must be a finite number',
+    ),
+    (
+        {"format": 1, "algebra": "su2", "t_final": 1.0, "samples": [one_sample(eta_c=[1, -HUGE])]},
+        'sample 1: "eta_c" must be finite',
+    ),
+]
+
+
+def test_evolve_schema_violations_exit_2(tmp_path, capsys):
+    for index, (payload, _) in enumerate(SCHEDULE_ERRORS):
         sched = write_schedule(tmp_path, payload, name=f"case{index}.json")
         code, out = run_cli(capsys, "evolve", "--schedule", sched, "--steps", "4")
         assert code == 2, f"case {index} should be rejected"
         assert "error" in json.loads(out)
+
+
+# (element file, the exact error it gets)
+ELEMENT_ERRORS = [
+    ([], "element file must hold a nonempty JSON list"),
+    (
+        [{"Lambda_plus": [0, 0], "log_c": [0, 0], "Lambda_minus": [0, 0]}, 3],
+        "element 2 must be an object",
+    ),
+    ([{"Lambda_plus": [0.1, 0], "Lambda_minus": [0, 0]}], 'element 1 needs "log_c" or "Lambda_c"'),
+    (
+        [{"Lambda_plus": [0.1, 0], "Lambda_c": [0, 0], "Lambda_minus": [0, 0]}],
+        'element 1: "Lambda_c" must be nonzero',
+    ),
+    (
+        [{"Lambda_plus": [0.1], "Lambda_c": [1, 0], "Lambda_minus": [0, 0]}],
+        'element 1: "Lambda_plus" must be a [re, im] pair',
+    ),
+    (
+        [{"Lambda_plus": [0.1, 0], "Lambda_c": [1, 0], "Lambda_minus": [0, True]}],
+        'element 1: "Lambda_minus" must be a [re, im] pair',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [("evolve", payload, message) for payload, message in SCHEDULE_ERRORS]
+    + [("compose", payload, message) for payload, message in ELEMENT_ERRORS],
+)
+def test_input_error_bodies(tmp_path, capsys, command, content, message):
+    path = write_schedule(tmp_path, content, name="input.json")
+    if command == "evolve":
+        code, out = run_cli(capsys, "evolve", "--schedule", path, "--steps", "4")
+    else:
+        code, out = run_cli(capsys, "compose", "--algebra", "su11", path)
+    assert code == 2
+    assert json.loads(out) == {"error": message}
+
+
+def test_schedule_interpolation_values(tmp_path):
+    table = load_schedule(write_schedule(
+        tmp_path, oscillator_with({"type": "table", "points": [[1.0, 1.0], [2.0, 2.0], [4.0, 1.5]]}, 5.0),
+        name="table.json",
+    ))
+
+    def oscillator_eta(omega):  # omega0 = 1
+        coupling = complex((omega * omega - 1.0) / 2.0)
+        return (coupling, complex(omega * omega + 1.0), coupling)
+
+    # before the first knot, at knots, between knots, after the last knot
+    for t, omega in ((0.5, 1.0), (1.0, 1.0), (1.5, 1.5), (2.0, 2.0), (3.0, 1.75), (4.0, 1.5), (5.0, 1.5)):
+        assert table.eta(t) == oscillator_eta(omega), t
+
+    knots = [
+        (1.0, (0.5, 1.0 + 0.25j, -1j)),
+        (3.0, (1.5 + 1j, 2.0 + 0.25j, 1.0)),
+        (5.0, (0.5, 0.0, 2.0 - 1j)),
+    ]
+    samples = load_schedule(write_schedule(
+        tmp_path,
+        {
+            "format": 1, "algebra": "su2", "t_final": 6.0,
+            "samples": [
+                {"t": t, "eta_plus": pair(p), "eta_c": pair(c), "eta_minus": pair(m)}
+                for t, (p, c, m) in knots
+            ],
+        },
+        name="samples.json",
+    ))
+    expected = [
+        (0.0, knots[0][1]),
+        (1.0, knots[0][1]),
+        (2.0, (1.0 + 0.5j, 1.5 + 0.25j, 0.5 - 0.5j)),
+        (3.0, knots[1][1]),
+        (4.0, (1.0 + 0.5j, 1.0 + 0.125j, 1.5 - 0.5j)),
+        (5.0, knots[2][1]),
+        (6.0, knots[2][1]),
+    ]
+    for t, eta in expected:
+        assert samples.eta(t) == tuple(complex(v) for v in eta), t
 
 
 def test_evolve_rejects_bad_steps(tmp_path, capsys):

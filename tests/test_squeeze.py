@@ -165,7 +165,9 @@ def test_factorization_round_trip():
     rng = np.random.default_rng(73)
     for _ in range(300):
         g = compose_squeezes(random_squeeze(rng), random_squeeze(rng))
-        redone = factor_squeeze_rotation(g).recompose()
+        factored = factor_squeeze_rotation(g)
+        assert factored.residual <= 1e-8
+        redone = factored.recompose()
         assert abs(redone.big_plus - g.big_plus) <= 1e-10
         assert abs(redone.big_c() - g.big_c()) <= 1e-10
         assert abs(redone.big_minus - g.big_minus) <= 1e-10
