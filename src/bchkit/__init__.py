@@ -7,9 +7,13 @@ time-evolution operators, with an independent 2x2 matrix oracle for
 cross-checking every identity.
 
 The calculus and the command line run on the standard library alone.  Only
-the matrix oracle (``element_matrix`` and its companions) needs numpy, so its
-names are imported on first access: ``import bchkit`` does not load numpy.
+the matrix oracle (``element_matrix`` and its companions) needs numpy.  Its
+names, and those of the squeeze module, are imported on first access, so
+``import bchkit`` loads neither numpy nor ``bchkit.squeeze``.  The value
+types are frozen ``__slots__`` classes, not dataclasses.
 """
+
+import importlib
 
 from .algebra import (
     AlgebraKind,
@@ -42,21 +46,25 @@ from .evolve import (
     oscillator_schedule,
     step_element,
 )
-from .squeeze import (
-    RotationParams,
-    SqueezeParams,
-    SqueezeRotationFactorization,
-    compose_squeezes,
-    factor_squeeze_rotation,
-    rotation_element,
-    squeeze_element,
-)
 
 __version__ = "0.1.0"
 
-_ORACLE_NAMES = frozenset(
-    {"GeneratorSet", "Mat2", "element_matrix", "exponent_matrix", "generators_for", "mat_exp"}
-)
+# Names imported from their submodule on first access (PEP 562 __getattr__ below).
+_LAZY = {
+    "GeneratorSet": "oracle",
+    "Mat2": "oracle",
+    "element_matrix": "oracle",
+    "exponent_matrix": "oracle",
+    "generators_for": "oracle",
+    "mat_exp": "oracle",
+    "RotationParams": "squeeze",
+    "SqueezeParams": "squeeze",
+    "SqueezeRotationFactorization": "squeeze",
+    "compose_squeezes": "squeeze",
+    "factor_squeeze_rotation": "squeeze",
+    "rotation_element": "squeeze",
+    "squeeze_element": "squeeze",
+}
 
 __all__ = [
     "AlgebraKind",
@@ -101,10 +109,9 @@ __all__ = [
 
 def __getattr__(name: str):
     # PEP 562: reached only for names not yet in the module globals.
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        value = getattr(oracle, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

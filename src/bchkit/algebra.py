@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-from dataclasses import dataclass
 
 __all__ = [
     "AlgebraKind",
@@ -62,13 +61,56 @@ def make_algebra(kind: str | AlgebraKind) -> AlgebraKind:
         raise ValueError(f"unknown algebra {kind!r}; expected one of {names}") from None
 
 
-@dataclass(frozen=True)
-class ExponentParams:
+# Sets a field of a _Frozen instance past its __setattr__; for constructors only.
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__`` and sets them in ``__init__``
+    through ``object.__setattr__``.  Instances compare equal when they are of
+    the same class with equal field values, hash as the tuple of those values,
+    refuse assignment and deletion, and pickle and copy by calling the
+    constructor with the field values in slot order.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class ExponentParams(_Frozen):
     """Coordinates of a single-exponential group element (all complex, finite)."""
 
-    lambda_plus: complex
-    lambda_c: complex
-    lambda_minus: complex
+    __slots__ = ("lambda_plus", "lambda_c", "lambda_minus")
+
+    def __init__(self, lambda_plus: complex, lambda_c: complex, lambda_minus: complex):
+        _set(self, "lambda_plus", lambda_plus)
+        _set(self, "lambda_c", lambda_c)
+        _set(self, "lambda_minus", lambda_minus)
 
     def is_finite(self) -> bool:
         return (
@@ -78,8 +120,7 @@ class ExponentParams:
         )
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Frozen):
     """Normal-ordered coordinates of a group element.
 
     ``log_c`` holds ln of the Cartan coordinate; the coordinate itself is
@@ -88,11 +129,21 @@ class GroupElement:
     ordered product); it stays 0 except for rotation operators.
     """
 
-    algebra: AlgebraKind
-    big_plus: complex
-    log_c: complex
-    big_minus: complex
-    phase: complex = 0j
+    __slots__ = ("algebra", "big_plus", "log_c", "big_minus", "phase")
+
+    def __init__(
+        self,
+        algebra: AlgebraKind,
+        big_plus: complex,
+        log_c: complex,
+        big_minus: complex,
+        phase: complex = 0j,
+    ):
+        _set(self, "algebra", algebra)
+        _set(self, "big_plus", big_plus)
+        _set(self, "log_c", log_c)
+        _set(self, "big_minus", big_minus)
+        _set(self, "phase", phase)
 
     def big_c(self) -> complex:
         return cmath.exp(self.log_c)

@@ -19,14 +19,13 @@ from bisect import bisect_right
 
 from .algebra import AlgebraKind, ExponentParams, GroupElement, make_algebra
 from .compose import alpha_continued_fraction, compose_many, disentangle
-from .errors import SingularDecomposition
+from .errors import NonFiniteInput, SingularDecomposition
 from .evolve import (
     HamiltonianSchedule,
     default_checkpoint_stride,
     evolve,
     oscillator_schedule,
 )
-from .squeeze import SqueezeParams, compose_squeezes, factor_squeeze_rotation
 
 __all__ = ["main", "entry_point", "build_parser"]
 
@@ -124,11 +123,16 @@ def _parse_complex_pair(text: str) -> complex:
     return complex(*_split_pair(text, "re,im"))
 
 
-def _parse_squeeze_pair(text: str) -> SqueezeParams:
+def _parse_squeeze_pair(text: str):
+    from .squeeze import SqueezeParams
+
     r, phi = _split_pair(text, "r,phi")
     if r < 0:
         raise argparse.ArgumentTypeError(f"squeeze magnitude must be >= 0, got {r}")
-    return SqueezeParams(r, phi)
+    try:
+        return SqueezeParams(r, phi)
+    except NonFiniteInput:
+        raise argparse.ArgumentTypeError(f"r,phi must be finite but got {text.strip()!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +197,8 @@ def cmd_compose(args) -> int:
 
 
 def cmd_squeeze_compose(args) -> int:
+    from .squeeze import compose_squeezes, factor_squeeze_rotation
+
     product = compose_squeezes(args.z2, args.z1)
     factored = factor_squeeze_rotation(product)
     _emit(
@@ -343,6 +349,7 @@ def _write_trajectory_csv(path: str, trajectory) -> None:
 def cmd_evolve(args) -> int:
     schedule = load_schedule(args.schedule)
     _require(args.steps >= 1, f"--steps must be >= 1, got {args.steps}")
+    _require(_finite(args.steps), "--steps is too large")
     stride = args.checkpoints
     if stride is None and args.csv is not None:
         stride = default_checkpoint_stride(args.steps)
@@ -442,7 +449,7 @@ def main(argv=None) -> int:
         )
     except (OSError, OverflowError, ValueError) as exc:
         # every domain error type in this package subclasses ValueError;
-        # OverflowError: a value left double range (a kernel's cmath call, a huge --steps)
+        # OverflowError: a value left double range in a kernel's cmath call
         return _fail(EXIT_INPUT, str(exc))
 
 

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import cmath
 from cmath import isfinite
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import AlgebraKind, ExponentParams, GroupElement
+from .algebra import AlgebraKind, ExponentParams, GroupElement, _Frozen, _set
 from .errors import (
     AlgebraMismatch,
     EmptySequence,
@@ -74,7 +73,7 @@ def _cosh_sinhc(nu: complex) -> tuple[complex, complex]:
 
 # Raw kernels.  Coordinates travel as plain complex tuples
 # (big_plus, log_c, big_minus, phase); only the public wrappers and the
-# results of folds build dataclasses.
+# results of folds build GroupElement objects.
 
 def _disentangle_raw(eps, delta, lp, lc, lm):
     """(big_plus, log_c, big_minus, nu) of exp(lp T+ + lc Tc + lm T-); see disentangle."""
@@ -139,12 +138,14 @@ def _fold(algebra: AlgebraKind, coords: Iterable[tuple]) -> Iterator[tuple[int, 
         yield index, acc
 
 
-@dataclass(frozen=True)
-class DisentangleResult:
+class DisentangleResult(_Frozen):
     """Normal-ordered element plus the auxiliary frequency that produced it."""
 
-    element: GroupElement
-    nu: complex
+    __slots__ = ("element", "nu")
+
+    def __init__(self, element: GroupElement, nu: complex):
+        _set(self, "element", element)
+        _set(self, "nu", nu)
 
 
 def disentangle(algebra: AlgebraKind, lam: ExponentParams) -> DisentangleResult:

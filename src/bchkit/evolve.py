@@ -11,10 +11,9 @@ the step coefficients sampled at the right endpoint by default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .algebra import AlgebraKind, GroupElement, identity_element
+from .algebra import AlgebraKind, GroupElement, _Frozen, _set, identity_element
 from .compose import _disentangle_raw, _fold
 from .errors import InvalidFrequency, SingularDecomposition
 
@@ -31,8 +30,7 @@ __all__ = [
 EtaTriple = tuple[complex, complex, complex]
 
 
-@dataclass(frozen=True)
-class HamiltonianSchedule:
+class HamiltonianSchedule(_Frozen):
     """Generator coefficients of H(t) on [0, t_final], as a pure function of t.
 
     ``eta`` maps a time to the (eta_plus, eta_c, eta_minus) triple; it must be
@@ -40,19 +38,26 @@ class HamiltonianSchedule:
     evolution loop samples it at times the caller never sees.
     """
 
-    algebra: AlgebraKind
-    eta: Callable[[float], EtaTriple]
-    t_final: float
+    __slots__ = ("algebra", "eta", "t_final")
+
+    def __init__(self, algebra: AlgebraKind, eta: Callable[[float], EtaTriple], t_final: float):
+        _set(self, "algebra", algebra)
+        _set(self, "eta", eta)
+        _set(self, "t_final", t_final)
 
 
-@dataclass(frozen=True)
-class EvolutionResult:
+class EvolutionResult(_Frozen):
     """Final composed element plus the discretization that produced it."""
 
-    element: GroupElement
-    steps: int
-    tau: float
-    trajectory: Optional[tuple] = None
+    __slots__ = ("element", "steps", "tau", "trajectory")
+
+    def __init__(
+        self, element: GroupElement, steps: int, tau: float, trajectory: Optional[tuple] = None
+    ):
+        _set(self, "element", element)
+        _set(self, "steps", steps)
+        _set(self, "tau", tau)
+        _set(self, "trajectory", trajectory)
 
 
 def _slice_coords(eps, delta, eta_j, minus_i_tau: complex) -> tuple:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .algebra import AlgebraKind, GroupElement, identity_element
+from .algebra import AlgebraKind, GroupElement, _Frozen, _set, identity_element
 from .compose import compose_pair
 from .errors import NonFiniteInput, NotFactorizable
 
@@ -43,43 +42,39 @@ def _wrap_angle(theta: float) -> float:
     return wrapped
 
 
-@dataclass(frozen=True)
-class SqueezeParams:
+class SqueezeParams(_Frozen):
     """Squeeze magnitude and phase, normalized so r >= 0 and phi in (-pi, pi]."""
 
-    r: float
-    phi: float = 0.0
+    __slots__ = ("r", "phi")
 
-    def __post_init__(self):
-        r, phi = float(self.r), float(self.phi)
+    def __init__(self, r: float, phi: float = 0.0):
+        r, phi = float(r), float(phi)
         if not (math.isfinite(r) and math.isfinite(phi)):
             raise NonFiniteInput("squeeze parameters must be finite")
         if r < 0:
             # z = r e^{i phi} is what matters; fold the sign into the phase
             r, phi = -r, phi + math.pi
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "phi", _wrap_angle(phi))
+        _set(self, "r", r)
+        _set(self, "phi", _wrap_angle(phi))
 
     @property
     def z(self) -> complex:
         return self.r * cmath.exp(1j * self.phi)
 
 
-@dataclass(frozen=True)
-class RotationParams:
+class RotationParams(_Frozen):
     """Rotation angle, normalized to (-pi, pi]."""
 
-    angle: float
+    __slots__ = ("angle",)
 
-    def __post_init__(self):
-        angle = float(self.angle)
+    def __init__(self, angle: float):
+        angle = float(angle)
         if not math.isfinite(angle):
             raise NonFiniteInput("rotation angle must be finite")
-        object.__setattr__(self, "angle", _wrap_angle(angle))
+        _set(self, "angle", _wrap_angle(angle))
 
 
-@dataclass(frozen=True)
-class SqueezeRotationFactorization:
+class SqueezeRotationFactorization(_Frozen):
     """A squeeze-after-rotation factorization of a group element.
 
     ``phase_shift`` is the exponent of the scalar left over by the
@@ -90,10 +85,19 @@ class SqueezeRotationFactorization:
     recomposition gap :func:`factor_squeeze_rotation` measured (None if built by hand).
     """
 
-    squeeze: SqueezeParams
-    rotation: RotationParams
-    phase_shift: complex = 0j
-    residual: float | None = None
+    __slots__ = ("squeeze", "rotation", "phase_shift", "residual")
+
+    def __init__(
+        self,
+        squeeze: SqueezeParams,
+        rotation: RotationParams,
+        phase_shift: complex = 0j,
+        residual: float | None = None,
+    ):
+        _set(self, "squeeze", squeeze)
+        _set(self, "rotation", rotation)
+        _set(self, "phase_shift", phase_shift)
+        _set(self, "residual", residual)
 
     def recompose(self) -> GroupElement:
         product = compose_pair(

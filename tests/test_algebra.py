@@ -1,13 +1,18 @@
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from bchkit import (
     AlgebraKind,
+    DisentangleResult,
+    EvolutionResult,
     ExponentParams,
     GroupElement,
+    HamiltonianSchedule,
     compose_pair,
     disentangle,
     identity_element,
@@ -68,3 +73,77 @@ def test_finiteness_helpers():
     assert not ExponentParams(0, complex(0, math.inf), 0).is_finite()
     g = GroupElement(AlgebraKind.SU11, 0j, 0j, 0j, phase=complex(math.nan, 0))
     assert not g.is_finite()
+
+
+# ---------------------------------------------------------------------------
+# value types: frozen, compared and hashed by field values, picklable
+
+
+def clones(value):
+    """Copies of ``value`` made by every pickle protocol, copy.copy and copy.deepcopy."""
+    pickled = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return pickled + [copy.copy(value), copy.deepcopy(value)]
+
+
+def test_value_types_compare_and_hash_by_fields():
+    g = GroupElement(AlgebraKind.SU2, 0.1j, 0.2 - 0.1j, -0.3)
+    same = GroupElement(algebra=AlgebraKind.SU2, big_plus=0.1j, log_c=0.2 - 0.1j, big_minus=-0.3, phase=0j)
+    assert g == same and not g != same
+    assert hash(g) == hash(same) and len({g, same}) == 1
+    assert g != GroupElement(AlgebraKind.SU2, 0.1j, 0.2 - 0.1j, -0.3, phase=1j)
+    assert g != GroupElement(AlgebraKind.SU11, 0.1j, 0.2 - 0.1j, -0.3)
+    lam = ExponentParams(0.1, 0.2j, -0.3)
+    assert lam == ExponentParams(lambda_plus=0.1, lambda_c=0.2j, lambda_minus=-0.3)
+    assert hash(lam) == hash(ExponentParams(0.1, 0.2j, -0.3))
+    assert lam != ExponentParams(0.1, 0.2j, 0.3)
+    # equal field values in another class, or in a plain tuple, are not equal
+    assert lam != HamiltonianSchedule(0.1, 0.2j, -0.3)
+    assert lam != (0.1, 0.2j, -0.3)
+    assert DisentangleResult(g, 0.5) == DisentangleResult(same, 0.5)
+    assert DisentangleResult(g, 0.5) != DisentangleResult(g, -0.5)
+
+
+def test_value_types_refuse_assignment_and_deletion():
+    g = GroupElement(AlgebraKind.SU11, 0j, 0j, 0j)
+    result = EvolutionResult(g, 1, 0.5)
+    for value, field in ((g, "big_plus"), (ExponentParams(0, 0, 0), "lambda_c"), (result, "trajectory")):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(value, field, 1.0)
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            delattr(value, field)
+    with pytest.raises(AttributeError):
+        g.extra = 1.0
+    assert g.big_plus == 0j and result.trajectory is None
+
+
+def test_value_types_survive_pickle_and_copy():
+    g = GroupElement(AlgebraKind.SO21, 0.1j, 0.3 - 0.2j, -0.4, phase=-0.25j)
+    values = [
+        g,
+        ExponentParams(0.1, 0.2j, -0.3),
+        DisentangleResult(g, 1e-5 + 2j),
+        EvolutionResult(g, 4, 0.25, ((0.0, identity_element(AlgebraKind.SO21)), (1.0, g))),
+    ]
+    for value in values:
+        for clone in clones(value):
+            assert type(clone) is type(value)
+            assert clone == value and hash(clone) == hash(value)
+
+
+def test_value_types_keyword_construction_and_defaults():
+    g = GroupElement(AlgebraKind.SU11, big_plus=0.5, log_c=0j, big_minus=-0.5)
+    assert g.phase == 0j and isinstance(g.phase, complex)
+    result = EvolutionResult(element=g, steps=2, tau=0.5)
+    assert result.trajectory is None
+    schedule = HamiltonianSchedule(algebra=AlgebraKind.SU2, eta=abs, t_final=1.5)
+    assert (schedule.algebra, schedule.eta, schedule.t_final) == (AlgebraKind.SU2, abs, 1.5)
+
+
+def test_value_type_repr():
+    g = GroupElement(AlgebraKind.SU2, 0.1j, 0.2, -0.3)
+    assert repr(g) == (
+        "GroupElement(algebra=<AlgebraKind.SU2: 'su2'>, big_plus=0.1j, log_c=0.2, "
+        "big_minus=-0.3, phase=0j)"
+    )
+    assert repr(ExponentParams(1, 2j, 3.5)) == "ExponentParams(lambda_plus=1, lambda_c=2j, lambda_minus=3.5)"
+    assert repr(DisentangleResult(g, 0.5)) == f"DisentangleResult(element={g!r}, nu=0.5)"

@@ -113,6 +113,11 @@ def test_bad_pair_syntax_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["disentangle", "--algebra", "su11", "--lambda", "0,0", "nope", "0,0"])
     assert excinfo.value.code == 2
+    for z1 in ("inf,0", "nan,0", "0,nan"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["squeeze-compose", "--z1", z1, "--z2", "0.4,0"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(f"argument --z1: r,phi must be finite but got {z1!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +568,10 @@ def test_schedule_interpolation_values(tmp_path):
 
 def test_evolve_rejects_bad_steps(tmp_path, capsys):
     sched = constant_oscillator(tmp_path)
-    code, out = run_cli(capsys, "evolve", "--schedule", sched, "--steps", "0")
-    assert code == 2
-    assert "error" in json.loads(out)
+    for steps, message in (("0", "--steps must be >= 1, got 0"), (str(HUGE), "--steps is too large")):
+        code, out = run_cli(capsys, "evolve", "--schedule", sched, "--steps", steps)
+        assert code == 2
+        assert json.loads(out) == {"error": message}
 
 
 # ---------------------------------------------------------------------------
@@ -631,10 +637,12 @@ import sys
 import bchkit
 assert "numpy" not in sys.modules, "import bchkit loaded numpy"
 import bchkit.cli
-assert "numpy" not in sys.modules, "import bchkit.cli loaded numpy"
+for module in ("numpy", "dataclasses", "inspect", "bchkit.squeeze"):
+    assert module not in sys.modules, f"import bchkit.cli loaded {module}"
 for name in bchkit.__all__:
     getattr(bchkit, name)
 assert bchkit.element_matrix is bchkit.oracle.element_matrix
+assert bchkit.SqueezeParams is bchkit.squeeze.SqueezeParams
 """
 
 

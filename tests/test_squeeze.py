@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,10 +9,13 @@ from hypothesis import given, strategies as st
 
 from bchkit import (
     AlgebraKind,
+    DisentangleResult,
     GroupElement,
+    NonFiniteInput,
     NotFactorizable,
     RotationParams,
     SqueezeParams,
+    SqueezeRotationFactorization,
     compose_pair,
     compose_squeezes,
     element_matrix,
@@ -52,6 +57,52 @@ def test_squeeze_params_normalize_negative_magnitude():
 
 def test_rotation_params_wrap():
     assert RotationParams(2 * math.pi + 0.25).angle == pytest.approx(0.25)
+
+
+def clones(value):
+    """Copies of ``value`` made by every pickle protocol, copy.copy and copy.deepcopy."""
+    pickled = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return pickled + [copy.copy(value), copy.deepcopy(value)]
+
+
+def test_squeeze_value_types_keep_their_normalization_through_pickle_and_copy():
+    factored = factor_squeeze_rotation(compose_squeezes(SqueezeParams(0.4, 1.0), SqueezeParams(0.3, -2.0)))
+    values = [
+        SqueezeParams(-0.7, 0.3),
+        SqueezeParams(-0.5, 0.0),  # phi lands on the pi tie
+        RotationParams(2 * math.pi + 0.25),
+        factored,
+        SqueezeRotationFactorization(SqueezeParams(0.2), RotationParams(-1.0)),
+    ]
+    for value in values:
+        for clone in clones(value):
+            assert type(clone) is type(value)
+            assert clone == value and hash(clone) == hash(value)
+            assert repr(clone) == repr(value)
+    restored = clones(SqueezeParams(-0.7, 0.3))[-1]
+    assert restored.r == 0.7 and restored.phi == _wrap_angle(0.3 + math.pi)
+
+
+def test_squeeze_value_types_compare_frozen_and_default():
+    p = SqueezeParams(0.5)
+    assert p.phi == 0.0 and p == SqueezeParams(r=0.5, phi=0.0)
+    assert p == SqueezeParams(-0.5, math.pi) and hash(p) == hash(SqueezeParams(-0.5, math.pi))
+    assert p != SqueezeParams(0.5, 1.0)
+    # the same field values in another value class are not equal
+    assert p != DisentangleResult(0.5, 0.0)
+    factorization = SqueezeRotationFactorization(p, RotationParams(angle=0.25))
+    assert factorization.phase_shift == 0j and factorization.residual is None
+    for value, field in ((p, "r"), (RotationParams(0.1), "angle"), (factorization, "residual")):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(value, field, 0.0)
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            delattr(value, field)
+    with pytest.raises(NonFiniteInput):
+        SqueezeParams(0.5, math.inf)
+    assert repr(factorization) == (
+        "SqueezeRotationFactorization(squeeze=SqueezeParams(r=0.5, phi=0.0), "
+        "rotation=RotationParams(angle=0.25), phase_shift=0j, residual=None)"
+    )
 
 
 # ---------------------------------------------------------------------------
