@@ -16,9 +16,10 @@ import math
 import re
 import sys
 from bisect import bisect_right
+from cmath import isfinite
 
-from .algebra import AlgebraKind, ExponentParams, GroupElement, make_algebra
-from .compose import alpha_continued_fraction, compose_many, disentangle
+from .algebra import AlgebraKind, ExponentParams, make_algebra
+from .compose import _compose_coords, _continued_fraction, disentangle
 from .errors import NonFiniteInput, SingularDecomposition
 from .evolve import (
     HamiltonianSchedule,
@@ -154,44 +155,70 @@ def cmd_disentangle(args) -> int:
     return EXIT_OK
 
 
-def _load_elements(path: str, algebra: AlgebraKind) -> list:
+def _entry_coords(entry, pos: int) -> tuple:
+    """Coordinate tuple of element file entry ``pos``, checked field by field."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"element {pos} must be an object")
+    big_plus = _complex_field(entry, "Lambda_plus", "element", pos)
+    big_minus = _complex_field(entry, "Lambda_minus", "element", pos)
+    if "log_c" in entry:
+        log_c = _complex_field(entry, "log_c", "element", pos)
+    elif "Lambda_c" in entry:
+        big_c = _complex_field(entry, "Lambda_c", "element", pos)
+        if big_c == 0:
+            raise ValueError(f'element {pos}: "Lambda_c" must be nonzero')
+        log_c = cmath.log(big_c)
+    else:
+        raise ValueError(f'element {pos} needs "log_c" or "Lambda_c"')
+    return big_plus, log_c, big_minus, 0j
+
+
+def _load_coords(path: str) -> list:
+    """Coordinate tuples (big_plus, log_c, big_minus, 0j) of every entry of an element file.
+
+    An entry whose "Lambda_plus", "log_c" and "Lambda_minus" are each a pair
+    of finite floats is taken as it is; every other entry goes through
+    _entry_coords, which gives the same tuple or the error that names it.
+    """
     with open(path) as fh:
         raw = json.load(fh)
     if not (isinstance(raw, list) and raw):
         raise ValueError("element file must hold a nonempty JSON list")
-    elements = []
+    coords = []
+    append = coords.append
     for pos, entry in enumerate(raw, start=1):
-        if not isinstance(entry, dict):
-            raise ValueError(f"element {pos} must be an object")
-        big_plus = _complex_field(entry, "Lambda_plus", "element", pos)
-        big_minus = _complex_field(entry, "Lambda_minus", "element", pos)
-        if "log_c" in entry:
-            log_c = _complex_field(entry, "log_c", "element", pos)
-        elif "Lambda_c" in entry:
-            big_c = _complex_field(entry, "Lambda_c", "element", pos)
-            if big_c == 0:
-                raise ValueError(f'element {pos}: "Lambda_c" must be nonzero')
-            log_c = cmath.log(big_c)
-        else:
-            raise ValueError(f'element {pos} needs "log_c" or "Lambda_c"')
-        elements.append(GroupElement(algebra, big_plus, log_c, big_minus))
-    return elements
+        try:
+            p_re, p_im = entry["Lambda_plus"]
+            c_re, c_im = entry["log_c"]
+            m_re, m_im = entry["Lambda_minus"]
+        except (KeyError, TypeError, ValueError):
+            append(_entry_coords(entry, pos))
+            continue
+        if type(p_re) is type(p_im) is type(c_re) is type(c_im) is type(m_re) is type(m_im) is float:
+            big_plus = complex(p_re, p_im)
+            log_c = complex(c_re, c_im)
+            big_minus = complex(m_re, m_im)
+            if isfinite(big_plus) and isfinite(log_c) and isfinite(big_minus):
+                append((big_plus, log_c, big_minus, 0j))
+                continue
+        append(_entry_coords(entry, pos))
+    return coords
 
 
 def cmd_compose(args) -> int:
     algebra = make_algebra(args.algebra)
-    elements = _load_elements(args.elements, algebra)
-    combined = compose_many(elements)
+    coords = _load_coords(args.elements)
+    big_plus, log_c, big_minus, _ = _compose_coords(algebra, coords, len(coords))
     payload = {
-        "alpha": combined.big_plus,
-        "beta": combined.big_c(),
-        "gamma": combined.big_minus,
-        "log_c": combined.log_c,
+        "alpha": big_plus,
+        "beta": cmath.exp(log_c),
+        "gamma": big_minus,
+        "log_c": log_c,
     }
     if args.continued_fraction:
-        alpha_cf = alpha_continued_fraction(elements)
+        alpha_cf = _continued_fraction(algebra, coords)
         payload["alpha_continued_fraction"] = alpha_cf
-        payload["alpha_abs_difference"] = abs(alpha_cf - combined.big_plus)
+        payload["alpha_abs_difference"] = abs(alpha_cf - big_plus)
     _emit(payload)
     return EXIT_OK
 

@@ -8,10 +8,11 @@ products are multiplied by :func:`compose_pair` and folded over sequences by
 a generalized continued fraction form, :func:`alpha_continued_fraction`, kept
 as an independent cross-check of the fold.
 
-Underneath, two private kernels do the arithmetic on plain complex
-coordinate tuples, and one private fold over such tuples serves both
-compose_many and :func:`bchkit.evolve.evolve`.  The public functions wrap the
-same kernels, so every route gives the same bits.
+Underneath, private kernels do the arithmetic on plain complex coordinate
+tuples: one disentangles, one fold holds the only copy of the pair product
+and serves compose_pair, compose_many, :func:`bchkit.evolve.evolve` and the
+``compose`` command, and one evaluates the continued fraction.  The public
+functions wrap the same kernels, so every route gives the same bits.
 """
 
 from __future__ import annotations
@@ -94,33 +95,6 @@ def _disentangle_raw(eps, delta, lp, lc, lm):
     return lp * ratio, -(2.0 / delta) * cmath.log(w), lm * ratio, nu
 
 
-def _compose_raw(eps, delta, g2, g1):
-    """Coordinate tuple of the product g2 g1 of two coordinate tuples; see compose_pair."""
-    p1, lc1, m1, ph1 = g1
-    p2, lc2, m2, ph2 = g2
-    if not (
-        isfinite(p1) and isfinite(lc1) and isfinite(m1) and isfinite(ph1)
-        and isfinite(p2) and isfinite(lc2) and isfinite(m2) and isfinite(ph2)
-    ):
-        raise NonFiniteInput("group element coordinates must be finite")
-    d = 1.0 - eps * delta * p1 * m2
-    scale = max(1.0, abs(p1), abs(m2))
-    if abs(d) <= TOL_SINGULAR * scale:
-        raise SingularDecomposition(
-            f"no normal-ordered form: composition denominator |d| = {abs(d):.3e} "
-            "is singular",
-            denominator_abs=abs(d),
-        )
-    pow_c1 = cmath.exp(delta * lc1)
-    pow_c2 = cmath.exp(delta * lc2)
-    return (
-        p2 + p1 * pow_c2 / d,
-        lc1 + lc2 - (2.0 / delta) * cmath.log(d),
-        m1 + m2 * pow_c1 / d,
-        ph1 + ph2,
-    )
-
-
 def _fold(algebra: AlgebraKind, coords: Iterable[tuple]) -> Iterator[tuple[int, tuple]]:
     """Left fold of coordinate tuples, earliest first; yields (index, product).
 
@@ -128,14 +102,79 @@ def _fold(algebra: AlgebraKind, coords: Iterable[tuple]) -> Iterator[tuple[int, 
     repeated compose_pair calls would.  ``index`` counts the tuples folded so
     far (1-based), so an error raised while the fold is advanced belongs to
     element index + 1 of the last pair yielded.  ``coords`` must be nonempty.
+    This is the only copy of the pair product; see compose_pair.
     """
     eps, delta = algebra.epsilon, algebra.delta
+    eps_delta = eps * delta
+    two_over_delta = 2.0 / delta
+    exp, log = cmath.exp, cmath.log
     coords = iter(coords)
     acc = next(coords)
     yield 1, acc
-    for index, g in enumerate(coords, start=2):
-        acc = _compose_raw(eps, delta, g, acc)
+    for index, (p2, lc2, m2, ph2) in enumerate(coords, start=2):
+        p1, lc1, m1, ph1 = acc
+        if not (
+            isfinite(p1) and isfinite(lc1) and isfinite(m1) and isfinite(ph1)
+            and isfinite(p2) and isfinite(lc2) and isfinite(m2) and isfinite(ph2)
+        ):
+            raise NonFiniteInput("group element coordinates must be finite")
+        d = 1.0 - eps_delta * p1 * m2
+        scale = max(1.0, abs(p1), abs(m2))
+        if abs(d) <= TOL_SINGULAR * scale:
+            raise SingularDecomposition(
+                f"no normal-ordered form: composition denominator |d| = {abs(d):.3e} "
+                "is singular",
+                denominator_abs=abs(d),
+            )
+        pow_c1 = exp(delta * lc1)
+        pow_c2 = exp(delta * lc2)
+        # kept as a subtraction: adding (-two_over_delta) * log(d) can flip a signed zero
+        acc = (
+            p2 + p1 * pow_c2 / d,
+            lc1 + lc2 - two_over_delta * log(d),
+            m1 + m2 * pow_c1 / d,
+            ph1 + ph2,
+        )
         yield index, acc
+
+
+def _compose_coords(algebra: AlgebraKind, coords: Iterable[tuple], count: int) -> tuple:
+    """Product of ``count`` >= 1 coordinate tuples, earliest first; see compose_many.
+
+    A singular step is reported with its 1-based position among the
+    ``count``.  A single tuple is returned as it is, unchecked.
+    """
+    index = 0
+    try:
+        for index, acc in _fold(algebra, coords):
+            pass
+    except SingularDecomposition as exc:
+        raise SingularDecomposition(
+            f"composition is singular at element {index + 1} of {count}",
+            denominator_abs=exc.denominator_abs,
+            step=index + 1,
+        ) from exc
+    return acc
+
+
+def _continued_fraction(algebra: AlgebraKind, coords: Iterable[tuple]) -> complex:
+    """Final raising coordinate of nonempty coordinate tuples; see alpha_continued_fraction."""
+    eps_delta, delta = algebra.epsilon * algebra.delta, algebra.delta
+    exp = cmath.exp
+    coords = iter(coords)
+    value = next(coords)[0]
+    for big_plus, log_c, big_minus, _ in coords:
+        if value == 0:
+            value = big_plus
+            continue
+        partial = eps_delta * big_minus - 1.0 / value
+        if partial == 0:
+            raise SingularDecomposition(
+                "continued fraction hit a zero partial denominator",
+                denominator_abs=0.0,
+            )
+        value = big_plus - exp(delta * log_c) / partial
+    return value
 
 
 class DisentangleResult(_Frozen):
@@ -162,9 +201,12 @@ def disentangle(algebra: AlgebraKind, lam: ExponentParams) -> DisentangleResult:
     return DisentangleResult(GroupElement(algebra, big_plus, log_c, big_minus), nu)
 
 
-def _coords(g: GroupElement) -> tuple:
-    """The coordinate tuple (big_plus, log_c, big_minus, phase) of ``g``."""
-    return g.big_plus, g.log_c, g.big_minus, g.phase
+def _checked_coords(elements: Iterable[GroupElement], algebra: AlgebraKind) -> Iterator[tuple]:
+    """Coordinate tuples of ``elements``, each checked against ``algebra`` as it is reached."""
+    for g in elements:
+        if g.algebra is not algebra:
+            raise AlgebraMismatch(f"cannot compose {g.algebra.value} with {algebra.value}")
+        yield g.big_plus, g.log_c, g.big_minus, g.phase
 
 
 def compose_pair(g2: GroupElement, g1: GroupElement) -> GroupElement:
@@ -176,31 +218,22 @@ def compose_pair(g2: GroupElement, g1: GroupElement) -> GroupElement:
     stored branch is honoured; the principal log of d is appended to log_c.
     """
     algebra = g1.algebra
-    if g2.algebra is not algebra:
-        raise AlgebraMismatch(f"cannot compose {g2.algebra.value} with {algebra.value}")
-    return GroupElement(
-        algebra, *_compose_raw(algebra.epsilon, algebra.delta, _coords(g2), _coords(g1))
-    )
-
-
-def _checked_coords(elements: Iterable[GroupElement], algebra: AlgebraKind) -> Iterator[tuple]:
-    """Coordinate tuples of ``elements``, each checked against ``algebra`` as it is reached."""
-    for g in elements:
-        if g.algebra is not algebra:
-            raise AlgebraMismatch(f"cannot compose {g.algebra.value} with {algebra.value}")
-        yield _coords(g)
+    for _, product in _fold(algebra, _checked_coords((g1, g2), algebra)):
+        pass
+    return GroupElement(algebra, *product)
 
 
 def compose_many(elements: Sequence[GroupElement]) -> GroupElement:
     """Fold a time-ordered sequence (earliest first) into a single element.
 
-    Runs the same fold as :func:`bchkit.evolve.evolve`, over raw coordinate
-    tuples, and gives bit for bit the element that repeated compose_pair
-    calls would, each new element acting after the accumulated product; this
-    left fold is the recurrence that seeds on the first element's
-    coordinates.  Errors are those of compose_pair, at the same element; a
-    singular step is reported with its 1-based position.  A single element
-    is checked for finiteness like every other and returned as it is.
+    Runs the same fold as :func:`bchkit.evolve.evolve` and the ``compose``
+    command, over raw coordinate tuples, and gives bit for bit the element
+    that repeated compose_pair calls would, each new element acting after
+    the accumulated product; this left fold is the recurrence that seeds on
+    the first element's coordinates.  Errors are those of compose_pair, at
+    the same element; a singular step is reported with its 1-based position.
+    A single element is checked for finiteness like every other and
+    returned as it is.
     """
     count = len(elements)
     if count == 0:
@@ -210,17 +243,9 @@ def compose_many(elements: Sequence[GroupElement]) -> GroupElement:
             raise NonFiniteInput("group element coordinates must be finite")
         return elements[0]
     algebra = elements[0].algebra
-    index = 0
-    try:
-        for index, acc in _fold(algebra, _checked_coords(elements, algebra)):
-            pass
-    except SingularDecomposition as exc:
-        raise SingularDecomposition(
-            f"composition is singular at element {index + 1} of {count}",
-            denominator_abs=exc.denominator_abs,
-            step=index + 1,
-        ) from exc
-    return GroupElement(algebra, *acc)
+    return GroupElement(
+        algebra, *_compose_coords(algebra, _checked_coords(elements, algebra), count)
+    )
 
 
 def alpha_continued_fraction(elements: Sequence[GroupElement]) -> complex:
@@ -238,20 +263,7 @@ def alpha_continued_fraction(elements: Sequence[GroupElement]) -> complex:
     if len(elements) == 0:
         raise EmptySequence("need at least one element")
     algebra = elements[0].algebra
-    for g in elements[1:]:
+    for g in elements:
         if g.algebra is not algebra:
             raise AlgebraMismatch("all elements must share one algebra")
-    eps, delta = algebra.epsilon, algebra.delta
-    value = elements[0].big_plus
-    for g in elements[1:]:
-        if value == 0:
-            value = g.big_plus
-            continue
-        partial = eps * delta * g.big_minus - 1.0 / value
-        if partial == 0:
-            raise SingularDecomposition(
-                "continued fraction hit a zero partial denominator",
-                denominator_abs=0.0,
-            )
-        value = g.big_plus - cmath.exp(delta * g.log_c) / partial
-    return value
+    return _continued_fraction(algebra, _checked_coords(elements, algebra))

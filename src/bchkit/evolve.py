@@ -60,22 +60,18 @@ class EvolutionResult(_Frozen):
         _set(self, "trajectory", trajectory)
 
 
-def _slice_coords(eps, delta, eta_j, minus_i_tau: complex) -> tuple:
-    """Coordinate tuple of exp(-i tau H_j), given -1j * tau and H_j's eta triple."""
+def step_element(algebra: AlgebraKind, eta_j, tau: float) -> GroupElement:
+    """Normal-ordered element of one short exponential exp(-i tau H_j)."""
     eta_plus, eta_c, eta_minus = eta_j
+    minus_i_tau = -1j * tau
     big_plus, log_c, big_minus, _ = _disentangle_raw(
-        eps,
-        delta,
+        algebra.epsilon,
+        algebra.delta,
         minus_i_tau * complex(eta_plus),
         minus_i_tau * complex(eta_c),
         minus_i_tau * complex(eta_minus),
     )
-    return big_plus, log_c, big_minus, 0j
-
-
-def step_element(algebra: AlgebraKind, eta_j, tau: float) -> GroupElement:
-    """Normal-ordered element of one short exponential exp(-i tau H_j)."""
-    return GroupElement(algebra, *_slice_coords(algebra.epsilon, algebra.delta, eta_j, -1j * tau))
+    return GroupElement(algebra, big_plus, log_c, big_minus)
 
 
 def default_checkpoint_stride(steps: int) -> int:
@@ -105,8 +101,8 @@ def evolve(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if not schedule.t_final > 0:
-        raise ValueError(f"t_final must be positive, got {schedule.t_final}")
+    if not 0 < schedule.t_final < math.inf:
+        raise ValueError(f"t_final must be positive and finite, got {schedule.t_final}")
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError(f"checkpoint stride must be >= 1, got {checkpoint_every}")
 
@@ -146,8 +142,15 @@ def _slices(schedule: HamiltonianSchedule, steps: int, tau: float, midpoint: boo
     minus_i_tau = -1j * tau
     for j in range(1, steps + 1):
         t_right = j * tau
-        t_sample = t_right - 0.5 * tau if midpoint else t_right
-        yield _slice_coords(eps, delta, eta(t_sample), minus_i_tau)
+        eta_plus, eta_c, eta_minus = eta(t_right - 0.5 * tau if midpoint else t_right)
+        big_plus, log_c, big_minus, _ = _disentangle_raw(
+            eps,
+            delta,
+            minus_i_tau * complex(eta_plus),
+            minus_i_tau * complex(eta_c),
+            minus_i_tau * complex(eta_minus),
+        )
+        yield big_plus, log_c, big_minus, 0j
 
 
 def oscillator_schedule(
@@ -169,8 +172,8 @@ def oscillator_schedule(
     omega0 = float(omega0)
     if not (math.isfinite(omega0) and omega0 > 0):
         raise InvalidFrequency(f"reference frequency must be positive, got {omega0}")
-    if not float(t_final) > 0:
-        raise ValueError(f"t_final must be positive, got {t_final}")
+    if not 0 < float(t_final) < math.inf:
+        raise ValueError(f"t_final must be positive and finite, got {t_final}")
 
     def eta(t: float):
         omega = float(omega_of_t(t))

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import json
 import math
 import os
@@ -13,6 +14,8 @@ from bchkit import (
     ExponentParams,
     GroupElement,
     SqueezeParams,
+    alpha_continued_fraction,
+    compose_many,
     compose_squeezes,
     disentangle,
     element_matrix,
@@ -20,7 +23,7 @@ from bchkit import (
     factor_squeeze_rotation,
 )
 import bchkit
-from bchkit.cli import load_schedule, main
+from bchkit.cli import _render, load_schedule, main
 
 # json.dumps writes this as a 401-digit integer, far beyond double range
 HUGE = int("9" * 401)
@@ -572,6 +575,137 @@ def test_evolve_rejects_bad_steps(tmp_path, capsys):
         code, out = run_cli(capsys, "evolve", "--schedule", sched, "--steps", steps)
         assert code == 2
         assert json.loads(out) == {"error": message}
+
+
+# ---------------------------------------------------------------------------
+# element files: entries of finite float pairs against every other entry
+
+FILE_LENGTH = 2000
+ODD_POSITIONS = {"first": 0, "middle": FILE_LENGTH // 2, "last": FILE_LENGTH - 1}
+
+
+@functools.lru_cache(maxsize=None)
+def float_entries(algebra):
+    """FILE_LENGTH element file entries with "log_c" and float pairs only."""
+    rng = np.random.default_rng(211)
+    entries = []
+    for _ in range(FILE_LENGTH):
+        parts = rng.uniform(-0.4, 0.4, 6)
+        lam = ExponentParams(
+            complex(parts[0], parts[1]), complex(parts[2], parts[3]), complex(parts[4], parts[5])
+        )
+        g = disentangle(algebra, lam).element
+        entries.append(
+            {"Lambda_plus": pair(g.big_plus), "log_c": pair(g.log_c), "Lambda_minus": pair(g.big_minus)}
+        )
+    return tuple(entries)
+
+
+def with_odd_entry(algebra, make_odd, position):
+    entries = list(float_entries(algebra))
+    if position is not None:
+        index = ODD_POSITIONS[position]
+        entries[index] = make_odd(dict(entries[index]))
+    return entries
+
+
+def entry_element(algebra, entry):
+    """The element a valid entry stands for, read field by field."""
+    if "log_c" in entry:
+        log_c = as_complex(entry["log_c"])
+    else:
+        log_c = cmath.log(as_complex(entry["Lambda_c"]))
+    return GroupElement(
+        algebra, as_complex(entry["Lambda_plus"]), log_c, as_complex(entry["Lambda_minus"])
+    )
+
+
+# valid entries that are not three pairs of floats under the "log_c" names
+VALID_ODD = {
+    "integer-parts": lambda e: dict(e, Lambda_plus=[0, 1], log_c=[0, 0]),
+    "Lambda_c": lambda e: {
+        "Lambda_plus": e["Lambda_plus"], "Lambda_c": [1.1, -0.2], "Lambda_minus": e["Lambda_minus"]
+    },
+    "log_c-and-Lambda_c": lambda e: dict(e, Lambda_c=[7.0, 3.0]),
+    "extra-keys": lambda e: dict(e, note="not read", phase=[1.0, 2.0]),
+}
+
+# invalid entries and the error each gets; {pos} is the entry's 1-based position
+INVALID_ODD = {
+    "true-in-pair": (
+        lambda e: dict(e, Lambda_minus=[True, 0.0]),
+        'element {pos}: "Lambda_minus" must be a [re, im] pair',
+    ),
+    "three-item-pair": (
+        lambda e: dict(e, log_c=[0.1, 0.2, 0.3]),
+        'element {pos}: "log_c" must be a [re, im] pair',
+    ),
+    "Infinity": (
+        lambda e: dict(e, Lambda_plus=[-math.inf, 0.0]),
+        'element {pos}: "Lambda_plus" must be finite',
+    ),
+    "NaN": (lambda e: dict(e, log_c=[0.0, math.nan]), 'element {pos}: "log_c" must be finite'),
+    "401-digit-integer": (
+        lambda e: dict(e, Lambda_minus=[0.0, HUGE]),
+        'element {pos}: "Lambda_minus" must be finite',
+    ),
+    "non-object": (lambda e: [e["Lambda_plus"], e["log_c"]], "element {pos} must be an object"),
+}
+
+
+@pytest.mark.parametrize(
+    "odd, position",
+    [("none", None)] + [(odd, position) for odd in sorted(VALID_ODD) for position in ODD_POSITIONS],
+)
+@pytest.mark.parametrize("algebra", list(AlgebraKind), ids=lambda a: a.value)
+def test_compose_file_prints_the_library_fold(tmp_path, capsys, algebra, odd, position):
+    entries = with_odd_entry(algebra, VALID_ODD.get(odd), position)
+    path = tmp_path / "elements.json"
+    path.write_text(json.dumps(entries))
+    code, out = run_cli(capsys, "compose", "--algebra", algebra.value, "--continued-fraction", str(path))
+    assert code == 0
+    elements = [entry_element(algebra, entry) for entry in entries]
+    combined = compose_many(elements)
+    alpha_cf = alpha_continued_fraction(elements)
+    expected = {
+        "alpha": combined.big_plus,
+        "beta": combined.big_c(),
+        "gamma": combined.big_minus,
+        "log_c": combined.log_c,
+        "alpha_continued_fraction": alpha_cf,
+        "alpha_abs_difference": abs(alpha_cf - combined.big_plus),
+    }
+    assert out == _render(expected) + "\n"
+
+
+@pytest.mark.parametrize("position", sorted(ODD_POSITIONS))
+@pytest.mark.parametrize("odd", sorted(INVALID_ODD))
+def test_compose_file_rejects_odd_entry_by_position(tmp_path, capsys, odd, position):
+    make_odd, message = INVALID_ODD[odd]
+    entries = with_odd_entry(AlgebraKind.SU11, make_odd, position)
+    path = tmp_path / "elements.json"
+    path.write_text(json.dumps(entries))
+    if odd in ("Infinity", "NaN"):
+        assert odd in path.read_text()
+    code, out = run_cli(capsys, "compose", "--algebra", "su11", "--continued-fraction", str(path))
+    assert code == 2
+    assert json.loads(out) == {"error": message.format(pos=ODD_POSITIONS[position] + 1)}
+
+
+def test_compose_validates_every_entry_before_folding(tmp_path, capsys):
+    # elements 1 and 2 have a zero composition denominator; element 3 is malformed
+    singular = [
+        {"Lambda_plus": [1.0, 0.0], "log_c": [0.0, 0.0], "Lambda_minus": [0.0, 0.0]},
+        {"Lambda_plus": [0.0, 0.0], "log_c": [0.0, 0.0], "Lambda_minus": [1.0, 0.0]},
+    ]
+    path = tmp_path / "elements.json"
+    path.write_text(json.dumps(singular))
+    code, out = run_cli(capsys, "compose", "--algebra", "su11", str(path))
+    assert code == 3 and json.loads(out)["step"] == 2
+    path.write_text(json.dumps(singular + [{"Lambda_plus": [0.1], "log_c": [0, 0], "Lambda_minus": [0, 0]}]))
+    code, out = run_cli(capsys, "compose", "--algebra", "su11", str(path))
+    assert code == 2
+    assert json.loads(out) == {"error": 'element 3: "Lambda_plus" must be a [re, im] pair'}
 
 
 # ---------------------------------------------------------------------------

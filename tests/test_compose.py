@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -276,3 +277,92 @@ def test_continued_fraction_rejects_mixed_algebras():
         )
     with pytest.raises(EmptySequence):
         alpha_continued_fraction([])
+
+
+def frozen_alpha_continued_fraction(elements):
+    """The continued fraction as first written, over GroupElement attributes; a fixed reference."""
+    if len(elements) == 0:
+        raise EmptySequence("need at least one element")
+    algebra = elements[0].algebra
+    for g in elements[1:]:
+        if g.algebra is not algebra:
+            raise AlgebraMismatch("all elements must share one algebra")
+    eps, delta = algebra.epsilon, algebra.delta
+    value = elements[0].big_plus
+    for g in elements[1:]:
+        if value == 0:
+            value = g.big_plus
+            continue
+        partial = eps * delta * g.big_minus - 1.0 / value
+        if partial == 0:
+            raise SingularDecomposition(
+                "continued fraction hit a zero partial denominator",
+                denominator_abs=0.0,
+            )
+        value = g.big_plus - cmath.exp(delta * g.log_c) / partial
+    return value
+
+
+def complex_bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+# big_minus that makes eps*delta*big_minus - 1/2 exactly zero after a running value of 2
+ZERO_PARTIAL_MINUS = {AlgebraKind.SU11: 0.5 + 0j, AlgebraKind.SU2: -0.5 + 0j, AlgebraKind.SO21: -1.0 + 0j}
+
+
+@pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda a: a.value)
+def test_continued_fraction_is_bit_for_bit_the_attribute_loop(kind):
+    rng = np.random.default_rng(53)
+    ident = identity_element(kind)
+    for length in (1, 2, 3, 8, 40):
+        for _ in range(20):
+            elements = [random_element(rng, kind, 0.4) for _ in range(length)]
+            # a zero running value, once at the seed and twice in a row
+            for sequence in (elements, [ident] + elements, [ident, ident] + elements):
+                expected = frozen_alpha_continued_fraction(sequence)
+                assert complex_bits(alpha_continued_fraction(sequence)) == complex_bits(expected)
+
+    seed = GroupElement(kind, 2.0 + 0j, 0j, 0j)
+    stall = GroupElement(kind, 0.3 + 0j, 0.1j, ZERO_PARTIAL_MINUS[kind])
+    tail = random_element(rng, kind)
+    outcomes = []
+    for evaluate in (frozen_alpha_continued_fraction, alpha_continued_fraction):
+        with pytest.raises(SingularDecomposition) as excinfo:
+            evaluate([seed, stall, tail])
+        outcomes.append((str(excinfo.value), excinfo.value.denominator_abs))
+    assert outcomes[0] == outcomes[1] == ("continued fraction hit a zero partial denominator", 0.0)
+
+
+def frozen_pair_product(g2, g1):
+    """compose_pair's arithmetic as first written, on one pair of elements; a fixed reference."""
+    eps, delta = g1.algebra.epsilon, g1.algebra.delta
+    d = 1.0 - eps * delta * g1.big_plus * g2.big_minus
+    pow_c1 = cmath.exp(delta * g1.log_c)
+    pow_c2 = cmath.exp(delta * g2.log_c)
+    return GroupElement(
+        g1.algebra,
+        g2.big_plus + g1.big_plus * pow_c2 / d,
+        g1.log_c + g2.log_c - (2.0 / delta) * cmath.log(d),
+        g1.big_minus + g2.big_minus * pow_c1 / d,
+        g1.phase + g2.phase,
+    )
+
+
+def element_bits(g):
+    return tuple(complex_bits(z) for z in (g.big_plus, g.log_c, g.big_minus, g.phase))
+
+
+@pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda a: a.value)
+def test_pair_product_is_bit_for_bit_the_first_formula(kind):
+    rng = np.random.default_rng(59)
+    # signed zeros: negative-zero Cartan coordinates meet a log(d) of zero
+    zeros = [GroupElement(kind, 0j, complex(-0.0, -0.0), 0j, complex(-0.0, 0.0)), identity_element(kind)]
+    elements = zeros + [random_element(rng, kind) for _ in range(30)]
+    for g1 in elements:
+        for g2 in elements:
+            assert element_bits(compose_pair(g2, g1)) == element_bits(frozen_pair_product(g2, g1))
+    acc = elements[0]
+    for g in elements[1:]:
+        acc = frozen_pair_product(g, acc)
+    assert element_bits(compose_many(elements)) == element_bits(acc)

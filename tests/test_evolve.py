@@ -110,6 +110,16 @@ def test_evolve_validates_arguments():
         evolve(bad, 4)
 
 
+@pytest.mark.parametrize("t_final", [math.inf, -math.inf, math.nan])
+def test_non_finite_t_final_is_rejected_by_name(t_final):
+    # before any slice is built, so the error names the field instead of a coordinate
+    bad = HamiltonianSchedule(AlgebraKind.SU11, lambda t: (0, 1.0, 0), t_final)
+    with pytest.raises(ValueError, match=r"^t_final must be positive and finite, got"):
+        evolve(bad, 4)
+    with pytest.raises(ValueError, match=r"^t_final must be positive and finite, got"):
+        oscillator_schedule(1.0, lambda t: 1.0, t_final)
+
+
 def test_trajectory_checkpoints():
     schedule = _constant_schedule(AlgebraKind.SU11, (0.1, 1.0, 0.1))
     result = evolve(schedule, 10, checkpoint_every=4)
