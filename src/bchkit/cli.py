@@ -23,6 +23,7 @@ from .compose import _compose_coords, _continued_fraction, disentangle
 from .errors import NonFiniteInput, SingularDecomposition
 from .evolve import (
     HamiltonianSchedule,
+    _check_stride,
     default_checkpoint_stride,
     evolve,
     oscillator_schedule,
@@ -378,7 +379,10 @@ def cmd_evolve(args) -> int:
     _require(args.steps >= 1, f"--steps must be >= 1, got {args.steps}")
     _require(_finite(args.steps), "--steps is too large")
     stride = args.checkpoints
-    if stride is None and args.csv is not None:
+    _check_stride(stride)
+    if args.csv is None:
+        stride = None  # no trajectory is written, so none is recorded
+    elif stride is None:
         stride = default_checkpoint_stride(args.steps)
     result = evolve(schedule, args.steps, checkpoint_every=stride, midpoint=args.midpoint)
     if args.csv is not None:

@@ -38,9 +38,9 @@ __all__ = [
     "alpha_continued_fraction",
 ]
 
-# Singular-denominator guard, relative to max(1, input magnitudes).  Wide
-# enough to absorb roundoff, narrow enough that genuine chart breakdown is
-# never mistaken for it.
+# A denominator is singular when it is at most TOL_SINGULAR times its roundoff
+# scale: 1 for d = 1 - eps*delta*L1+*L2- in a composition (the term that cancels
+# near d = 0 is 1), a first-order estimate for w in a disentangling.
 TOL_SINGULAR = 1e-12
 
 # Below this |nu| the ratio sinh(nu)/nu is evaluated by series; 6 even terms
@@ -81,18 +81,50 @@ def _disentangle_raw(eps, delta, lp, lc, lm):
     if not (isfinite(lp) and isfinite(lc) and isfinite(lm)):
         raise NonFiniteInput("exponent coordinates must be finite")
     half_c = 0.5 * delta * lc
-    nu = cmath.sqrt(half_c * half_c - delta * eps * lp * lm)
+    x = delta * eps * lp * lm
+    nu = cmath.sqrt(half_c * half_c - x)
     cosh_nu, sinhc_nu = _cosh_sinhc(nu)
     w = cosh_nu - half_c * sinhc_nu
-    scale = max(1.0, abs(lp), abs(lc), abs(lm))
-    if abs(w) <= TOL_SINGULAR * scale:
-        raise SingularDecomposition(
-            "no normal-ordered form: disentangling denominator "
-            f"|w| = {abs(w):.3e} is singular",
-            denominator_abs=abs(w),
-        )
+    # Roundoff scale of w: its terms, plus the rounding of nu^2 = half_c^2 - x times a bound
+    # on |dw/d(nu^2)|, TOL_SINGULAR applied first to keep it finite.  A NaN w also fails.
+    ah, ac, a_s, n2 = abs(half_c), abs(cosh_nu), abs(sinhc_nu), abs(nu * nu)
+    tol_nu2 = 0.5 * TOL_SINGULAR * (ah * ah + abs(x))
+    if not abs(w) > TOL_SINGULAR * (ac + ah * a_s) + tol_nu2 * (
+        a_s + ah / (n2 if n2 > 1.0 else 1.0) * (ac + a_s)
+    ):
+        w = _w_by_exp(nu, half_c, x, cosh_nu, sinhc_nu, w, tol_nu2)
     ratio = sinhc_nu / w
-    return lp * ratio, -(2.0 / delta) * cmath.log(w), lm * ratio, nu
+    big_plus, big_minus = lp * ratio, lm * ratio
+    if not (isfinite(big_plus) and isfinite(big_minus)):
+        raise NonFiniteInput("normal-ordered coordinates overflow double precision")
+    return big_plus, -(2.0 / delta) * cmath.log(w), big_minus, nu
+
+
+def _w_by_exp(nu, half_c, x, cosh_nu, sinhc_nu, w, tol_nu2):
+    """w as exp(-nu) - x*sinhc(nu)/(nu + half_c); raise, with |w|, if that is singular too.
+
+    Equal to cosh(nu) - half_c*sinhc(nu) as nu^2 = half_c^2 - x, but it keeps
+    w ~ exp(-nu) where that form cancels (x small, |nu| > 1).  nu's sign makes
+    |nu + half_c| >= |nu|; the roundoff scale is the terms of w plus nu's,
+    tol_nu2/|nu| with TOL_SINGULAR applied, times a bound on |dw/dnu|.
+    """
+    if not isfinite(w):
+        raise NonFiniteInput("normal-ordered coordinates overflow double precision")
+    a_nu = abs(nu)
+    if a_nu > 1.0:
+        if (nu.conjugate() * half_c).real < 0:
+            nu = -nu
+        e, nu_h = cmath.exp(-nu), nu + half_c
+        t = x * sinhc_nu / nu_h
+        a_e, a_t, a_nu_h = abs(e), abs(t), abs(nu_h)
+        if abs(e - t) > TOL_SINGULAR * (a_e + a_t) + tol_nu2 / a_nu * (
+            a_e + a_t / a_nu + (abs(x) * abs(cosh_nu) / a_nu + a_t) / a_nu_h
+        ):
+            return e - t
+    raise SingularDecomposition(
+        f"no normal-ordered form: disentangling denominator |w| = {abs(w):.3e} is singular",
+        denominator_abs=abs(w),
+    )
 
 
 def _fold(algebra: AlgebraKind, coords: Iterable[tuple]) -> Iterator[tuple[int, tuple]]:
@@ -102,25 +134,25 @@ def _fold(algebra: AlgebraKind, coords: Iterable[tuple]) -> Iterator[tuple[int, 
     repeated compose_pair calls would.  ``index`` counts the tuples folded so
     far (1-based), so an error raised while the fold is advanced belongs to
     element index + 1 of the last pair yielded.  ``coords`` must be nonempty.
-    This is the only copy of the pair product; see compose_pair.
+    This is the only copy of the pair product and the only check on the fold:
+    each tuple it takes and each product it makes is checked for finiteness
+    once, and each step's denominator d against TOL_SINGULAR, so nothing it
+    yields is non-finite.
     """
     eps, delta = algebra.epsilon, algebra.delta
     eps_delta = eps * delta
     two_over_delta = 2.0 / delta
     exp, log = cmath.exp, cmath.log
     coords = iter(coords)
-    acc = next(coords)
+    p1, lc1, m1, ph1 = acc = next(coords)
+    if not (isfinite(p1) and isfinite(lc1) and isfinite(m1) and isfinite(ph1)):
+        raise NonFiniteInput("group element coordinates must be finite")
     yield 1, acc
     for index, (p2, lc2, m2, ph2) in enumerate(coords, start=2):
-        p1, lc1, m1, ph1 = acc
-        if not (
-            isfinite(p1) and isfinite(lc1) and isfinite(m1) and isfinite(ph1)
-            and isfinite(p2) and isfinite(lc2) and isfinite(m2) and isfinite(ph2)
-        ):
+        if not (isfinite(p2) and isfinite(lc2) and isfinite(m2) and isfinite(ph2)):
             raise NonFiniteInput("group element coordinates must be finite")
         d = 1.0 - eps_delta * p1 * m2
-        scale = max(1.0, abs(p1), abs(m2))
-        if abs(d) <= TOL_SINGULAR * scale:
+        if abs(d) <= TOL_SINGULAR:
             raise SingularDecomposition(
                 f"no normal-ordered form: composition denominator |d| = {abs(d):.3e} "
                 "is singular",
@@ -128,21 +160,20 @@ def _fold(algebra: AlgebraKind, coords: Iterable[tuple]) -> Iterator[tuple[int, 
             )
         pow_c1 = exp(delta * lc1)
         pow_c2 = exp(delta * lc2)
+        p1 = p2 + p1 * pow_c2 / d
         # kept as a subtraction: adding (-two_over_delta) * log(d) can flip a signed zero
-        acc = (
-            p2 + p1 * pow_c2 / d,
-            lc1 + lc2 - two_over_delta * log(d),
-            m1 + m2 * pow_c1 / d,
-            ph1 + ph2,
-        )
-        yield index, acc
+        lc1 = lc1 + lc2 - two_over_delta * log(d)
+        m1 = m1 + m2 * pow_c1 / d
+        ph1 = ph1 + ph2
+        if not (isfinite(p1) and isfinite(lc1) and isfinite(m1) and isfinite(ph1)):
+            raise NonFiniteInput("group element coordinates must be finite")
+        yield index, (p1, lc1, m1, ph1)
 
 
 def _compose_coords(algebra: AlgebraKind, coords: Iterable[tuple], count: int) -> tuple:
-    """Product of ``count`` >= 1 coordinate tuples, earliest first; see compose_many.
+    """Checked product of ``count`` >= 1 coordinate tuples, earliest first; see compose_many.
 
-    A singular step is reported with its 1-based position among the
-    ``count``.  A single tuple is returned as it is, unchecked.
+    A singular step is reported with its 1-based position among the ``count``.
     """
     index = 0
     try:
@@ -194,6 +225,8 @@ def disentangle(algebra: AlgebraKind, lam: ExponentParams) -> DisentangleResult:
     the shared denominator is w = cosh(nu) - (delta*lc/2)*sinh(nu)/nu; then
     L+- = l+- * (sinh(nu)/nu) / w and lc_out = -(2/delta)*Log(w), principal
     branch.  Every ingredient is even in nu, so the root branch is irrelevant.
+    Where it cancels, w is taken as exp(-nu) - delta*eps*l+*l- sinh(nu)/(nu (nu + delta*lc/2)).
+    A w within roundoff of 0 raises SingularDecomposition; an overflow, NonFiniteInput.
     """
     big_plus, log_c, big_minus, nu = _disentangle_raw(
         algebra.epsilon, algebra.delta, lam.lambda_plus, lam.lambda_c, lam.lambda_minus
@@ -231,21 +264,16 @@ def compose_many(elements: Sequence[GroupElement]) -> GroupElement:
     that repeated compose_pair calls would, each new element acting after
     the accumulated product; this left fold is the recurrence that seeds on
     the first element's coordinates.  Errors are those of compose_pair, at
-    the same element; a singular step is reported with its 1-based position.
-    A single element is checked for finiteness like every other and
-    returned as it is.
+    the same element; a singular step is reported with its 1-based position,
+    and a product that leaves double range raises NonFiniteInput.  A single
+    element is checked like every other and returned as it is.
     """
     count = len(elements)
     if count == 0:
         raise EmptySequence("need at least one element to compose")
-    if count == 1:
-        if not elements[0].is_finite():
-            raise NonFiniteInput("group element coordinates must be finite")
-        return elements[0]
     algebra = elements[0].algebra
-    return GroupElement(
-        algebra, *_compose_coords(algebra, _checked_coords(elements, algebra), count)
-    )
+    coords = _compose_coords(algebra, _checked_coords(elements, algebra), count)
+    return elements[0] if count == 1 else GroupElement(algebra, *coords)
 
 
 def alpha_continued_fraction(elements: Sequence[GroupElement]) -> complex:
@@ -263,7 +291,4 @@ def alpha_continued_fraction(elements: Sequence[GroupElement]) -> complex:
     if len(elements) == 0:
         raise EmptySequence("need at least one element")
     algebra = elements[0].algebra
-    for g in elements:
-        if g.algebra is not algebra:
-            raise AlgebraMismatch("all elements must share one algebra")
     return _continued_fraction(algebra, _checked_coords(elements, algebra))

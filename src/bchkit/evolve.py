@@ -74,6 +74,22 @@ def step_element(algebra: AlgebraKind, eta_j, tau: float) -> GroupElement:
     return GroupElement(algebra, big_plus, log_c, big_minus)
 
 
+def _check_t_final(t_final) -> None:
+    """Raise unless t_final is positive and finite as a double (a huge integer is not)."""
+    try:
+        ok = 0 < float(t_final) < math.inf
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ValueError(f"t_final must be positive and finite, got {t_final}")
+
+
+def _check_stride(checkpoint_every) -> None:
+    """Raise unless the checkpoint stride is None or at least 1."""
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise ValueError(f"checkpoint stride must be >= 1, got {checkpoint_every}")
+
+
 def default_checkpoint_stride(steps: int) -> int:
     """Trajectory thinning that bounds stored checkpoints to about 100."""
     return max(1, steps // 100)
@@ -93,7 +109,8 @@ def evolve(
     result and every checkpoint are bit for bit what compose_many (or
     repeated compose_pair) gives over the step_element of each slice; a
     singular slice or product is reported with its step and right-endpoint
-    time.  ``checkpoint_every`` = k records the running
+    time; a slice or product that overflows raises NonFiniteInput, without
+    them.  ``checkpoint_every`` = k records the running
     element every k steps (plus the start and the end) in the trajectory.
     ``midpoint`` samples eta at interval midpoints instead of right
     endpoints; that is a second-order variant beyond the plain product
@@ -101,10 +118,8 @@ def evolve(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if not 0 < schedule.t_final < math.inf:
-        raise ValueError(f"t_final must be positive and finite, got {schedule.t_final}")
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError(f"checkpoint stride must be >= 1, got {checkpoint_every}")
+    _check_t_final(schedule.t_final)
+    _check_stride(checkpoint_every)
 
     algebra = schedule.algebra
     tau = schedule.t_final / steps
@@ -172,8 +187,7 @@ def oscillator_schedule(
     omega0 = float(omega0)
     if not (math.isfinite(omega0) and omega0 > 0):
         raise InvalidFrequency(f"reference frequency must be positive, got {omega0}")
-    if not 0 < float(t_final) < math.inf:
-        raise ValueError(f"t_final must be positive and finite, got {t_final}")
+    _check_t_final(t_final)
 
     def eta(t: float):
         omega = float(omega_of_t(t))

@@ -112,6 +112,33 @@ def test_disentangle_singular_exits_3(capsys):
     assert payload["denominator_abs"] <= 1e-12
 
 
+def test_disentangle_huge_coordinate_is_not_singular(capsys):
+    # w = 1 exactly: a guard scaled by |lambda_plus| = 1e13 called it singular (exit 3)
+    code, out = run_cli(capsys, "disentangle", "--algebra", "su11", "--lambda", "1e13,0", "0,0", "0,0")
+    assert code == 0
+    assert json.loads(out)["Lambda_plus"] == [10000000000000, 0]
+
+
+def test_disentangle_triangular_exponent_exits_0(capsys):
+    code, out = run_cli(capsys, "disentangle", "--algebra", "su11", "--lambda", "1,0", "30,0", "0,0")
+    assert code == 0
+    assert json.loads(out)["log_c"] == pytest.approx([30, 0], rel=1e-14)
+
+
+def test_disentangle_denominator_lost_to_roundoff_exits_3(capsys):
+    big_a = (318310 + 0.5) * math.pi
+    plus, minus = f"{big_a * 1.1!r},0", f"{-big_a / 1.1!r},0"
+    code, out = run_cli(capsys, "disentangle", "--algebra", "su2", "--lambda", plus, "0,0", minus)
+    assert code == 3
+    assert "disentangling denominator" in json.loads(out)["error"]
+
+
+def test_disentangle_non_finite_result_exits_2(capsys):
+    code, out = run_cli(capsys, "disentangle", "--algebra", "su2", "--lambda", "1e200,0", "0,0", "1e200,0")
+    assert code == 2
+    assert out == '{"error": "normal-ordered coordinates overflow double precision"}\n'
+
+
 def test_bad_pair_syntax_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["disentangle", "--algebra", "su11", "--lambda", "0,0", "nope", "0,0"])
@@ -221,6 +248,29 @@ def test_compose_singular_exits_3(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["step"] == 2
     assert payload["denominator_abs"] == 0
+
+
+def test_compose_overflowing_product_exits_2(tmp_path, capsys):
+    # two finite elements whose product leaves double range: no [-inf, nan] on stdout
+    path = write_schedule(tmp_path, [
+        {"Lambda_plus": [1e200, 0], "log_c": [0, 0], "Lambda_minus": [0, 0]},
+        {"Lambda_plus": [0, 0], "log_c": [0, 0], "Lambda_minus": [1e200, 0]},
+    ], name="overflow.json")
+    code, out = run_cli(capsys, "compose", "--algebra", "su11", path)
+    assert code == 2
+    assert out == '{"error": "group element coordinates must be finite"}\n'
+
+
+def test_compose_huge_element_then_identity_exits_0(tmp_path, capsys):
+    path = write_schedule(tmp_path, [
+        {"Lambda_plus": [1e13, 0], "log_c": [0, 0], "Lambda_minus": [0, 0]},
+        {"Lambda_plus": [0, 0], "log_c": [0, 0], "Lambda_minus": [0, 0]},
+    ], name="huge.json")
+    code, out = run_cli(capsys, "compose", "--algebra", "su11", path)
+    assert code == 0
+    assert out == (
+        '{"alpha": [10000000000000, 0], "beta": [1, 0], "gamma": [0, 0], "log_c": [0, 0]}\n'
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +433,30 @@ def test_evolve_default_checkpoint_stride_with_csv(tmp_path, capsys):
     assert code == 0
     # stride 3 gives 100 checkpoints plus the t = 0 row and the header
     assert len(csv_path.read_text().splitlines()) == 102
+
+
+def test_evolve_records_checkpoints_only_for_csv(tmp_path, capsys, monkeypatch):
+    sched = constant_oscillator(tmp_path)
+    csv_path = str(tmp_path / "t.csv")
+    strides = []
+
+    def recording_evolve(schedule, steps, checkpoint_every=None, midpoint=False):
+        strides.append(checkpoint_every)
+        return bchkit.evolve(schedule, steps, checkpoint_every, midpoint)
+
+    monkeypatch.setattr(bchkit.cli, "evolve", recording_evolve)
+    outputs = [
+        run_cli(capsys, "evolve", "--schedule", sched, "--steps", "50", *extra)
+        for extra in ([], ["--checkpoints", "1"], ["--checkpoints", "7", "--csv", csv_path])
+    ]
+    assert strides == [None, None, 7]
+    assert outputs[0] == outputs[1] == outputs[2]
+    for extra in ([], ["--csv", csv_path]):
+        argv = ["evolve", "--schedule", sched, "--steps", "50", "--checkpoints", "0", *extra]
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": "checkpoint stride must be >= 1, got 0"}
+    assert len(strides) == 3
 
 
 def test_evolve_midpoint_flag(tmp_path, capsys):

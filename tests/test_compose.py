@@ -98,6 +98,30 @@ def test_disentangle_singular_input_raises():
     assert excinfo.value.denominator_abs <= 1e-12
 
 
+def test_disentangle_triangular_exponent_keeps_its_normal_ordered_form():
+    # lambda_minus = 0: w = cosh(nu) - sinh(nu) = exp(-nu) exactly, with nu = lc/2, and
+    # cosh(nu) - sinh(nu) in double precision loses that to cancellation
+    for lc in (30, 60):
+        g = disentangle(AlgebraKind.SU11, ExponentParams(1, lc, 0)).element
+        assert g.log_c == pytest.approx(lc, rel=1e-14)
+        assert g.big_plus == pytest.approx(math.expm1(lc) / lc, rel=1e-14)
+        assert g.big_minus == 0
+
+
+def test_disentangle_denominator_lost_to_roundoff_raises():
+    # su(2) with lambda = (A q, 0, -A/q) has w = cos(A); at A near (k + 1/2) pi, about 1e6,
+    # |w| ~ 1e-11 is below the roundoff that rounding A^2 leaves in w
+    big_a = (318310 + 0.5) * math.pi
+    with pytest.raises(SingularDecomposition, match="disentangling denominator"):
+        disentangle(AlgebraKind.SU2, ExponentParams(big_a * 1.1, 0, -big_a / 1.1))
+
+
+def test_disentangle_overflow_raises_instead_of_returning_nan():
+    # nu^2 = 1e400 overflows: nu = inf and w = nan
+    with pytest.raises(NonFiniteInput, match="^normal-ordered coordinates overflow double precision$"):
+        disentangle(AlgebraKind.SU2, ExponentParams(1e200, 0, 1e200))
+
+
 def test_cosh_sinhc_is_even():
     rng = np.random.default_rng(13)
     for scale in (1e-6, 1e-4, 0.5, 2.0):
@@ -170,6 +194,25 @@ def test_compose_pair_rejects_non_finite():
     g1 = GroupElement(AlgebraKind.SU11, complex(math.inf, 0), 0j, 0j)
     with pytest.raises(NonFiniteInput):
         compose_pair(identity_element(AlgebraKind.SU11), g1)
+
+
+def test_overflowing_product_raises_instead_of_returning_non_finite():
+    # L+ = 1e200 followed by L- = 1e200: each finite, the product is not
+    first = GroupElement(AlgebraKind.SU11, 1e200 + 0j, 0j, 0j)
+    second = GroupElement(AlgebraKind.SU11, 0j, 0j, 1e200 + 0j)
+    with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+        compose_pair(second, first)
+    with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+        compose_many([first, second])
+
+
+def test_huge_coordinates_are_not_singular():
+    # d = 1 and w = 1 exactly; only a guard scaled by |L+| = 1e13 called them singular
+    big = disentangle(AlgebraKind.SU11, ExponentParams(1e13, 0, 0)).element
+    assert (big.big_plus, big.log_c, big.big_minus) == (1e13, 0, 0)
+    ident = identity_element(AlgebraKind.SU11)
+    for product in (compose_pair(ident, big), compose_many([big, ident])):
+        assert (product.big_plus, product.log_c, product.big_minus) == (1e13, 0, 0)
 
 
 def test_compose_pair_singular_denominator():
@@ -271,7 +314,7 @@ def test_continued_fraction_survives_identity_seed():
 
 
 def test_continued_fraction_rejects_mixed_algebras():
-    with pytest.raises(AlgebraMismatch):
+    with pytest.raises(AlgebraMismatch, match="^cannot compose so21 with su11$"):
         alpha_continued_fraction(
             [identity_element(AlgebraKind.SU11), identity_element(AlgebraKind.SO21)]
         )

@@ -110,9 +110,12 @@ def test_evolve_validates_arguments():
         evolve(bad, 4)
 
 
-@pytest.mark.parametrize("t_final", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "t_final", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="int-beyond-double")]
+)
 def test_non_finite_t_final_is_rejected_by_name(t_final):
     # before any slice is built, so the error names the field instead of a coordinate
+    # (an integer too large for a float would otherwise fail in t_final / steps)
     bad = HamiltonianSchedule(AlgebraKind.SU11, lambda t: (0, 1.0, 0), t_final)
     with pytest.raises(ValueError, match=r"^t_final must be positive and finite, got"):
         evolve(bad, 4)
