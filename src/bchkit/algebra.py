@@ -35,11 +35,11 @@ class AlgebraKind(enum.Enum):
 
     @property
     def epsilon(self) -> complex:
-        return _STRUCTURE[self][0]
+        return self._epsilon
 
     @property
     def delta(self) -> complex:
-        return _STRUCTURE[self][1]
+        return self._delta
 
 
 # The only admissible structure-constant pairs; nothing else is constructible.
@@ -48,6 +48,14 @@ _STRUCTURE = {
     AlgebraKind.SU2: (-1 + 0j, 1 + 0j),
     AlgebraKind.SO21: (0.5j, 1j),
 }
+
+# Each member keeps its pair as plain attributes, so a read hashes nothing (Enum.__hash__
+# is Python code), and ``_kernel``, the constants of the kernels in compose.py, each formed
+# once here as those kernels formed it per call: (delta, 0.5*delta, delta*eps, 2/delta, -(2/delta)).
+for _kind, (_eps, _delta) in _STRUCTURE.items():
+    _kind._epsilon, _kind._delta = _eps, _delta
+    _kind._kernel = (_delta, 0.5 * _delta, _delta * _eps, 2.0 / _delta, -(2.0 / _delta))
+del _kind, _eps, _delta
 
 
 def make_algebra(kind: str | AlgebraKind) -> AlgebraKind:

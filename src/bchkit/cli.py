@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import gc
 import json
 import math
 import re
@@ -171,11 +172,26 @@ def _entry_coords(entry, pos: int) -> tuple:
         log_c = cmath.log(big_c)
     else:
         raise ValueError(f'element {pos} needs "log_c" or "Lambda_c"')
-    return big_plus, log_c, big_minus, 0j
+    return big_plus, log_c, big_minus
 
 
 def _load_coords(path: str) -> list:
-    """Coordinate tuples (big_plus, log_c, big_minus, 0j) of every entry of an element file.
+    """_read_coords with cyclic garbage collection paused, then restored to its prior state.
+
+    Parsing builds no reference cycles, yet the parser's many lists and dicts
+    would trigger collection again and again.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_coords(path)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _read_coords(path: str) -> list:
+    """Coordinate triples (big_plus, log_c, big_minus) of every entry of an element file.
 
     An entry whose "Lambda_plus", "log_c" and "Lambda_minus" are each a pair
     of finite floats is taken as it is; every other entry goes through
@@ -200,7 +216,7 @@ def _load_coords(path: str) -> list:
             log_c = complex(c_re, c_im)
             big_minus = complex(m_re, m_im)
             if isfinite(big_plus) and isfinite(log_c) and isfinite(big_minus):
-                append((big_plus, log_c, big_minus, 0j))
+                append((big_plus, log_c, big_minus))
                 continue
         append(_entry_coords(entry, pos))
     return coords
@@ -209,7 +225,7 @@ def _load_coords(path: str) -> list:
 def cmd_compose(args) -> int:
     algebra = make_algebra(args.algebra)
     coords = _load_coords(args.elements)
-    big_plus, log_c, big_minus, _ = _compose_coords(algebra, coords, len(coords))
+    big_plus, log_c, big_minus = _compose_coords(algebra, coords, len(coords))
     payload = {
         "alpha": big_plus,
         "beta": cmath.exp(log_c),

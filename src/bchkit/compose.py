@@ -8,16 +8,21 @@ products are multiplied by :func:`compose_pair` and folded over sequences by
 a generalized continued fraction form, :func:`alpha_continued_fraction`, kept
 as an independent cross-check of the fold.
 
-Underneath, private kernels do the arithmetic on plain complex coordinate
-tuples: one disentangles, one fold holds the only copy of the pair product
-and serves compose_pair, compose_many, :func:`bchkit.evolve.evolve` and the
-``compose`` command, and one evaluates the continued fraction.  The public
-functions wrap the same kernels, so every route gives the same bits.
+Underneath, private kernels do the arithmetic on plain complex triples, the
+three Gauss coordinates (big_plus, log_c, big_minus): one disentangles, one
+fold holds the only copy of the pair product and serves compose_pair,
+compose_many, :func:`bchkit.evolve.evolve` and the ``compose`` command, and
+one evaluates the continued fraction.  An element's scalar phase is a central
+factor, so it only ever adds: compose_pair and compose_many sum the phases
+outside the fold.  The public functions wrap the same kernels, so every
+route gives the same bits.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+import sys
 from cmath import isfinite
 from typing import Iterable, Iterator, Sequence
 
@@ -47,6 +52,9 @@ TOL_SINGULAR = 1e-12
 # leave a truncation error around 1e-24, far below double-precision noise.
 _SERIES_NU_THRESHOLD = 1e-4
 
+# 0.5 * TOL_SINGULAR * y groups as (0.5 * TOL_SINGULAR) * y, so this keeps the bits
+_HALF_TOL = 0.5 * TOL_SINGULAR
+
 
 def _cosh_sinhc(nu: complex) -> tuple[complex, complex]:
     """cosh(nu) and sinh(nu)/nu as a pair; both even in nu, finite at nu = 0.
@@ -72,32 +80,82 @@ def _cosh_sinhc(nu: complex) -> tuple[complex, complex]:
     return cmath.cosh(nu), cmath.sinh(nu) / nu
 
 
-# Raw kernels.  Coordinates travel as plain complex tuples
-# (big_plus, log_c, big_minus, phase); only the public wrappers and the
-# results of folds build GroupElement objects.
+# Raw kernels.  Coordinates travel as plain complex triples, the three Gauss
+# coordinates (big_plus, log_c, big_minus); only the public wrappers and the
+# results of folds build GroupElement objects.  The scalar phase never enters
+# a kernel: it is a central factor, so compose_pair and compose_many add the
+# phases, left to right, outside the fold.  Each kernel takes its algebra's
+# constants from ``algebra._kernel``, formed once at import in algebra.py.
 
-def _disentangle_raw(eps, delta, lp, lc, lm):
+def _disentangle_raw(kernel, lp, lc, lm):
     """(big_plus, log_c, big_minus, nu) of exp(lp T+ + lc Tc + lm T-); see disentangle."""
     if not (isfinite(lp) and isfinite(lc) and isfinite(lm)):
         raise NonFiniteInput("exponent coordinates must be finite")
-    half_c = 0.5 * delta * lc
-    x = delta * eps * lp * lm
-    nu = cmath.sqrt(half_c * half_c - x)
-    cosh_nu, sinhc_nu = _cosh_sinhc(nu)
-    w = cosh_nu - half_c * sinhc_nu
-    # Roundoff scale of w: its terms, plus the rounding of nu^2 = half_c^2 - x times a bound
-    # on |dw/d(nu^2)|, TOL_SINGULAR applied first to keep it finite.  A NaN w also fails.
-    ah, ac, a_s, n2 = abs(half_c), abs(cosh_nu), abs(sinhc_nu), abs(nu * nu)
-    tol_nu2 = 0.5 * TOL_SINGULAR * (ah * ah + abs(x))
-    if not abs(w) > TOL_SINGULAR * (ac + ah * a_s) + tol_nu2 * (
-        a_s + ah / (n2 if n2 > 1.0 else 1.0) * (ac + a_s)
-    ):
-        w = _w_by_exp(nu, half_c, x, cosh_nu, sinhc_nu, w, tol_nu2)
-    ratio = sinhc_nu / w
-    big_plus, big_minus = lp * ratio, lm * ratio
+    _, half_delta, delta_eps, _, minus_two_over_delta = kernel
+    half_c = half_delta * lc
+    x = delta_eps * lp * lm
+    try:
+        nu = cmath.sqrt(half_c * half_c - x)
+        if abs(nu) < _SERIES_NU_THRESHOLD:
+            cosh_nu, sinhc_nu = _cosh_sinhc(nu)
+        else:  # _cosh_sinhc's closed form, inlined: one call less per slice
+            cosh_nu, sinhc_nu = cmath.cosh(nu), cmath.sinh(nu) / nu
+        w = cosh_nu - half_c * sinhc_nu
+        # Roundoff scale of w: its terms, plus the rounding of nu^2 = half_c^2 - x times a bound
+        # on |dw/d(nu^2)|, TOL_SINGULAR applied first to keep it finite.  A NaN w also fails.
+        ah = abs(half_c)
+        ac = abs(cosh_nu)
+        a_s = abs(sinhc_nu)
+        n2 = abs(nu * nu)
+        tol_nu2 = _HALF_TOL * (ah * ah + abs(x))
+        if not abs(w) > TOL_SINGULAR * (ac + ah * a_s) + tol_nu2 * (
+            a_s + ah / (n2 if n2 > 1.0 else 1.0) * (ac + a_s)
+        ):
+            w = _w_by_exp(nu, half_c, x, cosh_nu, sinhc_nu, w, tol_nu2)
+        ratio = sinhc_nu / w
+        big_plus, big_minus = lp * ratio, lm * ratio
+        if not (isfinite(big_plus) and isfinite(big_minus)):
+            raise NonFiniteInput("normal-ordered coordinates overflow double precision")
+        return big_plus, minus_two_over_delta * cmath.log(w), big_minus, nu
+    except (ArithmeticError, ValueError):
+        if lp != 0 and lm != 0:
+            raise
+    # lp*lm == 0 always has a normal-ordered form; the route above overflowed on the way
+    return _triangular(half_c, lp, lm, minus_two_over_delta)
+
+
+def _triangular(half_c, lp, lm, minus_two_over_delta):
+    """_disentangle_raw's result where lp*lm == 0 and the general route left double range.
+
+    There w = exp(-half_c) exactly, kept as its principal log, and each
+    L = l*(exp(2 half_c) - 1)/(2 half_c) = l*g*exp(half_c + nu) with
+    g = sinhc(nu)*exp(-nu): 0 where l is 0, and NonFiniteInput only where
+    L itself leaves double range.
+    """
+    angle = -half_c.imag
+    log_w = complex(-half_c.real, math.atan2(math.sin(angle), math.cos(angle)))
+    rising = (half_c.real, half_c.imag) >= (0.0, 0.0)
+    nu = half_c if rising else -half_c  # the principal root, Re nu >= 0, so |g| <= 1
+    g = _cosh_sinhc(nu)[1] * cmath.exp(-nu) if nu.real < 709.0 else 0.5 / nu
+
+    def coordinate(l):
+        if l == 0:
+            return 0j
+        lg = l * g
+        if not rising:
+            return lg
+        if half_c.real < 709.0 and abs(lg) >= sys.float_info.min:
+            e = cmath.exp(half_c)
+            return lg * e * e
+        try:  # by logs where exp(half_c) overflows or l*g is subnormal
+            return cmath.exp(cmath.log(l) + cmath.log(g) + 2.0 * half_c)
+        except OverflowError:
+            return complex(math.inf, 0.0)
+
+    big_plus, big_minus = coordinate(lp), coordinate(lm)
     if not (isfinite(big_plus) and isfinite(big_minus)):
         raise NonFiniteInput("normal-ordered coordinates overflow double precision")
-    return big_plus, -(2.0 / delta) * cmath.log(w), big_minus, nu
+    return big_plus, minus_two_over_delta * log_w, big_minus, nu
 
 
 def _w_by_exp(nu, half_c, x, cosh_nu, sinhc_nu, w, tol_nu2):
@@ -137,21 +195,20 @@ def _fold(algebra: AlgebraKind, coords: Iterable[tuple]) -> Iterator[tuple[int, 
     This is the only copy of the pair product and the only check on the fold:
     each tuple it takes and each product it makes is checked for finiteness
     once, and each step's denominator d against TOL_SINGULAR, so nothing it
-    yields is non-finite.
+    yields is non-finite.  Tuples are (big_plus, log_c, big_minus); phases
+    are the callers' to add.
     """
-    eps, delta = algebra.epsilon, algebra.delta
-    eps_delta = eps * delta
-    two_over_delta = 2.0 / delta
+    delta, _, delta_eps, two_over_delta, _ = algebra._kernel
     exp, log = cmath.exp, cmath.log
     coords = iter(coords)
-    p1, lc1, m1, ph1 = acc = next(coords)
-    if not (isfinite(p1) and isfinite(lc1) and isfinite(m1) and isfinite(ph1)):
+    p1, lc1, m1 = acc = next(coords)
+    if not (isfinite(p1) and isfinite(lc1) and isfinite(m1)):
         raise NonFiniteInput("group element coordinates must be finite")
     yield 1, acc
-    for index, (p2, lc2, m2, ph2) in enumerate(coords, start=2):
-        if not (isfinite(p2) and isfinite(lc2) and isfinite(m2) and isfinite(ph2)):
+    for index, (p2, lc2, m2) in enumerate(coords, start=2):
+        if not (isfinite(p2) and isfinite(lc2) and isfinite(m2)):
             raise NonFiniteInput("group element coordinates must be finite")
-        d = 1.0 - eps_delta * p1 * m2
+        d = 1.0 - delta_eps * p1 * m2
         if abs(d) <= TOL_SINGULAR:
             raise SingularDecomposition(
                 f"no normal-ordered form: composition denominator |d| = {abs(d):.3e} "
@@ -164,10 +221,9 @@ def _fold(algebra: AlgebraKind, coords: Iterable[tuple]) -> Iterator[tuple[int, 
         # kept as a subtraction: adding (-two_over_delta) * log(d) can flip a signed zero
         lc1 = lc1 + lc2 - two_over_delta * log(d)
         m1 = m1 + m2 * pow_c1 / d
-        ph1 = ph1 + ph2
-        if not (isfinite(p1) and isfinite(lc1) and isfinite(m1) and isfinite(ph1)):
+        if not (isfinite(p1) and isfinite(lc1) and isfinite(m1)):
             raise NonFiniteInput("group element coordinates must be finite")
-        yield index, (p1, lc1, m1, ph1)
+        yield index, (p1, lc1, m1)
 
 
 def _compose_coords(algebra: AlgebraKind, coords: Iterable[tuple], count: int) -> tuple:
@@ -190,15 +246,15 @@ def _compose_coords(algebra: AlgebraKind, coords: Iterable[tuple], count: int) -
 
 def _continued_fraction(algebra: AlgebraKind, coords: Iterable[tuple]) -> complex:
     """Final raising coordinate of nonempty coordinate tuples; see alpha_continued_fraction."""
-    eps_delta, delta = algebra.epsilon * algebra.delta, algebra.delta
+    delta, _, delta_eps, _, _ = algebra._kernel
     exp = cmath.exp
     coords = iter(coords)
     value = next(coords)[0]
-    for big_plus, log_c, big_minus, _ in coords:
+    for big_plus, log_c, big_minus in coords:
         if value == 0:
             value = big_plus
             continue
-        partial = eps_delta * big_minus - 1.0 / value
+        partial = delta_eps * big_minus - 1.0 / value
         if partial == 0:
             raise SingularDecomposition(
                 "continued fraction hit a zero partial denominator",
@@ -229,17 +285,37 @@ def disentangle(algebra: AlgebraKind, lam: ExponentParams) -> DisentangleResult:
     A w within roundoff of 0 raises SingularDecomposition; an overflow, NonFiniteInput.
     """
     big_plus, log_c, big_minus, nu = _disentangle_raw(
-        algebra.epsilon, algebra.delta, lam.lambda_plus, lam.lambda_c, lam.lambda_minus
+        algebra._kernel, lam.lambda_plus, lam.lambda_c, lam.lambda_minus
     )
     return DisentangleResult(GroupElement(algebra, big_plus, log_c, big_minus), nu)
 
 
 def _checked_coords(elements: Iterable[GroupElement], algebra: AlgebraKind) -> Iterator[tuple]:
-    """Coordinate tuples of ``elements``, each checked against ``algebra`` as it is reached."""
+    """Coordinate triples of ``elements``, each checked against ``algebra`` as it is reached."""
     for g in elements:
         if g.algebra is not algebra:
             raise AlgebraMismatch(f"cannot compose {g.algebra.value} with {algebra.value}")
-        yield g.big_plus, g.log_c, g.big_minus, g.phase
+        yield g.big_plus, g.log_c, g.big_minus
+
+
+def _summed_coords(
+    elements: Iterable[GroupElement], algebra: AlgebraKind, total: list
+) -> Iterator[tuple]:
+    """_checked_coords that also adds the phases, left to right, and appends the sum to ``total``.
+
+    The running sum is checked as each element is reached, before the fold
+    takes its coordinates, so a non-finite phase, or a sum that leaves double
+    range, raises NonFiniteInput at that element.
+    """
+    phase = None
+    for g in elements:
+        if g.algebra is not algebra:
+            raise AlgebraMismatch(f"cannot compose {g.algebra.value} with {algebra.value}")
+        phase = g.phase if phase is None else phase + g.phase
+        if not isfinite(phase):
+            raise NonFiniteInput("group element coordinates must be finite")
+        yield g.big_plus, g.log_c, g.big_minus
+    total.append(phase)
 
 
 def compose_pair(g2: GroupElement, g1: GroupElement) -> GroupElement:
@@ -250,10 +326,10 @@ def compose_pair(g2: GroupElement, g1: GroupElement) -> GroupElement:
     of the Cartan coordinates are taken as exp(delta*log_c) so each factor's
     stored branch is honoured; the principal log of d is appended to log_c.
     """
-    algebra = g1.algebra
-    for _, product in _fold(algebra, _checked_coords((g1, g2), algebra)):
+    algebra, phase = g1.algebra, []
+    for _, product in _fold(algebra, _summed_coords((g1, g2), algebra, phase)):
         pass
-    return GroupElement(algebra, *product)
+    return GroupElement(algebra, *product, *phase)
 
 
 def compose_many(elements: Sequence[GroupElement]) -> GroupElement:
@@ -271,9 +347,9 @@ def compose_many(elements: Sequence[GroupElement]) -> GroupElement:
     count = len(elements)
     if count == 0:
         raise EmptySequence("need at least one element to compose")
-    algebra = elements[0].algebra
-    coords = _compose_coords(algebra, _checked_coords(elements, algebra), count)
-    return elements[0] if count == 1 else GroupElement(algebra, *coords)
+    algebra, phase = elements[0].algebra, []
+    coords = _compose_coords(algebra, _summed_coords(elements, algebra, phase), count)
+    return elements[0] if count == 1 else GroupElement(algebra, *coords, *phase)
 
 
 def alpha_continued_fraction(elements: Sequence[GroupElement]) -> complex:

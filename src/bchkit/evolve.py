@@ -65,8 +65,7 @@ def step_element(algebra: AlgebraKind, eta_j, tau: float) -> GroupElement:
     eta_plus, eta_c, eta_minus = eta_j
     minus_i_tau = -1j * tau
     big_plus, log_c, big_minus, _ = _disentangle_raw(
-        algebra.epsilon,
-        algebra.delta,
+        algebra._kernel,
         minus_i_tau * complex(eta_plus),
         minus_i_tau * complex(eta_c),
         minus_i_tau * complex(eta_minus),
@@ -152,20 +151,18 @@ def evolve(
 
 def _slices(schedule: HamiltonianSchedule, steps: int, tau: float, midpoint: bool):
     """Coordinate tuples of the N slices, earliest first, each disentangled as it is reached."""
-    algebra, eta = schedule.algebra, schedule.eta
-    eps, delta = algebra.epsilon, algebra.delta
+    eta, kernel = schedule.eta, schedule.algebra._kernel
     minus_i_tau = -1j * tau
+    shift = 0.5 * tau if midpoint else 0.0  # j*tau - 0.0 is j*tau, bit for bit
     for j in range(1, steps + 1):
-        t_right = j * tau
-        eta_plus, eta_c, eta_minus = eta(t_right - 0.5 * tau if midpoint else t_right)
+        eta_plus, eta_c, eta_minus = eta(j * tau - shift)
         big_plus, log_c, big_minus, _ = _disentangle_raw(
-            eps,
-            delta,
+            kernel,
             minus_i_tau * complex(eta_plus),
             minus_i_tau * complex(eta_c),
             minus_i_tau * complex(eta_minus),
         )
-        yield big_plus, log_c, big_minus, 0j
+        yield big_plus, log_c, big_minus
 
 
 def oscillator_schedule(

@@ -26,6 +26,13 @@ def test_structure_constants():
     assert AlgebraKind.SO21.epsilon == 0.5j and AlgebraKind.SO21.delta == 1j
 
 
+def test_structure_constants_are_read_only():
+    for name in ("epsilon", "delta"):
+        with pytest.raises(AttributeError):
+            setattr(AlgebraKind.SU2, name, 2)
+    assert AlgebraKind.SU2.epsilon == -1 and AlgebraKind.SU2.delta == 1
+
+
 def test_make_algebra_resolves_names():
     assert make_algebra("su11") is AlgebraKind.SU11
     assert make_algebra("SU2") is AlgebraKind.SU2

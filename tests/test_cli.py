@@ -1,5 +1,6 @@
 import cmath
 import functools
+import gc
 import json
 import math
 import os
@@ -123,6 +124,17 @@ def test_disentangle_triangular_exponent_exits_0(capsys):
     code, out = run_cli(capsys, "disentangle", "--algebra", "su11", "--lambda", "1,0", "30,0", "0,0")
     assert code == 0
     assert json.loads(out)["log_c"] == pytest.approx([30, 0], rel=1e-14)
+
+
+def test_disentangle_triangular_exponent_beyond_exp_range_exits_0(capsys):
+    # so(2,1), lambda_c = 1500: cosh(nu) overflows on the general route (was exit 2)
+    code, out = run_cli(capsys, "disentangle", "--algebra", "so21", "--lambda", "0,0", "1500,0", "0,0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["Lambda_plus"] == payload["Lambda_minus"] == [0, 0]
+    assert payload["nu"] == [0, 750]
+    expected = disentangle(AlgebraKind.SO21, ExponentParams(0, 1500, 0)).element.log_c
+    assert as_complex(payload["log_c"]) == expected
 
 
 def test_disentangle_denominator_lost_to_roundoff_exits_3(capsys):
@@ -259,6 +271,24 @@ def test_compose_overflowing_product_exits_2(tmp_path, capsys):
     code, out = run_cli(capsys, "compose", "--algebra", "su11", path)
     assert code == 2
     assert out == '{"error": "group element coordinates must be finite"}\n'
+
+
+def test_compose_restores_garbage_collection(tmp_path, capsys):
+    # the element file is parsed with the cyclic collector paused, and its state is restored
+    good = write_schedule(tmp_path, [{"Lambda_plus": [0.1, 0], "log_c": [0, 0], "Lambda_minus": [0, 0]}], name="good.json")
+    bad = write_schedule(tmp_path, [{"Lambda_plus": [0.1, 0]}], name="bad.json")
+    try:
+        for enabled in (True, False):
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            assert run_cli(capsys, "compose", "--algebra", "su11", good)[0] == 0
+            assert gc.isenabled() is enabled
+            assert run_cli(capsys, "compose", "--algebra", "su11", bad)[0] == 2
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_compose_huge_element_then_identity_exits_0(tmp_path, capsys):

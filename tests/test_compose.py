@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import math
 import struct
 
@@ -122,6 +123,27 @@ def test_disentangle_overflow_raises_instead_of_returning_nan():
         disentangle(AlgebraKind.SU2, ExponentParams(1e200, 0, 1e200))
 
 
+def test_disentangle_triangular_exponent_beyond_exp_range():
+    # lambda_plus*lambda_minus = 0: w = exp(-lc/2), past where the general route's
+    # sinhc(nu)/w overflows (lc = 800) or cosh(nu) itself does (lc = 1500)
+    for kind in (AlgebraKind.SU11, AlgebraKind.SU2):
+        for lc in (800, 1500):
+            result = disentangle(kind, ExponentParams(0, lc, 0))
+            g = result.element
+            assert (g.big_plus, g.log_c, g.big_minus) == (0, lc, 0)
+            assert result.nu == lc / 2
+    # L+ = l+ (e^800 - 1)/800 is finite although e^800 is not; reference to 50 digits
+    with decimal.localcontext() as context:
+        context.prec = 50
+        exact = decimal.Decimal(1e-300) * (decimal.Decimal(800).exp() - 1) / 800
+    g = disentangle(AlgebraKind.SU11, ExponentParams(1e-300, 800, 0)).element
+    assert g.big_plus.imag == 0 and g.log_c == 800 and g.big_minus == 0
+    assert abs(decimal.Decimal(g.big_plus.real) / exact - 1) <= 1e-15
+    # a nonzero coordinate that itself leaves double range still raises
+    with pytest.raises(NonFiniteInput, match="^normal-ordered coordinates overflow double precision$"):
+        disentangle(AlgebraKind.SU11, ExponentParams(1e-300, 1500, 0))
+
+
 def test_cosh_sinhc_is_even():
     rng = np.random.default_rng(13)
     for scale in (1e-6, 1e-4, 0.5, 2.0):
@@ -230,6 +252,59 @@ def test_compose_many_single_element_passthrough():
     rng = np.random.default_rng(23)
     g = random_element(rng, AlgebraKind.SO21)
     assert compose_many([g]) is g
+
+
+def phase_bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def test_phases_add_left_to_right_bit_for_bit():
+    # 1e16 + 1 rounds back to 1e16, so only the left-to-right order gives 0 here;
+    # signed zeros survive only where every summand's zero has the same sign
+    phases = [complex(-0.0, -0.0), complex(-0.0, 0.0), 1e16 + 0j, 1.0 - 0j, -1e16 - 0j, 2.5e-300j]
+    elements = [GroupElement(AlgebraKind.SO21, 0j, 0j, 0j, phase) for phase in phases]
+    for count in range(2, len(phases) + 1):
+        expected = phases[0]
+        for phase in phases[1:count]:
+            expected = expected + phase
+        assert phase_bits(compose_many(elements[:count]).phase) == phase_bits(expected)
+    for g1 in elements:
+        for g2 in elements:
+            assert phase_bits(compose_pair(g2, g1).phase) == phase_bits(g1.phase + g2.phase)
+    assert phase_bits(compose_many(elements[:2]).phase) == phase_bits(complex(-0.0, 0.0))
+
+
+def test_non_finite_phase_raises_at_its_element_before_a_later_singular_pair():
+    kind = AlgebraKind.SU11
+    ident = identity_element(kind)
+    nan_phase = GroupElement(kind, 0j, 0j, 0j, complex(0, math.nan))
+    raiser = GroupElement(kind, 1.0 + 0j, 0j, 0j)
+    lowerer = GroupElement(kind, 0j, 0j, 1.0 + 0j)
+    with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+        compose_many([ident, nan_phase, raiser, lowerer])
+    with pytest.raises(SingularDecomposition, match="at element 3 of 4"):
+        compose_many([ident, raiser, lowerer, nan_phase])
+    with pytest.raises(NonFiniteInput):
+        compose_pair(nan_phase, ident)
+
+
+def test_single_element_with_nan_phase_raises():
+    bad = GroupElement(AlgebraKind.SU2, 0j, 0j, 0j, complex(math.nan, 0))
+    with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+        compose_many([bad])
+
+
+def test_overflowing_phase_sum_raises_at_its_element():
+    # every phase is finite, their running sum is not from the second element on:
+    # an error there, before the singular pair that follows
+    kind = AlgebraKind.SU11
+    big = GroupElement(kind, 0j, 0j, 0j, 1e308 + 0j)
+    with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+        compose_pair(big, big)
+    raiser = GroupElement(kind, 1.0 + 0j, 0j, 0j)
+    lowerer = GroupElement(kind, 0j, 0j, 1.0 + 0j)
+    with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+        compose_many([big, big, raiser, lowerer])
 
 
 def test_compose_many_of_identities():
