@@ -141,6 +141,19 @@ def _parse_squeeze_pair(text: str):
 # ---------------------------------------------------------------------------
 # commands
 
+def _big_c(log_c: complex) -> complex:
+    """exp(log_c), the Cartan coordinate every command prints; NonFiniteInput where it overflows."""
+    try:
+        return cmath.exp(log_c)
+    except OverflowError:
+        raise NonFiniteInput("Cartan coordinate exp(log_c) overflows double precision") from None
+
+
+def _element_fields(big_plus: complex, log_c: complex, big_minus: complex) -> dict:
+    """The "alpha", "beta", "gamma" and "log_c" fields that compose and evolve print first."""
+    return {"alpha": big_plus, "beta": _big_c(log_c), "gamma": big_minus, "log_c": log_c}
+
+
 def cmd_disentangle(args) -> int:
     algebra = make_algebra(args.algebra)
     result = disentangle(algebra, ExponentParams(*args.lam))
@@ -148,7 +161,7 @@ def cmd_disentangle(args) -> int:
     _emit(
         {
             "Lambda_plus": element.big_plus,
-            "Lambda_c": element.big_c(),
+            "Lambda_c": _big_c(element.log_c),
             "log_c": element.log_c,
             "nu": result.nu,
             "Lambda_minus": element.big_minus,
@@ -176,66 +189,54 @@ def _entry_coords(entry, pos: int) -> tuple:
 
 
 def _load_coords(path: str) -> list:
-    """_read_coords with cyclic garbage collection paused, then restored to its prior state.
-
-    Parsing builds no reference cycles, yet the parser's many lists and dicts
-    would trigger collection again and again.
-    """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _read_coords(path)
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _read_coords(path: str) -> list:
     """Coordinate triples (big_plus, log_c, big_minus) of every entry of an element file.
 
     An entry whose "Lambda_plus", "log_c" and "Lambda_minus" are each a pair
     of finite floats is taken as it is; every other entry goes through
     _entry_coords, which gives the same tuple or the error that names it.
+    Cyclic garbage collection is paused meanwhile, then restored to its prior
+    state: parsing builds no reference cycles, yet the parser's many lists and
+    dicts would trigger collection again and again.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
-    if not (isinstance(raw, list) and raw):
-        raise ValueError("element file must hold a nonempty JSON list")
-    coords = []
-    append = coords.append
-    for pos, entry in enumerate(raw, start=1):
-        try:
-            p_re, p_im = entry["Lambda_plus"]
-            c_re, c_im = entry["log_c"]
-            m_re, m_im = entry["Lambda_minus"]
-        except (KeyError, TypeError, ValueError):
-            append(_entry_coords(entry, pos))
-            continue
-        if type(p_re) is type(p_im) is type(c_re) is type(c_im) is type(m_re) is type(m_im) is float:
-            big_plus = complex(p_re, p_im)
-            log_c = complex(c_re, c_im)
-            big_minus = complex(m_re, m_im)
-            if isfinite(big_plus) and isfinite(log_c) and isfinite(big_minus):
-                append((big_plus, log_c, big_minus))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+        if not (isinstance(raw, list) and raw):
+            raise ValueError("element file must hold a nonempty JSON list")
+        coords = []
+        append = coords.append
+        for pos, entry in enumerate(raw, start=1):
+            try:
+                p_re, p_im = entry["Lambda_plus"]
+                c_re, c_im = entry["log_c"]
+                m_re, m_im = entry["Lambda_minus"]
+            except (KeyError, TypeError, ValueError):
+                append(_entry_coords(entry, pos))
                 continue
-        append(_entry_coords(entry, pos))
-    return coords
+            if type(p_re) is type(p_im) is type(c_re) is type(c_im) is type(m_re) is type(m_im) is float:
+                big_plus = complex(p_re, p_im)
+                log_c = complex(c_re, c_im)
+                big_minus = complex(m_re, m_im)
+                if isfinite(big_plus) and isfinite(log_c) and isfinite(big_minus):
+                    append((big_plus, log_c, big_minus))
+                    continue
+            append(_entry_coords(entry, pos))
+        return coords
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def cmd_compose(args) -> int:
     algebra = make_algebra(args.algebra)
     coords = _load_coords(args.elements)
-    big_plus, log_c, big_minus = _compose_coords(algebra, coords, len(coords))
-    payload = {
-        "alpha": big_plus,
-        "beta": cmath.exp(log_c),
-        "gamma": big_minus,
-        "log_c": log_c,
-    }
+    payload = _element_fields(*_compose_coords(algebra, coords, len(coords)))
     if args.continued_fraction:
         alpha_cf = _continued_fraction(algebra, coords)
         payload["alpha_continued_fraction"] = alpha_cf
-        payload["alpha_abs_difference"] = abs(alpha_cf - big_plus)
+        payload["alpha_abs_difference"] = abs(alpha_cf - payload["alpha"])
     _emit(payload)
     return EXIT_OK
 
@@ -248,7 +249,7 @@ def cmd_squeeze_compose(args) -> int:
     _emit(
         {
             "alpha": product.big_plus,
-            "beta": product.big_c(),
+            "beta": _big_c(product.log_c),
             "gamma": product.big_minus,
             "factorization": {
                 "r": factored.squeeze.r,
@@ -375,7 +376,7 @@ def load_schedule(path: str) -> HamiltonianSchedule:
 def _write_trajectory_csv(path: str, trajectory) -> None:
     lines = ["t,alpha_re,alpha_im,beta_re,beta_im,gamma_re,gamma_im"]
     for t, g in trajectory:
-        beta = g.big_c()
+        beta = _big_c(g.log_c)
         row = (
             t,
             g.big_plus.real,
@@ -404,16 +405,10 @@ def cmd_evolve(args) -> int:
     if args.csv is not None:
         _write_trajectory_csv(args.csv, result.trajectory)
     element = result.element
-    _emit(
-        {
-            "alpha": element.big_plus,
-            "beta": element.big_c(),
-            "gamma": element.big_minus,
-            "log_c": element.log_c,
-            "steps": result.steps,
-            "tau": result.tau,
-        }
-    )
+    payload = _element_fields(element.big_plus, element.log_c, element.big_minus)
+    payload["steps"] = result.steps
+    payload["tau"] = result.tau
+    _emit(payload)
     return EXIT_OK
 
 

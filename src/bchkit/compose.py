@@ -10,12 +10,12 @@ as an independent cross-check of the fold.
 
 Underneath, private kernels do the arithmetic on plain complex triples, the
 three Gauss coordinates (big_plus, log_c, big_minus): one disentangles, one
-fold holds the only copy of the pair product and serves compose_pair,
-compose_many, :func:`bchkit.evolve.evolve` and the ``compose`` command, and
-one evaluates the continued fraction.  An element's scalar phase is a central
-factor, so it only ever adds: compose_pair and compose_many sum the phases
-outside the fold.  The public functions wrap the same kernels, so every
-route gives the same bits.
+fold holds the only copy of the pair product and serves compose_many (so
+compose_pair, compose_many of two), :func:`bchkit.evolve.evolve` and the
+``compose`` command, and one evaluates the continued fraction.  An element's
+scalar phase is a central factor, so it only ever adds: compose_many sums the
+phases outside the fold.  The public functions wrap the same kernels, so
+every route gives the same bits.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def _cosh_sinhc(nu: complex) -> tuple[complex, complex]:
 # Raw kernels.  Coordinates travel as plain complex triples, the three Gauss
 # coordinates (big_plus, log_c, big_minus); only the public wrappers and the
 # results of folds build GroupElement objects.  The scalar phase never enters
-# a kernel: it is a central factor, so compose_pair and compose_many add the
-# phases, left to right, outside the fold.  Each kernel takes its algebra's
+# a kernel: it is a central factor, so compose_many adds the phases, left to
+# right, outside the fold.  Each kernel takes its algebra's
 # constants from ``algebra._kernel``, formed once at import in algebra.py.
 
 def _disentangle_raw(kernel, lp, lc, lm):
@@ -188,15 +188,15 @@ def _w_by_exp(nu, half_c, x, cosh_nu, sinhc_nu, w, tol_nu2):
 def _fold(algebra: AlgebraKind, coords: Iterable[tuple]) -> Iterator[tuple[int, tuple]]:
     """Left fold of coordinate tuples, earliest first; yields (index, product).
 
-    The first tuple seeds the product and each later one acts after it, as
-    repeated compose_pair calls would.  ``index`` counts the tuples folded so
-    far (1-based), so an error raised while the fold is advanced belongs to
-    element index + 1 of the last pair yielded.  ``coords`` must be nonempty.
-    This is the only copy of the pair product and the only check on the fold:
-    each tuple it takes and each product it makes is checked for finiteness
-    once, and each step's denominator d against TOL_SINGULAR, so nothing it
-    yields is non-finite.  Tuples are (big_plus, log_c, big_minus); phases
-    are the callers' to add.
+    The first tuple seeds the product and each later one acts after it.
+    ``index`` counts the tuples folded so far (1-based), so an error raised
+    while the fold is advanced belongs to element index + 1 of the last pair
+    yielded.  ``coords`` must be nonempty.  This is the only copy of the pair
+    product and the only check on the fold: each tuple it takes and each
+    product it makes is checked for finiteness once, each step's denominator
+    d against TOL_SINGULAR, and a step whose exp(delta*log_c) or |d| leaves
+    double range raises NonFiniteInput, so nothing it yields is non-finite.
+    Tuples are (big_plus, log_c, big_minus); phases are the callers' to add.
     """
     delta, _, delta_eps, two_over_delta, _ = algebra._kernel
     exp, log = cmath.exp, cmath.log
@@ -209,14 +209,17 @@ def _fold(algebra: AlgebraKind, coords: Iterable[tuple]) -> Iterator[tuple[int, 
         if not (isfinite(p2) and isfinite(lc2) and isfinite(m2)):
             raise NonFiniteInput("group element coordinates must be finite")
         d = 1.0 - delta_eps * p1 * m2
-        if abs(d) <= TOL_SINGULAR:
-            raise SingularDecomposition(
-                f"no normal-ordered form: composition denominator |d| = {abs(d):.3e} "
-                "is singular",
-                denominator_abs=abs(d),
-            )
-        pow_c1 = exp(delta * lc1)
-        pow_c2 = exp(delta * lc2)
+        try:  # only this arithmetic: an error from the incoming iterator keeps its own type
+            if abs(d) <= TOL_SINGULAR:
+                raise SingularDecomposition(
+                    f"no normal-ordered form: composition denominator |d| = {abs(d):.3e} "
+                    "is singular",
+                    denominator_abs=abs(d),
+                )
+            pow_c1 = exp(delta * lc1)
+            pow_c2 = exp(delta * lc2)
+        except OverflowError:
+            raise NonFiniteInput("group element coordinates must be finite") from None
         p1 = p2 + p1 * pow_c2 / d
         # kept as a subtraction: adding (-two_over_delta) * log(d) can flip a signed zero
         lc1 = lc1 + lc2 - two_over_delta * log(d)
@@ -260,7 +263,13 @@ def _continued_fraction(algebra: AlgebraKind, coords: Iterable[tuple]) -> comple
                 "continued fraction hit a zero partial denominator",
                 denominator_abs=0.0,
             )
-        value = big_plus - exp(delta * log_c) / partial
+        try:
+            power = exp(delta * log_c)
+        except OverflowError:
+            raise NonFiniteInput("group element coordinates must be finite") from None
+        value = big_plus - power / partial
+    if not isfinite(value):
+        raise NonFiniteInput("group element coordinates must be finite")
     return value
 
 
@@ -319,17 +328,15 @@ def _summed_coords(
 
 
 def compose_pair(g2: GroupElement, g1: GroupElement) -> GroupElement:
-    """Normal-ordered coordinates of the product g2 g1 (g1 acts first).
+    """Normal-ordered coordinates of the product g2 g1 (g1 acts first), as compose_many((g1, g2)).
 
     The only reordering needed is of the inner pair exp(L1+ T+) exp(L2- T-),
     governed by the denominator d = 1 - eps*delta*L1+*L2-.  Fractional powers
     of the Cartan coordinates are taken as exp(delta*log_c) so each factor's
     stored branch is honoured; the principal log of d is appended to log_c.
+    Errors are compose_many's: a singular pair is reported at element 2 of 2.
     """
-    algebra, phase = g1.algebra, []
-    for _, product in _fold(algebra, _summed_coords((g1, g2), algebra, phase)):
-        pass
-    return GroupElement(algebra, *product, *phase)
+    return compose_many((g1, g2))
 
 
 def compose_many(elements: Sequence[GroupElement]) -> GroupElement:
@@ -339,10 +346,10 @@ def compose_many(elements: Sequence[GroupElement]) -> GroupElement:
     command, over raw coordinate tuples, and gives bit for bit the element
     that repeated compose_pair calls would, each new element acting after
     the accumulated product; this left fold is the recurrence that seeds on
-    the first element's coordinates.  Errors are those of compose_pair, at
-    the same element; a singular step is reported with its 1-based position,
-    and a product that leaves double range raises NonFiniteInput.  A single
-    element is checked like every other and returned as it is.
+    the first element's coordinates.  A singular step is reported with its
+    1-based position and the fold's message as ``__cause__``, and a step that
+    leaves double range raises NonFiniteInput.  A single element is checked
+    like every other and returned as it is.
     """
     count = len(elements)
     if count == 0:
@@ -362,7 +369,7 @@ def alpha_continued_fraction(elements: Sequence[GroupElement]) -> complex:
     A zero running value is a removable case (its reciprocal only appears in
     a denominator that then blows up, killing the whole fraction term), so it
     is taken in the limit; an exactly zero partial denominator is not
-    removable and raises.
+    removable and raises, and a value that leaves double range raises NonFiniteInput.
     """
     if len(elements) == 0:
         raise EmptySequence("need at least one element")

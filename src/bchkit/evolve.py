@@ -61,16 +61,9 @@ class EvolutionResult(_Frozen):
 
 
 def step_element(algebra: AlgebraKind, eta_j, tau: float) -> GroupElement:
-    """Normal-ordered element of one short exponential exp(-i tau H_j)."""
-    eta_plus, eta_c, eta_minus = eta_j
-    minus_i_tau = -1j * tau
-    big_plus, log_c, big_minus, _ = _disentangle_raw(
-        algebra._kernel,
-        minus_i_tau * complex(eta_plus),
-        minus_i_tau * complex(eta_c),
-        minus_i_tau * complex(eta_minus),
-    )
-    return GroupElement(algebra, big_plus, log_c, big_minus)
+    """Normal-ordered element of exp(-i tau H_j): evolve's slice, on a one-step constant schedule."""
+    schedule = HamiltonianSchedule(algebra, lambda t: eta_j, tau)
+    return GroupElement(algebra, *next(_slices(schedule, 1, tau, False)))
 
 
 def _check_t_final(t_final) -> None:
@@ -104,9 +97,9 @@ def evolve(
 
     Steps are applied in time order, each new one acting after the running
     product.  Slices are disentangled as they are reached and folded by the
-    same raw-coordinate fold as :func:`bchkit.compose.compose_many`, so the
-    result and every checkpoint are bit for bit what compose_many (or
-    repeated compose_pair) gives over the step_element of each slice; a
+    same raw-coordinate fold as :func:`bchkit.compose.compose_many`;
+    step_element is the same slice, so the result and every checkpoint are
+    bit for bit what compose_many gives over the step_element of each slice; a
     singular slice or product is reported with its step and right-endpoint
     time; a slice or product that overflows raises NonFiniteInput, without
     them.  ``checkpoint_every`` = k records the running

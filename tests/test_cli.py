@@ -263,14 +263,47 @@ def test_compose_singular_exits_3(tmp_path, capsys):
 
 
 def test_compose_overflowing_product_exits_2(tmp_path, capsys):
-    # two finite elements whose product leaves double range: no [-inf, nan] on stdout
+    files = [
+        # two finite elements whose product leaves double range: no [-inf, nan] on stdout
+        [
+            {"Lambda_plus": [1e200, 0], "log_c": [0, 0], "Lambda_minus": [0, 0]},
+            {"Lambda_plus": [0, 0], "log_c": [0, 0], "Lambda_minus": [1e200, 0]},
+        ],
+        # exp(log_c) = exp(800) of the first element overflows inside the step
+        [
+            {"Lambda_plus": [0, 0], "log_c": [800, 0], "Lambda_minus": [0, 0]},
+            {"Lambda_plus": [0.1, 0], "log_c": [0, 0], "Lambda_minus": [0.1, 0]},
+        ],
+    ]
+    for entries in files:
+        path = write_schedule(tmp_path, entries, name="overflow.json")
+        code, out = run_cli(capsys, "compose", "--algebra", "su11", path)
+        assert code == 2
+        assert out == '{"error": "group element coordinates must be finite"}\n'
+
+
+CARTAN_OVERFLOW = '{"error": "Cartan coordinate exp(log_c) overflows double precision"}\n'
+
+
+def test_unprintable_cartan_coordinate_exits_2(tmp_path, capsys):
+    # finite coordinates whose exp(log_c) leaves double range, in each command that prints it
+    code, out = run_cli(capsys, "disentangle", "--algebra", "su11", "--lambda", "0,0", "800,0", "0,0")
+    assert (code, out) == (2, CARTAN_OVERFLOW)
     path = write_schedule(tmp_path, [
-        {"Lambda_plus": [1e200, 0], "log_c": [0, 0], "Lambda_minus": [0, 0]},
-        {"Lambda_plus": [0, 0], "log_c": [0, 0], "Lambda_minus": [1e200, 0]},
-    ], name="overflow.json")
+        {"Lambda_plus": [0, 0], "log_c": [750, 0], "Lambda_minus": [0, 0]},
+    ], name="one.json")
     code, out = run_cli(capsys, "compose", "--algebra", "su11", path)
-    assert code == 2
-    assert out == '{"error": "group element coordinates must be finite"}\n'
+    assert (code, out) == (2, CARTAN_OVERFLOW)
+    sample = {"eta_plus": [0, 0], "eta_c": [0, 1000], "eta_minus": [0, 0]}
+    sched = write_schedule(tmp_path, {
+        "format": 1, "algebra": "su11", "t_final": 1.0,
+        "samples": [dict(sample, t=0.0), dict(sample, t=1.0)],
+    })
+    csv_path = tmp_path / "trajectory.csv"
+    for extra in ([], ["--csv", str(csv_path)]):
+        code, out = run_cli(capsys, "evolve", "--schedule", sched, "--steps", "2", *extra)
+        assert (code, out) == (2, CARTAN_OVERFLOW)
+    assert not csv_path.exists()
 
 
 def test_compose_restores_garbage_collection(tmp_path, capsys):

@@ -219,13 +219,21 @@ def test_compose_pair_rejects_non_finite():
 
 
 def test_overflowing_product_raises_instead_of_returning_non_finite():
-    # L+ = 1e200 followed by L- = 1e200: each finite, the product is not
-    first = GroupElement(AlgebraKind.SU11, 1e200 + 0j, 0j, 0j)
-    second = GroupElement(AlgebraKind.SU11, 0j, 0j, 1e200 + 0j)
-    with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
-        compose_pair(second, first)
-    with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
-        compose_many([first, second])
+    cases = [
+        # L+ = 1e200 followed by L- = 1e200: each finite, the product is not
+        ((1e200 + 0j, 0j, 0j), (0j, 0j, 1e200 + 0j)),
+        # exp(800) of the first element's log_c leaves double range inside the step
+        ((0j, 800 + 0j, 0j), (0.1 + 0j, 0j, 0.1 + 0j)),
+        # d = 1 - L1+ L2- is finite, but |d| is about 2.1e308
+        ((1.5e300 + 0j, 0j, 0j), (0j, 0j, 1e8 + 1e8j)),
+    ]
+    for coords1, coords2 in cases:
+        first = GroupElement(AlgebraKind.SU11, *coords1)
+        second = GroupElement(AlgebraKind.SU11, *coords2)
+        with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+            compose_pair(second, first)
+        with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+            compose_many([first, second])
 
 
 def test_huge_coordinates_are_not_singular():
@@ -238,11 +246,18 @@ def test_huge_coordinates_are_not_singular():
 
 
 def test_compose_pair_singular_denominator():
+    # compose_pair is compose_many of two: it names the step and keeps the fold's message as the cause
     g1 = GroupElement(AlgebraKind.SU11, 1.0 + 0j, 0j, 0j)
     g2 = GroupElement(AlgebraKind.SU11, 0j, 0j, 1.0 + 0j)
     with pytest.raises(SingularDecomposition) as excinfo:
         compose_pair(g2, g1)
-    assert excinfo.value.denominator_abs == 0.0
+    exc = excinfo.value
+    assert exc.denominator_abs == 0.0
+    assert str(exc) == "composition is singular at element 2 of 2"
+    assert exc.step == 2 and exc.time is None
+    assert str(exc.__cause__) == (
+        "no normal-ordered form: composition denominator |d| = 0.000e+00 is singular"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +373,19 @@ def test_continued_fraction_single_element():
     rng = np.random.default_rng(37)
     g = random_element(rng, AlgebraKind.SU11)
     assert alpha_continued_fraction([g]) == g.big_plus
+
+
+def test_continued_fraction_never_returns_non_finite():
+    su11 = AlgebraKind.SU11
+    h = GroupElement(su11, 0.1 + 0j, 0j, 0.1 + 0j)
+    cases = [
+        [GroupElement(AlgebraKind.SU2, complex(math.nan, 0), 0j, 0j)],  # was (nan+0j)
+        [GroupElement(su11, 1e300 + 0j, 700 + 0j, 0j)] * 2,  # was (inf+0j)
+        [h, GroupElement(su11, 0.1 + 0j, 800 + 0j, 0.1 + 0j), h],  # exp(800): was OverflowError
+    ]
+    for elements in cases:
+        with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+            alpha_continued_fraction(elements)
 
 
 def test_continued_fraction_matches_pair_composition():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bchkit import (
     SingularDecomposition,
     compose_many,
     default_checkpoint_stride,
+    disentangle,
     element_matrix,
     evolve,
     exponent_matrix,
@@ -160,6 +162,19 @@ def test_midpoint_sampling_is_second_order():
     finals = {n: evolve(schedule, n, midpoint=True).element for n in (128, 256, 512)}
     gaps = [_gap(finals[128], finals[256]), _gap(finals[256], finals[512])]
     assert 3.5 <= gaps[0] / gaps[1] <= 4.5
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.1])
+@pytest.mark.parametrize("algebra", list(AlgebraKind), ids=lambda a: a.value)
+def test_step_element_takes_any_tau_as_disentangle_does(algebra, tau):
+    # step_element is evolve's slice and validates nothing: tau = 0 and tau < 0 keep working
+    eta = (0.3 + 0.1j, 1.2, -0.4j)
+    lam = ExponentParams(*(-1j * tau * complex(v) for v in eta))
+    expected = disentangle(algebra, lam).element
+    got = step_element(algebra, eta, tau)
+    parts = lambda g: [struct.pack("<dd", z.real, z.imag) for z in (g.big_plus, g.log_c, g.big_minus, g.phase)]
+    assert got.algebra is algebra
+    assert parts(got) == parts(expected)
 
 
 def test_singular_step_carries_position_and_time():
