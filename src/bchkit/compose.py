@@ -48,35 +48,45 @@ __all__ = [
 # near d = 0 is 1), a first-order estimate for w in a disentangling.
 TOL_SINGULAR = 1e-12
 
-# Below this |nu| the ratio sinh(nu)/nu is evaluated by series; 6 even terms
-# leave a truncation error around 1e-24, far below double-precision noise.
+# Below this |nu|, cosh(nu) and sinh(nu)/nu are evaluated by series, summing
+# nu^(2k)/n! for k = 0, 1, 2.  Every term with k >= 3 is below half an ulp of
+# the running sum in both parts, so adding it could not change a bit: the real
+# parts sum to about 1 and |nu^6|/720 < 1.4e-27, and every Im(nu^(2k)) carries
+# the factor Im(nu^2), so those terms are below 1e-17 of the running imaginary
+# part (an exact zero one stays +0.0).  The k = 2 term stays: its imaginary part
+# can reach a bit.
 _SERIES_NU_THRESHOLD = 1e-4
 
 # 0.5 * TOL_SINGULAR * y groups as (0.5 * TOL_SINGULAR) * y, so this keeps the bits
 _HALF_TOL = 0.5 * TOL_SINGULAR
 
+# Where |nu| <= 1 and |half_c| <= 1, the roundoff scale of w in _checked_w is
+# below 8.6e-12: |cosh nu| <= cosh 1, |sinhc nu| <= sinh 1 and
+# |x| <= |half_c|^2 + |nu^2| <= 2 bound it by
+# TOL_SINGULAR*(cosh 1 + sinh 1) + 1.5*TOL_SINGULAR*(sinh 1 + cosh 1 + sinh 1).
+# So a |w| above this passes that test, and is taken without evaluating it.
+_W_CLEAR = 1e-10
+
+
+def _series(nu: complex) -> tuple[complex, complex]:
+    """cosh(nu) and sinh(nu)/nu for |nu| < _SERIES_NU_THRESHOLD, summed in order of k.
+
+    The powers are the products that nu_sq**k multiplies out and no Horner
+    scheme is used, so the result is bit for bit the plain sum of
+    nu_sq**k / n! over k = 0..5 (n = 2k for cosh, 2k + 1 for sinhc); the
+    terms past k = 2 cannot reach a bit (see _SERIES_NU_THRESHOLD).
+    (nu_sq**k also multiplies by 1 + 0j, which can only flip the sign of a
+    zero component; a sum that starts from 1 never sees that sign.)
+    """
+    nu_sq = nu * nu
+    p2 = nu_sq * nu_sq
+    return (1 + 0j) + nu_sq / 2.0 + p2 / 24.0, (1 + 0j) + nu_sq / 6.0 + p2 / 120.0
+
 
 def _cosh_sinhc(nu: complex) -> tuple[complex, complex]:
-    """cosh(nu) and sinh(nu)/nu as a pair; both even in nu, finite at nu = 0.
-
-    Below the threshold this is the plain sum of nu_sq**k / n! over
-    k = 0..5 (n = 2k for cosh, 2k + 1 for sinhc), added in order of k.  The
-    powers are the products that nu_sq**k multiplies out and no Horner
-    scheme is used, so the result is bit for bit that sum's.  (nu_sq**k
-    also multiplies by 1 + 0j, which can only flip the sign of a zero
-    component; a sum that starts from 1 never sees that sign.)
-    """
+    """cosh(nu) and sinh(nu)/nu as a pair; both even in nu, finite at nu = 0."""
     if abs(nu) < _SERIES_NU_THRESHOLD:
-        nu_sq = nu * nu
-        p2 = nu_sq * nu_sq
-        p3 = nu_sq * p2
-        p4 = p2 * p2
-        p5 = nu_sq * p4
-        cosh_nu = (1 + 0j) + nu_sq / 2.0 + p2 / 24.0 + p3 / 720.0 + p4 / 40320.0 + p5 / 3628800.0
-        sinhc_nu = (
-            (1 + 0j) + nu_sq / 6.0 + p2 / 120.0 + p3 / 5040.0 + p4 / 362880.0 + p5 / 39916800.0
-        )
-        return cosh_nu, sinhc_nu
+        return _series(nu)
     return cmath.cosh(nu), cmath.sinh(nu) / nu
 
 
@@ -96,32 +106,76 @@ def _disentangle_raw(kernel, lp, lc, lm):
     x = delta_eps * lp * lm
     try:
         nu = cmath.sqrt(half_c * half_c - x)
-        if abs(nu) < _SERIES_NU_THRESHOLD:
-            cosh_nu, sinhc_nu = _cosh_sinhc(nu)
+        a_nu = abs(nu)
+        if a_nu < _SERIES_NU_THRESHOLD:
+            cosh_nu, sinhc_nu = _series(nu)
         else:  # _cosh_sinhc's closed form, inlined: one call less per slice
             cosh_nu, sinhc_nu = cmath.cosh(nu), cmath.sinh(nu) / nu
         w = cosh_nu - half_c * sinhc_nu
-        # Roundoff scale of w: its terms, plus the rounding of nu^2 = half_c^2 - x times a bound
-        # on |dw/d(nu^2)|, TOL_SINGULAR applied first to keep it finite.  A NaN w also fails.
-        ah = abs(half_c)
-        ac = abs(cosh_nu)
-        a_s = abs(sinhc_nu)
-        n2 = abs(nu * nu)
-        tol_nu2 = _HALF_TOL * (ah * ah + abs(x))
-        if not abs(w) > TOL_SINGULAR * (ac + ah * a_s) + tol_nu2 * (
-            a_s + ah / (n2 if n2 > 1.0 else 1.0) * (ac + a_s)
-        ):
-            w = _w_by_exp(nu, half_c, x, cosh_nu, sinhc_nu, w, tol_nu2)
+        if not (abs(w) > _W_CLEAR and a_nu <= 1.0 and abs(half_c) <= 1.0):
+            w = _checked_w(nu, half_c, x, cosh_nu, sinhc_nu, w)  # a NaN w lands here too
         ratio = sinhc_nu / w
         big_plus, big_minus = lp * ratio, lm * ratio
         if not (isfinite(big_plus) and isfinite(big_minus)):
             raise NonFiniteInput("normal-ordered coordinates overflow double precision")
         return big_plus, minus_two_over_delta * cmath.log(w), big_minus, nu
+    except OverflowError:  # cosh(nu), sinh(nu) or exp(-nu) left double range
+        pass
     except (ArithmeticError, ValueError):
         if lp != 0 and lm != 0:
             raise
+    if lp != 0 and lm != 0:
+        return _scaled(nu, half_c, x, lp, lm, minus_two_over_delta)
     # lp*lm == 0 always has a normal-ordered form; the route above overflowed on the way
     return _triangular(half_c, lp, lm, minus_two_over_delta)
+
+
+def _checked_w(nu, half_c, x, cosh_nu, sinhc_nu, w, shift=0j):
+    """w where it clears its roundoff scale, else _w_by_exp's form of it.
+
+    The roundoff scale is w's terms, plus the rounding of nu^2 = half_c^2 - x
+    times a bound on |dw/d(nu^2)|, TOL_SINGULAR applied first to keep it
+    finite; a NaN w fails.  cosh_nu, sinhc_nu, w and the result may all be
+    scaled by exp(-shift): the test is the same on every scale.
+    """
+    ah = abs(half_c)
+    ac = abs(cosh_nu)
+    a_s = abs(sinhc_nu)
+    n2 = abs(nu * nu)
+    tol_nu2 = _HALF_TOL * (ah * ah + abs(x))
+    if abs(w) > TOL_SINGULAR * (ac + ah * a_s) + tol_nu2 * (
+        a_s + ah / (n2 if n2 > 1.0 else 1.0) * (ac + a_s)
+    ):
+        return w
+    return _w_by_exp(nu, half_c, x, cosh_nu, sinhc_nu, w, tol_nu2, shift)
+
+
+def _principal(angle: float) -> float:
+    """The angle taken to the principal branch, (-pi, pi]."""
+    return math.atan2(math.sin(angle), math.cos(angle))
+
+
+def _scaled(nu, half_c, x, lp, lm, minus_two_over_delta):
+    """_disentangle_raw's result where lp*lm != 0 and cosh(nu), sinh(nu) or exp(-nu) overflowed.
+
+    With Re nu >= 0 (the principal root), cosh(nu) = exp(nu)*c and
+    sinh(nu)/nu = exp(nu)*s, where c = (1 + exp(-2 nu))/2 and
+    s = (1 - exp(-2 nu))/(2 nu) stay in range.  So w = exp(nu)*w_s with
+    w_s = c - half_c*s, each L = l*s/w_s and log w = nu + log w_s, taken to
+    the principal branch (|nu| < 1.4e154, so log_c stays finite).  w_s gets
+    the guard of w on its own scale, and NonFiniteInput is raised only where
+    L leaves double range.
+    """
+    m = cmath.exp(-2.0 * nu)
+    c, s = 0.5 * (1.0 + m), (1.0 - m) / (2.0 * nu)
+    w_s = _checked_w(nu, half_c, x, c, s, c - half_c * s, nu)
+    ratio = s / w_s
+    big_plus, big_minus = lp * ratio, lm * ratio
+    log_w = nu + cmath.log(w_s)
+    log_c = minus_two_over_delta * complex(log_w.real, _principal(log_w.imag))
+    if not (isfinite(big_plus) and isfinite(big_minus)):
+        raise NonFiniteInput("normal-ordered coordinates overflow double precision")
+    return big_plus, log_c, big_minus, nu
 
 
 def _triangular(half_c, lp, lm, minus_two_over_delta):
@@ -132,8 +186,7 @@ def _triangular(half_c, lp, lm, minus_two_over_delta):
     g = sinhc(nu)*exp(-nu): 0 where l is 0, and NonFiniteInput only where
     L itself leaves double range.
     """
-    angle = -half_c.imag
-    log_w = complex(-half_c.real, math.atan2(math.sin(angle), math.cos(angle)))
+    log_w = complex(-half_c.real, _principal(-half_c.imag))
     rising = (half_c.real, half_c.imag) >= (0.0, 0.0)
     nu = half_c if rising else -half_c  # the principal root, Re nu >= 0, so |g| <= 1
     g = _cosh_sinhc(nu)[1] * cmath.exp(-nu) if nu.real < 709.0 else 0.5 / nu
@@ -158,13 +211,15 @@ def _triangular(half_c, lp, lm, minus_two_over_delta):
     return big_plus, minus_two_over_delta * log_w, big_minus, nu
 
 
-def _w_by_exp(nu, half_c, x, cosh_nu, sinhc_nu, w, tol_nu2):
+def _w_by_exp(nu, half_c, x, cosh_nu, sinhc_nu, w, tol_nu2, shift=0j):
     """w as exp(-nu) - x*sinhc(nu)/(nu + half_c); raise, with |w|, if that is singular too.
 
     Equal to cosh(nu) - half_c*sinhc(nu) as nu^2 = half_c^2 - x, but it keeps
     w ~ exp(-nu) where that form cancels (x small, |nu| > 1).  nu's sign makes
     |nu + half_c| >= |nu|; the roundoff scale is the terms of w plus nu's,
-    tol_nu2/|nu| with TOL_SINGULAR applied, times a bound on |dw/dnu|.
+    tol_nu2/|nu| with TOL_SINGULAR applied, times a bound on |dw/dnu|.  With
+    ``shift``, cosh_nu, sinhc_nu, w and the result are scaled by exp(-shift),
+    and a singular w is reported as |w exp(-shift)|.
     """
     if not isfinite(w):
         raise NonFiniteInput("normal-ordered coordinates overflow double precision")
@@ -172,15 +227,16 @@ def _w_by_exp(nu, half_c, x, cosh_nu, sinhc_nu, w, tol_nu2):
     if a_nu > 1.0:
         if (nu.conjugate() * half_c).real < 0:
             nu = -nu
-        e, nu_h = cmath.exp(-nu), nu + half_c
+        e, nu_h = cmath.exp(-nu - shift), nu + half_c
         t = x * sinhc_nu / nu_h
         a_e, a_t, a_nu_h = abs(e), abs(t), abs(nu_h)
         if abs(e - t) > TOL_SINGULAR * (a_e + a_t) + tol_nu2 / a_nu * (
             a_e + a_t / a_nu + (abs(x) * abs(cosh_nu) / a_nu + a_t) / a_nu_h
         ):
             return e - t
+    name = "|w exp(-nu)|" if shift else "|w|"
     raise SingularDecomposition(
-        f"no normal-ordered form: disentangling denominator |w| = {abs(w):.3e} is singular",
+        f"no normal-ordered form: disentangling denominator {name} = {abs(w):.3e} is singular",
         denominator_abs=abs(w),
     )
 

@@ -33,6 +33,8 @@ __all__ = [
 _TOL_MAGNITUDE = 1e-10
 _TOL_RESIDUAL = 1e-8
 
+_LN2 = math.log(2.0)
+
 
 def _wrap_angle(theta: float) -> float:
     """Wrap to (-pi, pi]; the tie at -pi maps to +pi."""
@@ -118,10 +120,14 @@ def squeeze_element(p: SqueezeParams) -> GroupElement:
         return identity_element(AlgebraKind.SU11)
     tanh_r = math.tanh(p.r)
     phase_factor = cmath.exp(1j * p.phi)
+    try:
+        log_cosh_r = math.log(math.cosh(p.r))
+    except OverflowError:  # r > 710: log cosh r = r - ln 2 + log1p(exp(-2r)), and exp(-2r) underflows
+        log_cosh_r = p.r - _LN2
     return GroupElement(
         AlgebraKind.SU11,
         big_plus=-phase_factor * tanh_r,
-        log_c=-2.0 * math.log(math.cosh(p.r)),
+        log_c=-2.0 * log_cosh_r,
         big_minus=tanh_r * phase_factor.conjugate(),
     )
 

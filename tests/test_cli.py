@@ -96,10 +96,17 @@ def test_disentangle_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_disentangle_overflow_exits_2(capsys):
+def test_disentangle_exponent_beyond_cosh_range_exits_0(capsys):
+    # cosh(nu) = cosh(800) overflows on the general route (was exit 2, "math range error");
+    # mpmath at 50 digits: L+ = 1, L- = -1, log w = 800 - ln 2 = 799.3068528194400547
     code, out = run_cli(capsys, "disentangle", "--algebra", "su11", "--lambda", "800,0", "0,0", "-800,0")
-    assert code == 2
-    assert json.loads(out) == {"error": "math range error"}
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["Lambda_plus"] == [1, 0]
+    assert payload["Lambda_minus"] == [-1, 0]
+    assert payload["nu"] == [800, 0]
+    assert payload["Lambda_c"] == [0, 0]
+    assert as_complex(payload["log_c"]) == pytest.approx(-2 * 799.3068528194400547, rel=1e-15)
 
 
 def test_disentangle_singular_exits_3(capsys):
@@ -366,6 +373,14 @@ def test_squeeze_compose_generic(capsys):
     assert payload["recomposition_residual"] == factored.residual
     alpha, gamma = as_complex(payload["alpha"]), as_complex(payload["gamma"])
     assert abs(abs(alpha) - abs(gamma)) <= 1e-12
+
+
+def test_squeeze_compose_beyond_cosh_range_names_the_error(capsys):
+    # cosh(800) overflows; the product is still no squeeze, named as for r = 30 (was "math range error")
+    for z1 in ("30,0", "800,0"):
+        code, out = run_cli(capsys, "squeeze-compose", "--z1", z1, "--z2", "0,0")
+        assert code == 2
+        assert json.loads(out) == {"error": "no real squeeze magnitude for |L+| = 1"}
 
 
 def test_squeeze_compose_rejects_negative_magnitude(capsys):

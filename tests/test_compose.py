@@ -22,7 +22,7 @@ from bchkit import (
     exponent_matrix,
     identity_element,
 )
-from bchkit.compose import _cosh_sinhc
+from bchkit.compose import _cosh_sinhc, _disentangle_raw, _scaled
 
 
 def random_params(rng, scale=0.5):
@@ -142,6 +142,56 @@ def test_disentangle_triangular_exponent_beyond_exp_range():
     # a nonzero coordinate that itself leaves double range still raises
     with pytest.raises(NonFiniteInput, match="^normal-ordered coordinates overflow double precision$"):
         disentangle(AlgebraKind.SU11, ExponentParams(1e-300, 1500, 0))
+
+
+def test_disentangle_general_exponent_beyond_cosh_range():
+    # cosh(nu) overflows with lambda_plus*lambda_minus != 0 (was OverflowError):
+    # w = cosh(800) and L+- = l+- tanh(800)/800, references to 50 digits
+    log_w = 800 - math.log(2.0)
+    for kind, lm in ((AlgebraKind.SU11, -800), (AlgebraKind.SU2, 800)):
+        result = disentangle(kind, ExponentParams(800, 0, lm))
+        g = result.element
+        assert (g.big_plus, g.big_minus, result.nu) == (1, lm / 800, 800)
+        assert g.log_c == pytest.approx(-2 * log_w, rel=1e-15)
+    # w cancels to -x sinhc(nu)/(nu + lc/2) on the exp(-nu) scale: L+- = -(nu + lc/2)/l-+
+    # and log|w| = log(x) + nu - log(2 nu (nu + lc/2)), nu = lc/2 = 1000
+    g = disentangle(AlgebraKind.SU11, ExponentParams(1e-100, 2000, 1e-100)).element
+    assert g.big_plus == g.big_minus == pytest.approx(-2e103, rel=1e-15)
+    log_abs_w = math.log(1e-200) + 1000 - math.log(2000 * 2000)
+    assert g.log_c.real == pytest.approx(-2 * log_abs_w, rel=1e-15)
+    assert abs(g.log_c.imag) == pytest.approx(2 * math.pi, rel=1e-15)
+    # a coordinate that itself leaves double range still raises
+    with pytest.raises(NonFiniteInput, match="^normal-ordered coordinates overflow double precision$"):
+        disentangle(AlgebraKind.SU11, ExponentParams(1, 3000, 1e-306))  # L+ = -3000/1e-306
+
+
+@pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda a: a.value)
+def test_scaled_route_is_the_plain_one_where_both_are_in_range(kind):
+    # _scaled carries w as exp(nu)*w_s; where cosh(nu) is finite it must give the plain
+    # route's coordinates, also where w cancels and is taken as exp(-nu) - x sinhc(nu)/(nu + lc/2)
+    rng = np.random.default_rng(67)
+    _, half_delta, delta_eps, _, minus_two_over_delta = kernel = kind._kernel
+    period = minus_two_over_delta * 2j * math.pi  # log_c is fixed up to this
+    compared = 0
+    # lambda_c and lambda_plus-minus of one size, where w does not cancel, or a tiny
+    # lambda_plus*lambda_minus under |Re lambda_c| >= 300, where w cancels past every digit
+    # and is taken in the second form
+    for scale, small in [(3, 3), (30, 30), (300, 300), (600, 1e-30)] * 50:
+        parts = rng.uniform(-1, 1, 6)
+        lp, lm = small * complex(*parts[0:2]), small * complex(*parts[4:6])
+        lc = scale * complex(math.copysign(0.5 + abs(parts[2]) / 2, parts[2]), parts[3])
+        try:
+            plain = _disentangle_raw(kernel, lp, lc, lm)
+        except (SingularDecomposition, NonFiniteInput):
+            continue
+        half_c, x = half_delta * lc, delta_eps * lp * lm
+        scaled = _scaled(plain[3], half_c, x, lp, lm, minus_two_over_delta)
+        for got, want in ((scaled[0], plain[0]), (scaled[2], plain[2])):
+            assert abs(got - want) <= 1e-12 * abs(want)
+        turns = round(((scaled[1] - plain[1]) / period).real)
+        assert abs(scaled[1] - turns * period - plain[1]) <= 1e-12 * max(1.0, abs(plain[1]))
+        compared += 1
+    assert compared >= 190
 
 
 def test_cosh_sinhc_is_even():

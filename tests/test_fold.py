@@ -28,7 +28,14 @@ from bchkit import (
     identity_element,
     step_element,
 )
-from bchkit.compose import _SERIES_NU_THRESHOLD, _cosh_sinhc
+from bchkit.compose import (
+    TOL_SINGULAR,
+    _SERIES_NU_THRESHOLD,
+    _cosh_sinhc,
+    _disentangle_raw,
+    _triangular,
+    _w_by_exp,
+)
 
 
 def bits(g: GroupElement) -> tuple:
@@ -254,7 +261,103 @@ def test_cosh_sinhc_series_is_the_plain_sum_bit_for_bit():
         values.append(magnitude * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
         values.append(complex(rng.uniform(-1e-4, 1e-4), rng.choice([0.0, -0.0])))
         values.append(complex(rng.choice([0.0, -0.0]), rng.uniform(-1e-4, 1e-4)))
+        # near the axes, where Im(nu^2) is tiny and the dropped terms come closest to a bit,
+        # and within 1e-9 of the threshold, where they are largest
+        angle = rng.integers(-4, 5) * (math.pi / 2) + rng.choice([-1, 1]) * 10.0 ** -rng.uniform(0, 300)
+        values.append(10.0 ** rng.uniform(-320, -4) * cmath.exp(1j * angle))
+        values.append(_SERIES_NU_THRESHOLD * (1 - 10.0 ** -rng.uniform(9, 15)) * cmath.exp(1j * angle))
+        values.append((_SERIES_NU_THRESHOLD - rng.uniform(0, 1e-9)) * cmath.exp(1j * rng.uniform(-4, 4)))
     for nu in values:
         assert abs(nu) < _SERIES_NU_THRESHOLD
         got, expected = _cosh_sinhc(nu), seed_cosh_sinhc_series(nu)
         assert [complex_bits(z) for z in got] == [complex_bits(z) for z in expected], nu
+
+
+def seed_guarded_disentangle(kernel, lp, lc, lm):
+    """_disentangle_raw as it was before the early pass: the full w test on every call."""
+    if not (cmath.isfinite(lp) and cmath.isfinite(lc) and cmath.isfinite(lm)):
+        raise NonFiniteInput("exponent coordinates must be finite")
+    _, half_delta, delta_eps, _, minus_two_over_delta = kernel
+    half_c = half_delta * lc
+    x = delta_eps * lp * lm
+    try:
+        nu = cmath.sqrt(half_c * half_c - x)
+        if abs(nu) < _SERIES_NU_THRESHOLD:
+            cosh_nu, sinhc_nu = seed_cosh_sinhc_series(nu)
+        else:
+            cosh_nu, sinhc_nu = cmath.cosh(nu), cmath.sinh(nu) / nu
+        w = cosh_nu - half_c * sinhc_nu
+        ah = abs(half_c)
+        ac = abs(cosh_nu)
+        a_s = abs(sinhc_nu)
+        n2 = abs(nu * nu)
+        tol_nu2 = 0.5 * TOL_SINGULAR * (ah * ah + abs(x))
+        if not abs(w) > TOL_SINGULAR * (ac + ah * a_s) + tol_nu2 * (
+            a_s + ah / (n2 if n2 > 1.0 else 1.0) * (ac + a_s)
+        ):
+            w = _w_by_exp(nu, half_c, x, cosh_nu, sinhc_nu, w, tol_nu2)
+        ratio = sinhc_nu / w
+        big_plus, big_minus = lp * ratio, lm * ratio
+        if not (cmath.isfinite(big_plus) and cmath.isfinite(big_minus)):
+            raise NonFiniteInput("normal-ordered coordinates overflow double precision")
+        return big_plus, minus_two_over_delta * cmath.log(w), big_minus, nu
+    except (ArithmeticError, ValueError):
+        if lp != 0 and lm != 0:
+            raise
+    return _triangular(half_c, lp, lm, minus_two_over_delta)
+
+
+def outcome(function, *args):
+    """Bit patterns of a kernel's result, or the type and message of what it raised."""
+    try:
+        return [complex_bits(z) for z in function(*args)]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def guard_draws(algebra, rng):
+    """Exponents (lp, lc, lm): random, on and near the singular set w = 0, straddling
+    |nu| = 1 and |half_c| = 1, where the early pass of the w test starts and stops, and
+    just outside that box, where |w| > 1e-10 can still fail the full test."""
+    _, half_delta, delta_eps, _, _ = algebra._kernel
+
+    def unit():
+        return cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+
+    def exponent(half_c, nu):
+        # lp*lm = (half_c^2 - nu^2)/delta_eps, split between lp and lm at random
+        lp = complex(*rng.uniform(-1.5, 1.5, 2))
+        x = half_c * half_c - nu * nu
+        return lp, half_c / half_delta, x / delta_eps / lp if lp else 0j
+
+    for scale in (1e-6, 1e-3, 0.3, 1.0, 3.0):
+        for _ in range(40):
+            yield tuple(scale * complex(*rng.uniform(-1, 1, 2)) for _ in range(3))
+    for _ in range(300):
+        # w = 0 where half_c = nu coth(nu); kept there or moved off by 10^-u, and by
+        # 10^-9.5 to 10^-12, where |w| meets the roundoff scale of the full test
+        nu = 10.0 ** rng.uniform(-1, 0.6) * unit()
+        half_c = nu * cmath.cosh(nu) / cmath.sinh(nu)
+        for u in (rng.uniform(4, 16), rng.uniform(9.5, 12)):
+            yield exponent(half_c * (1 + rng.choice([0.0, 1.0]) * 10.0**-u * unit()), nu)
+        # |nu| and |half_c| each just below, at or just above 1
+        a_nu, a_half = (1 + rng.choice([-1, 0, 1]) * 10.0 ** -rng.uniform(1, 16) for _ in range(2))
+        yield exponent(a_half * unit(), a_nu * unit())
+        # |half_c| up to 1e8 over |nu| <= 1: nu^2 = half_c^2 - x is lost to roundoff
+        yield exponent(10.0 ** rng.uniform(0, 8) * unit(), rng.uniform(0, 1) * unit())
+        # half_c = 0 and nu = i y with y near (k + 1/2) pi: w = cos(y) ~ 1e-6 to 1e-12,
+        # against a roundoff scale that grows with y^2 = |x|
+        y = (rng.integers(300, 30000) + 0.5) * math.pi + rng.choice([-1, 1]) * 10.0 ** -rng.uniform(6, 12)
+        yield exponent(0j, 1j * y)
+
+
+@pytest.mark.parametrize("algebra", list(AlgebraKind), ids=lambda a: a.value)
+def test_early_pass_of_the_w_test_changes_no_outcome(algebra):
+    rng = np.random.default_rng(71)
+    kernel = algebra._kernel
+    kinds = set()
+    for lp, lc, lm in guard_draws(algebra, rng):
+        expected = outcome(seed_guarded_disentangle, kernel, lp, lc, lm)
+        assert outcome(_disentangle_raw, kernel, lp, lc, lm) == expected, (lp, lc, lm)
+        kinds.add(expected[0] if isinstance(expected, tuple) else "result")
+    assert kinds == {"result", SingularDecomposition}

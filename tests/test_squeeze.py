@@ -120,6 +120,18 @@ def test_squeeze_element_unit_magnitude():
     assert g.big_minus == pytest.approx(0.7615941559557649)
 
 
+def test_squeeze_element_beyond_cosh_range():
+    # log cosh r = r - ln 2 where cosh r overflows; below that the bits are log(cosh(r))'s
+    for r in (709.0, 710.0, 710.47):
+        assert squeeze_element(SqueezeParams(r)).log_c == -2.0 * math.log(math.cosh(r))
+    for r in (710.5, 800.0, 1e6, 1e300):
+        g = squeeze_element(SqueezeParams(r, 0.3))
+        assert g.log_c == -2.0 * (r - math.log(2.0))
+        assert g.big_plus == -cmath.exp(0.3j) and g.big_minus == cmath.exp(-0.3j)
+    below, above = (squeeze_element(SqueezeParams(r)).log_c for r in (710.47, 710.5))
+    assert above - below == pytest.approx(-0.06, rel=1e-9)
+
+
 def test_squeeze_fingerprint():
     # |L+| = |L-| and |L+|^2 + |Lambda_c| = 1 for every squeeze
     rng = np.random.default_rng(53)
