@@ -12,10 +12,13 @@ Underneath, private kernels do the arithmetic on plain complex triples, the
 three Gauss coordinates (big_plus, log_c, big_minus): one disentangles, one
 fold holds the only copy of the pair product and serves compose_many (so
 compose_pair, compose_many of two), :func:`bchkit.evolve.evolve` and the
-``compose`` command, and one evaluates the continued fraction.  An element's
-scalar phase is a central factor, so it only ever adds: compose_many sums the
-phases outside the fold.  The public functions wrap the same kernels, so
-every route gives the same bits.
+``compose`` command, and one evaluates the continued fraction.  The fold
+returns its product; a singular error leaving it carries the position of the
+element it failed on, and evolve's checkpoints fold chunk by chunk, each
+chunk seeded with the product so far.  An element's scalar phase is a
+central factor, so it only ever adds: compose_many sums the phases outside
+the fold.  The public functions wrap the same kernels, so every route gives
+the same bits.
 """
 
 from __future__ import annotations
@@ -241,48 +244,79 @@ def _w_by_exp(nu, half_c, x, cosh_nu, sinhc_nu, w, tol_nu2, shift=0j):
     )
 
 
-def _fold(algebra: AlgebraKind, coords: Iterable[tuple]) -> Iterator[tuple[int, tuple]]:
-    """Left fold of coordinate tuples, earliest first; yields (index, product).
+def _term_by_logs(factor, exponent, log_d):
+    """A fold step's factor*exp(exponent)/d where exp(exponent) left double range.
 
-    The first tuple seeds the product and each later one acts after it.
-    ``index`` counts the tuples folded so far (1-based), so an error raised
-    while the fold is advanced belongs to element index + 1 of the last pair
-    yielded.  ``coords`` must be nonempty.  This is the only copy of the pair
-    product and the only check on the fold: each tuple it takes and each
-    product it makes is checked for finiteness once, each step's denominator
-    d against TOL_SINGULAR, and a step whose exp(delta*log_c) or |d| leaves
-    double range raises NonFiniteInput, so nothing it yields is non-finite.
+    0 where the factor is exactly 0, else exp(log(factor) + exponent - log(d));
+    NonFiniteInput only where that term itself leaves double range.
+    """
+    if factor == 0:
+        return 0j
+    try:
+        return cmath.exp(cmath.log(factor) + exponent - log_d)
+    except OverflowError:
+        raise NonFiniteInput("group element coordinates must be finite") from None
+
+
+def _fold(algebra: AlgebraKind, coords: Iterable[tuple]) -> tuple:
+    """Left fold of coordinate tuples, earliest first; returns the product.
+
+    The first tuple seeds the product and each later one acts after it; the
+    fold is left-associative, so a caller that folds in chunks, seeding each
+    chunk with the product so far, gets the same bits.  ``coords`` must be
+    nonempty.  This is the only copy of the pair product and the only check
+    on the fold: each tuple it takes and each product it makes is checked for
+    finiteness once, and each step's denominator d against TOL_SINGULAR.  A
+    SingularDecomposition that leaves the fold, from that check or from
+    ``coords`` itself (a singular slice), carries in ``step`` the 1-based
+    position of the tuple it failed on.  A step whose |d| leaves double range
+    raises NonFiniteInput; where its exp(delta*log_c) does, its terms are
+    taken by logs (_term_by_logs), so a power that multiplies an exact 0
+    coordinate is no error.  Nothing it returns is non-finite.
     Tuples are (big_plus, log_c, big_minus); phases are the callers' to add.
     """
     delta, _, delta_eps, two_over_delta, _ = algebra._kernel
     exp, log = cmath.exp, cmath.log
-    coords = iter(coords)
-    p1, lc1, m1 = acc = next(coords)
-    if not (isfinite(p1) and isfinite(lc1) and isfinite(m1)):
-        raise NonFiniteInput("group element coordinates must be finite")
-    yield 1, acc
-    for index, (p2, lc2, m2) in enumerate(coords, start=2):
-        if not (isfinite(p2) and isfinite(lc2) and isfinite(m2)):
-            raise NonFiniteInput("group element coordinates must be finite")
-        d = 1.0 - delta_eps * p1 * m2
-        try:  # only this arithmetic: an error from the incoming iterator keeps its own type
-            if abs(d) <= TOL_SINGULAR:
-                raise SingularDecomposition(
-                    f"no normal-ordered form: composition denominator |d| = {abs(d):.3e} "
-                    "is singular",
-                    denominator_abs=abs(d),
-                )
-            pow_c1 = exp(delta * lc1)
-            pow_c2 = exp(delta * lc2)
-        except OverflowError:
-            raise NonFiniteInput("group element coordinates must be finite") from None
-        p1 = p2 + p1 * pow_c2 / d
-        # kept as a subtraction: adding (-two_over_delta) * log(d) can flip a signed zero
-        lc1 = lc1 + lc2 - two_over_delta * log(d)
-        m1 = m1 + m2 * pow_c1 / d
+    coords = enumerate(coords, start=1)
+    index = 0
+    try:
+        index, (p1, lc1, m1) = next(coords)
         if not (isfinite(p1) and isfinite(lc1) and isfinite(m1)):
             raise NonFiniteInput("group element coordinates must be finite")
-        yield index, (p1, lc1, m1)
+        for index, (p2, lc2, m2) in coords:
+            if not (isfinite(p2) and isfinite(lc2) and isfinite(m2)):
+                raise NonFiniteInput("group element coordinates must be finite")
+            d = 1.0 - delta_eps * p1 * m2
+            try:  # only this arithmetic: an error from the incoming iterator keeps its own type
+                if abs(d) <= TOL_SINGULAR:
+                    raise SingularDecomposition(
+                        f"no normal-ordered form: composition denominator |d| = {abs(d):.3e} "
+                        "is singular",
+                        denominator_abs=abs(d),
+                        step=index,
+                    )
+            except OverflowError:  # |d| left double range
+                raise NonFiniteInput("group element coordinates must be finite") from None
+            try:
+                pow_c1 = exp(delta * lc1)
+                pow_c2 = exp(delta * lc2)
+            except OverflowError:  # the term a power scales may still be in range
+                log_d = log(d)
+                p1 = p2 + _term_by_logs(p1, delta * lc2, log_d)
+                m1 = m1 + _term_by_logs(m2, delta * lc1, log_d)
+                lc1 = lc1 + lc2 - two_over_delta * log_d
+            else:
+                p1 = p2 + p1 * pow_c2 / d
+                # kept as a subtraction: adding (-two_over_delta) * log(d) can flip a signed zero
+                lc1 = lc1 + lc2 - two_over_delta * log(d)
+                m1 = m1 + m2 * pow_c1 / d
+            if not (isfinite(p1) and isfinite(lc1) and isfinite(m1)):
+                raise NonFiniteInput("group element coordinates must be finite")
+    except SingularDecomposition as exc:
+        if exc.__traceback__.tb_next is not None:  # raised by ``coords``, taking tuple index + 1
+            exc.step = index + 1
+        raise
+    return p1, lc1, m1
 
 
 def _compose_coords(algebra: AlgebraKind, coords: Iterable[tuple], count: int) -> tuple:
@@ -290,17 +324,14 @@ def _compose_coords(algebra: AlgebraKind, coords: Iterable[tuple], count: int) -
 
     A singular step is reported with its 1-based position among the ``count``.
     """
-    index = 0
     try:
-        for index, acc in _fold(algebra, coords):
-            pass
+        return _fold(algebra, coords)
     except SingularDecomposition as exc:
         raise SingularDecomposition(
-            f"composition is singular at element {index + 1} of {count}",
+            f"composition is singular at element {exc.step} of {count}",
             denominator_abs=exc.denominator_abs,
-            step=index + 1,
+            step=exc.step,
         ) from exc
-    return acc
 
 
 def _continued_fraction(algebra: AlgebraKind, coords: Iterable[tuple]) -> complex:

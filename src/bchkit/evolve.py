@@ -11,6 +11,8 @@ the step coefficients sampled at the right endpoint by default.
 from __future__ import annotations
 
 import math
+from itertools import chain, islice
+from operator import index
 from typing import Callable, Optional
 
 from .algebra import AlgebraKind, GroupElement, _Frozen, _set, identity_element
@@ -77,8 +79,14 @@ def _check_t_final(t_final) -> None:
 
 
 def _check_stride(checkpoint_every) -> None:
-    """Raise unless the checkpoint stride is None or at least 1."""
-    if checkpoint_every is not None and checkpoint_every < 1:
+    """Raise unless the checkpoint stride is None or an integer of at least 1."""
+    if checkpoint_every is None:
+        return
+    try:
+        index(checkpoint_every)
+    except TypeError:
+        raise ValueError(f"checkpoint stride must be an integer, got {checkpoint_every!r}") from None
+    if checkpoint_every < 1:
         raise ValueError(f"checkpoint stride must be >= 1, got {checkpoint_every}")
 
 
@@ -102,8 +110,10 @@ def evolve(
     bit for bit what compose_many gives over the step_element of each slice; a
     singular slice or product is reported with its step and right-endpoint
     time; a slice or product that overflows raises NonFiniteInput, without
-    them.  ``checkpoint_every`` = k records the running
-    element every k steps (plus the start and the end) in the trajectory.
+    them.  ``checkpoint_every`` = k, an integer, records the running
+    element every k steps (plus the start and the end) in the trajectory:
+    the slices are folded k at a time, each chunk seeded with the product
+    so far, which gives the bits of the unchunked fold.
     ``midpoint`` samples eta at interval midpoints instead of right
     endpoints; that is a second-order variant beyond the plain product
     formula and is off by default.
@@ -115,17 +125,24 @@ def evolve(
 
     algebra = schedule.algebra
     tau = schedule.t_final / steps
+    slices = _slices(schedule, steps, tau, midpoint)
     trajectory = None
-    if checkpoint_every is not None:
-        trajectory = [(0.0, identity_element(algebra))]
-
-    step = 0
+    done = 0  # steps folded into acc
     try:
-        for step, acc in _fold(algebra, _slices(schedule, steps, tau, midpoint)):
-            if trajectory is not None and (step % checkpoint_every == 0 or step == steps):
-                trajectory.append((step * tau, GroupElement(algebra, *acc)))
+        if checkpoint_every is None:
+            acc = _fold(algebra, slices)
+        else:
+            trajectory = [(0.0, identity_element(algebra))]
+            stride, total = index(checkpoint_every), index(steps)  # plain ints, as step counts
+            while done < total:
+                size = min(stride, total - done)
+                chunk = islice(slices, size)
+                acc = _fold(algebra, chain((acc,), chunk) if done else chunk)
+                done += size
+                trajectory.append((done * tau, GroupElement(algebra, *acc)))
     except SingularDecomposition as exc:
-        step += 1
+        step = done + exc.step - 1 if done else exc.step  # a later chunk's position 1 is acc
+        exc.step = step  # the cause carries the step of the run, not its position in a chunk
         t_right = step * tau
         raise SingularDecomposition(
             f"evolution singular at step {step} of {steps} (t = {t_right:.6g})",
@@ -151,9 +168,9 @@ def _slices(schedule: HamiltonianSchedule, steps: int, tau: float, midpoint: boo
         eta_plus, eta_c, eta_minus = eta(j * tau - shift)
         big_plus, log_c, big_minus, _ = _disentangle_raw(
             kernel,
-            minus_i_tau * complex(eta_plus),
-            minus_i_tau * complex(eta_c),
-            minus_i_tau * complex(eta_minus),
+            minus_i_tau * (eta_plus if eta_plus.__class__ is complex else complex(eta_plus)),
+            minus_i_tau * (eta_c if eta_c.__class__ is complex else complex(eta_c)),
+            minus_i_tau * (eta_minus if eta_minus.__class__ is complex else complex(eta_minus)),
         )
         yield big_plus, log_c, big_minus
 

@@ -313,6 +313,33 @@ def test_unprintable_cartan_coordinate_exits_2(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+def test_evolve_cartan_overflow_is_named_at_every_step_count(tmp_path, capsys):
+    # from 4 steps on, the running log_c passes 709.8 inside the fold, where exp(delta*log_c)
+    # scales exact 0 coordinates: the fold carries the product, and the print check names it
+    sample = {"eta_plus": [0, 0], "eta_c": [0, 1000], "eta_minus": [0, 0]}
+    sched = write_schedule(tmp_path, {
+        "format": 1, "algebra": "su11", "t_final": 1.0,
+        "samples": [dict(sample, t=0.0), dict(sample, t=1.0)],
+    })
+    for steps in ("2", "3", "4", "8"):
+        code, out = run_cli(capsys, "evolve", "--schedule", sched, "--steps", steps)
+        assert (code, out) == (2, CARTAN_OVERFLOW), steps
+
+
+def test_compose_power_that_scales_an_exact_zero_exits_0(tmp_path, capsys):
+    # exp(800) overflows inside the step but scales the second element's exact 0 L-
+    path = write_schedule(tmp_path, [
+        {"Lambda_plus": [0, 0], "log_c": [800, 0], "Lambda_minus": [0, 0]},
+        {"Lambda_plus": [0.1, 0], "log_c": [-200, 0], "Lambda_minus": [0, 0]},
+    ], name="zero_power.json")
+    for extra in ([], ["--continued-fraction"]):
+        code, out = run_cli(capsys, "compose", "--algebra", "su11", *extra, path)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["alpha"], payload["log_c"], payload["gamma"]) == ([0.1, 0], [600, 0], [0, 0])
+        assert payload["beta"] == [math.exp(600), 0]
+
+
 def test_compose_restores_garbage_collection(tmp_path, capsys):
     # the element file is parsed with the cyclic collector paused, and its state is restored
     good = write_schedule(tmp_path, [{"Lambda_plus": [0.1, 0], "log_c": [0, 0], "Lambda_minus": [0, 0]}], name="good.json")

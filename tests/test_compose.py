@@ -295,6 +295,29 @@ def test_huge_coordinates_are_not_singular():
         assert (product.big_plus, product.log_c, product.big_minus) == (1e13, 0, 0)
 
 
+def test_power_that_scales_an_exact_zero_is_no_overflow():
+    # exp(delta*log_c) leaves double range inside the step, but the term it scales is exactly 0
+    su11 = AlgebraKind.SU11
+    cases = [
+        ((0j, 800 + 0j, 0j), (0.1 + 0j, 0j, 0j), (0.1, 800, 0)),
+        ((0j, 800 + 0j, 0j), (0.1 + 0j, -200 + 0j, 0j), (0.1, 600, 0)),
+        ((0j, 0j, 0.1 + 0j), (0j, 800 + 0j, 0j), (0, 800, 0.1)),
+    ]
+    for coords1, coords2, expected in cases:
+        first, second = GroupElement(su11, *coords1), GroupElement(su11, *coords2)
+        for product in (compose_many([first, second]), compose_pair(second, first)):
+            assert (product.big_plus, product.log_c, product.big_minus) == expected
+
+    # a nonzero term whose power overflows is taken by logs where it is in range, to within
+    # the rounding of its exponent, about 800 ulps ...
+    product = compose_many([GroupElement(su11, 0j, 800 + 0j, 0j), GroupElement(su11, 0j, 0j, 1e-300 + 0j)])
+    assert (product.big_plus, product.log_c) == (0, 800)
+    assert abs(product.big_minus / (1e-300 * math.exp(400) * math.exp(400)) - 1) < 1e-12
+    # ... and raises where it is not
+    with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+        compose_many([GroupElement(su11, 0j, 800 + 0j, 0j), GroupElement(su11, 0j, 0j, 0.1 + 0j)])
+
+
 def test_compose_pair_singular_denominator():
     # compose_pair is compose_many of two: it names the step and keeps the fold's message as the cause
     g1 = GroupElement(AlgebraKind.SU11, 1.0 + 0j, 0j, 0j)

@@ -192,6 +192,141 @@ def test_singular_step_carries_position_and_time():
 
 
 # ---------------------------------------------------------------------------
+# checkpoints fold chunk by chunk
+
+# 10 steps of tau = 0.1: a stride of 3 folds steps 1-3, 4-6, 7-9 and 10, each chunk after
+# the first seeded with the product so far
+CHUNK_STEPS, CHUNK_TAU = 10, 0.1
+STRIDES = [None, 1, 3, CHUNK_STEPS]
+
+
+def _bits(g):
+    return [struct.pack("<dd", z.real, z.imag) for z in (g.big_plus, g.log_c, g.big_minus, g.phase)]
+
+
+def _table_schedule(algebra, table):
+    """A schedule whose eta at the right endpoint j*tau is table[j - 1]."""
+    at = {j * CHUNK_TAU: eta for j, eta in enumerate(table, start=1)}
+    return HamiltonianSchedule(algebra, at.__getitem__, CHUNK_STEPS * CHUNK_TAU)
+
+
+def _drive_table(algebra, seed):
+    rng = np.random.default_rng(seed)
+    return [tuple(complex(*rng.uniform(-1, 1, 2)) for _ in range(3)) for _ in range(CHUNK_STEPS)]
+
+
+@pytest.mark.parametrize("stride", STRIDES)
+@pytest.mark.parametrize("algebra", list(AlgebraKind), ids=lambda a: a.value)
+def test_chunked_trajectory_is_compose_many_over_prefixes(algebra, stride):
+    table = _drive_table(algebra, 61)
+    elements = [step_element(algebra, eta, CHUNK_TAU) for eta in table]
+    result = evolve(_table_schedule(algebra, table), CHUNK_STEPS, checkpoint_every=stride)
+    assert result.tau == CHUNK_TAU
+    assert _bits(result.element) == _bits(compose_many(elements))
+    if stride is None:
+        assert result.trajectory is None
+        return
+    rows = [0] + [j for j in range(1, CHUNK_STEPS + 1) if j % stride == 0 or j == CHUNK_STEPS]
+    assert [t for t, _ in result.trajectory] == [j * CHUNK_TAU if j else 0.0 for j in rows]
+    assert result.trajectory[0][1] == identity_element(algebra)
+    for (_, g), j in zip(result.trajectory[1:], rows[1:]):
+        assert _bits(g) == _bits(compose_many(elements[:j]))
+
+
+def _singular_at(kind, step):
+    """A su(1,1) table that breaks at ``step``, and the per-element route's error there.
+
+    A "slice" is itself singular, exp(pi/2 (T+ + T-)) with w = cos(pi/2); a "pair" is a
+    pure-lowering slice whose product with the steps before it has d = 1 - L+ L- = 0
+    to roundoff.
+    """
+    algebra = AlgebraKind.SU11
+    table = _drive_table(algebra, 67)
+    if kind == "slice":
+        strength = 1j * math.pi / (2 * CHUNK_TAU)
+        table[step - 1] = (strength, 0j, strength)
+        with pytest.raises(SingularDecomposition) as reference:
+            step_element(algebra, table[step - 1], CHUNK_TAU)
+        cause = reference.value
+    else:
+        prefix = compose_many([step_element(algebra, eta, CHUNK_TAU) for eta in table[: step - 1]])
+        table[step - 1] = (0j, 0j, 1j / (CHUNK_TAU * prefix.big_plus))
+        elements = [step_element(algebra, eta, CHUNK_TAU) for eta in table[:step]]
+        with pytest.raises(SingularDecomposition) as reference:
+            compose_many(elements)
+        assert reference.value.step == step
+        cause = reference.value.__cause__
+    return _table_schedule(algebra, table), cause
+
+
+@pytest.mark.parametrize("stride", STRIDES)
+@pytest.mark.parametrize(
+    "kind, step",
+    # step 1, the last step of a chunk of 3, the first of the next, inside one, the final step;
+    # a pair needs a step before it, so its first position is step 2
+    [("slice", s) for s in (1, 3, 4, 5, 10)] + [("pair", s) for s in (2, 3, 4, 5, 10)],
+)
+def test_chunked_error_names_the_step_of_the_per_element_route(kind, step, stride):
+    schedule, cause = _singular_at(kind, step)
+    with pytest.raises(SingularDecomposition) as excinfo:
+        evolve(schedule, CHUNK_STEPS, checkpoint_every=stride)
+    exc = excinfo.value
+    assert str(exc) == f"evolution singular at step {step} of {CHUNK_STEPS} (t = {step * CHUNK_TAU:.6g})"
+    assert (exc.step, exc.time) == (step, step * CHUNK_TAU)
+    assert exc.denominator_abs == cause.denominator_abs
+    assert str(exc.__cause__) == str(cause)
+    assert exc.__cause__.step == step
+
+
+def test_checkpoint_stride_must_be_an_integer():
+    schedule = _constant_schedule(AlgebraKind.SU11, (0, 1.0, 0))
+    with pytest.raises(ValueError, match=r"^checkpoint stride must be an integer, got 2\.0$"):
+        evolve(schedule, 10, checkpoint_every=2.0)
+    wide = evolve(schedule, 10, checkpoint_every=10**30)
+    assert [t for t, _ in wide.trajectory] == [0.0, 10 * wide.tau]
+    assert evolve(schedule, 10, checkpoint_every=np.int64(4)).trajectory == evolve(
+        schedule, 10, checkpoint_every=4
+    ).trajectory
+
+
+class _Complex(complex):
+    pass
+
+
+# eta values of each type evolve may be handed, signed zeros included
+ETA_VALUES = {
+    "float": [(0.3, -0.0, 1.25), (-0.0, 0.7, -0.2), (0.0, -1.5, -0.0)],
+    "int": [(1, 0, -2), (0, 3, 1), (-1, 2, 0)],
+    "complex128": [
+        (np.complex128(complex(-0.0, 0.4)), np.complex128(0.9), np.complex128(complex(0.2, -0.0))),
+        (np.complex128(complex(-0.0, -0.0)), np.complex128(complex(1.1, 0.3)), np.complex128(-0.5j)),
+    ],
+    "complex": [
+        (complex(-0.0, 0.5), complex(0.3, -0.0), complex(-0.0, -0.0)),
+        (complex(0.0, -0.0), complex(-0.0, 1.2), complex(0.4, 0.1)),
+    ],
+    "subclass": [(_Complex(-0.0, 0.5), _Complex(0.8, -0.0), _Complex(-0.0, -0.0))],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ETA_VALUES))
+@pytest.mark.parametrize("algebra", list(AlgebraKind), ids=lambda a: a.value)
+def test_slices_take_each_eta_value_as_complex_of_it(algebra, kind):
+    # a slice exponent is -1j*tau times complex(v), bit for bit, whatever the type of v
+    values = ETA_VALUES[kind]
+    table = [values[j % len(values)] for j in range(CHUNK_STEPS)]
+    elements = []
+    for eta in table:
+        lam = ExponentParams(*((-1j * CHUNK_TAU) * complex(v) for v in eta))
+        elements.append(disentangle(algebra, lam).element)
+        assert _bits(step_element(algebra, eta, CHUNK_TAU)) == _bits(elements[-1])
+    result = evolve(_table_schedule(algebra, table), CHUNK_STEPS, checkpoint_every=1)
+    assert _bits(result.element) == _bits(compose_many(elements))
+    for (_, g), j in zip(result.trajectory[1:], range(1, CHUNK_STEPS + 1)):
+        assert _bits(g) == _bits(compose_many(elements[:j]))
+
+
+# ---------------------------------------------------------------------------
 # the oscillator preset
 
 def test_oscillator_schedule_static_case():
