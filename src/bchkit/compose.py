@@ -107,6 +107,8 @@ def _disentangle_raw(kernel, lp, lc, lm):
     _, half_delta, delta_eps, _, minus_two_over_delta = kernel
     half_c = half_delta * lc
     x = delta_eps * lp * lm
+    if not x and not (lp and lm):  # triangular: w = exp(-half_c) exactly
+        return _triangular(half_c, lp, lm, minus_two_over_delta)
     try:
         nu = cmath.sqrt(half_c * half_c - x)
         a_nu = abs(nu)
@@ -123,14 +125,7 @@ def _disentangle_raw(kernel, lp, lc, lm):
             raise NonFiniteInput("normal-ordered coordinates overflow double precision")
         return big_plus, minus_two_over_delta * cmath.log(w), big_minus, nu
     except OverflowError:  # cosh(nu), sinh(nu) or exp(-nu) left double range
-        pass
-    except (ArithmeticError, ValueError):
-        if lp != 0 and lm != 0:
-            raise
-    if lp != 0 and lm != 0:
         return _scaled(nu, half_c, x, lp, lm, minus_two_over_delta)
-    # lp*lm == 0 always has a normal-ordered form; the route above overflowed on the way
-    return _triangular(half_c, lp, lm, minus_two_over_delta)
 
 
 def _checked_w(nu, half_c, x, cosh_nu, sinhc_nu, w, shift=0j):
@@ -182,9 +177,10 @@ def _scaled(nu, half_c, x, lp, lm, minus_two_over_delta):
 
 
 def _triangular(half_c, lp, lm, minus_two_over_delta):
-    """_disentangle_raw's result where lp*lm == 0 and the general route left double range.
+    """_disentangle_raw's result for every exponent with lp*lm == 0, in and beyond double range.
 
-    There w = exp(-half_c) exactly, kept as its principal log, and each
+    There w = exp(-half_c) exactly, kept as its principal log; the general
+    form cosh(nu) - half_c*sinh(nu)/nu would cancel down to it.  Each
     L = l*(exp(2 half_c) - 1)/(2 half_c) = l*g*exp(half_c + nu) with
     g = sinhc(nu)*exp(-nu): 0 where l is 0, and NonFiniteInput only where
     L itself leaves double range.
@@ -218,7 +214,8 @@ def _w_by_exp(nu, half_c, x, cosh_nu, sinhc_nu, w, tol_nu2, shift=0j):
     """w as exp(-nu) - x*sinhc(nu)/(nu + half_c); raise, with |w|, if that is singular too.
 
     Equal to cosh(nu) - half_c*sinhc(nu) as nu^2 = half_c^2 - x, but it keeps
-    w ~ exp(-nu) where that form cancels (x small, |nu| > 1).  nu's sign makes
+    w ~ exp(-nu) where that form cancels (x small, |nu| > 1); a triangular
+    exponent (lp*lm == 0) is _triangular's and never comes here.  nu's sign makes
     |nu + half_c| >= |nu|; the roundoff scale is the terms of w plus nu's,
     tol_nu2/|nu| with TOL_SINGULAR applied, times a bound on |dw/dnu|.  With
     ``shift``, cosh_nu, sinhc_nu, w and the result are scaled by exp(-shift),
@@ -313,7 +310,7 @@ def _fold(algebra: AlgebraKind, coords: Iterable[tuple]) -> tuple:
             if not (isfinite(p1) and isfinite(lc1) and isfinite(m1)):
                 raise NonFiniteInput("group element coordinates must be finite")
     except SingularDecomposition as exc:
-        if exc.__traceback__.tb_next is not None:  # raised by ``coords``, taking tuple index + 1
+        if exc.step is None:  # a singular slice from ``coords``, taking tuple index + 1
             exc.step = index + 1
         raise
     return p1, lc1, m1
@@ -377,7 +374,9 @@ def disentangle(algebra: AlgebraKind, lam: ExponentParams) -> DisentangleResult:
     the shared denominator is w = cosh(nu) - (delta*lc/2)*sinh(nu)/nu; then
     L+- = l+- * (sinh(nu)/nu) / w and lc_out = -(2/delta)*Log(w), principal
     branch.  Every ingredient is even in nu, so the root branch is irrelevant.
-    Where it cancels, w is taken as exp(-nu) - delta*eps*l+*l- sinh(nu)/(nu (nu + delta*lc/2)).
+    A triangular exponent, l+*l- == 0, takes its exact form w = exp(-delta*lc/2)
+    and no other.  Elsewhere, where the form above cancels, w is taken as
+    exp(-nu) - delta*eps*l+*l- sinh(nu)/(nu (nu + delta*lc/2)).
     A w within roundoff of 0 raises SingularDecomposition; an overflow, NonFiniteInput.
     """
     big_plus, log_c, big_minus, nu = _disentangle_raw(

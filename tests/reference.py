@@ -1,0 +1,89 @@
+"""Extended-precision reference for the disentangling, independent of bchkit's kernels.
+
+The Gauss coordinates of exp(lp M+ + lc Mc + lm M-) are read back from the
+2x2 matrix of that exponential, formed by ``mpmath.expm``.  With
+M+ = a E12, Mc = b H and M- = a' E21 (E12 and E21 the matrix units,
+H = diag(1/2, -1/2)), the normal-ordered product exp(L+ M+) exp(C Mc) exp(L- M-)
+is
+
+    [[p + a a' L+ L- / p,  a L+ / p],
+     [a' L- / p,           1 / p   ]],    p = exp(b C / 2),
+
+so L+ = g12 / (a g22), L- = g21 / (a' g22) and C = -(2/b) Log(g22), with C
+defined modulo its period 4 pi i / b.  Only the algebra's name is taken from
+the caller; the generator tables are this module's own.
+
+g22 is the disentangling denominator.  With s^2 = -det M, the entries of
+exp(M) are of size exp(|Re s|) while g22 can be as small as exp(-|Re s|), so
+reading g22 back loses about 2|Re s|/ln 10 digits to cancellation; the working
+precision is that many digits above ``DIGITS``.
+"""
+
+import math
+
+import mpmath
+
+# Digits kept after the cancellation in g22 has taken its share.
+DIGITS = 30
+
+_I = mpmath.mpc(0, 1)
+
+
+def _tables():
+    """(a, b, a', eps, delta) per algebra name, at the current working precision."""
+    root = _I / mpmath.sqrt(2)
+    return {
+        "su11": (1, 1, -1, 1, 1),
+        "su2": (1, 1, 1, -1, 1),
+        "so21": (root, _I, -root, _I / 2, _I),
+    }
+
+
+def _generators(name):
+    a, b, a_minus, _, _ = _tables()[name]
+    m_plus = mpmath.matrix([[0, a], [0, 0]])
+    m_c = mpmath.matrix([[b / 2, 0], [0, -b / 2]])
+    m_minus = mpmath.matrix([[0, 0], [a_minus, 0]])
+    return m_plus, m_c, m_minus
+
+
+def _check_commutators():
+    """[M-, M+] = 2 eps Mc and [Mc, M+-] = +-delta M+- for every table; run once, at import."""
+    with mpmath.workdps(DIGITS):
+        for name, (_, _, _, eps, delta) in _tables().items():
+            m_plus, m_c, m_minus = _generators(name)
+            for got, expected in (
+                (m_minus * m_plus - m_plus * m_minus, 2 * eps * m_c),
+                (m_c * m_plus - m_plus * m_c, delta * m_plus),
+                (m_c * m_minus - m_minus * m_c, -delta * m_minus),
+            ):
+                assert mpmath.mnorm(got - expected, 1) <= mpmath.mpf(10) ** (5 - DIGITS), name
+
+
+_check_commutators()
+
+
+def _exponent(name, lp, lc, lm):
+    m_plus, m_c, m_minus = _generators(name)
+    return lp * m_plus + lc * m_c + lm * m_minus
+
+
+def gauss_coordinates(name, lp, lc, lm):
+    """(L+, log_c, L-, period) of exp(lp M+ + lc Mc + lm M-) on algebra ``name``, as mpmath numbers.
+
+    ``name`` is "su11", "su2" or "so21"; lp, lc and lm are taken exactly as
+    given.  log_c is the principal branch, defined modulo ``period``.
+    """
+    lp, lc, lm = mpmath.mpc(lp), mpmath.mpc(lc), mpmath.mpc(lm)
+    with mpmath.workdps(DIGITS):
+        s = mpmath.sqrt(-mpmath.det(_exponent(name, lp, lc, lm)))
+        extra = 2 * abs(float(mpmath.re(s))) / math.log(10)
+    with mpmath.workdps(DIGITS + math.ceil(extra)):
+        a, b, a_minus, _, _ = _tables()[name]
+        g = mpmath.expm(_exponent(name, lp, lc, lm))
+        g22 = g[1, 1]
+        big_plus = g[0, 1] / (a * g22)
+        big_minus = g[1, 0] / (a_minus * g22)
+        log_c = -(2 / b) * mpmath.log(g22)
+        period = 4 * mpmath.pi * _I / b
+        return big_plus, log_c, big_minus, period

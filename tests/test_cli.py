@@ -131,10 +131,14 @@ def test_disentangle_triangular_exponent_exits_0(capsys):
     code, out = run_cli(capsys, "disentangle", "--algebra", "su11", "--lambda", "1,0", "30,0", "0,0")
     assert code == 0
     assert json.loads(out)["log_c"] == pytest.approx([30, 0], rel=1e-14)
+    code, out = run_cli(capsys, "disentangle", "--algebra", "su11", "--lambda", "1,0", "25,0", "0,0")
+    assert code == 0
+    assert json.loads(out)["log_c"] == [25, 0]
 
 
 def test_disentangle_triangular_exponent_beyond_exp_range_exits_0(capsys):
-    # so(2,1), lambda_c = 1500: cosh(nu) overflows on the general route (was exit 2)
+    # so(2,1), lambda_c = 1500: nu = 750i, so nothing overflows, and w = exp(-750i) is
+    # taken in that exact form
     code, out = run_cli(capsys, "disentangle", "--algebra", "so21", "--lambda", "0,0", "1500,0", "0,0")
     assert code == 0
     payload = json.loads(out)

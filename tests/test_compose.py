@@ -102,7 +102,7 @@ def test_disentangle_singular_input_raises():
 def test_disentangle_triangular_exponent_keeps_its_normal_ordered_form():
     # lambda_minus = 0: w = cosh(nu) - sinh(nu) = exp(-nu) exactly, with nu = lc/2, and
     # cosh(nu) - sinh(nu) in double precision loses that to cancellation
-    for lc in (30, 60):
+    for lc in (10, 20, 25, 30, 60):
         g = disentangle(AlgebraKind.SU11, ExponentParams(1, lc, 0)).element
         assert g.log_c == pytest.approx(lc, rel=1e-14)
         assert g.big_plus == pytest.approx(math.expm1(lc) / lc, rel=1e-14)

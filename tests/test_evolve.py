@@ -84,6 +84,7 @@ def test_cartan_schedule_gives_pure_phase():
         result = evolve(schedule, steps)
         assert abs(result.element.big_c() - cmath.exp(-1j * omega * t_final)) <= 1e-12
         assert result.element.big_plus == 0 and result.element.big_minus == 0
+        assert result.element.log_c.real == 0
 
 
 def test_evolve_equals_composed_step_sequence():
