@@ -6,11 +6,12 @@ applies the machinery to squeeze optics, and builds product-formula
 time-evolution operators, with an independent 2x2 matrix oracle for
 cross-checking every identity.
 
-The calculus and the command line run on the standard library alone.  Only
-the matrix oracle (``element_matrix`` and its companions) needs numpy.  Its
-names, and those of the squeeze module, are imported on first access, so
-``import bchkit`` loads neither numpy nor ``bchkit.squeeze``.  The value
-types are frozen ``__slots__`` classes, not dataclasses.
+The calculus, the command line and the matrix oracle (``element_matrix``
+and its companions) run on the standard library alone; numpy is needed
+only by the tests.  The oracle's names, and those of the squeeze module,
+are imported on first access, so ``import bchkit`` compiles neither
+``bchkit.oracle`` nor ``bchkit.squeeze``.  The value types are frozen
+``__slots__`` classes, not dataclasses.
 """
 
 import importlib

@@ -126,6 +126,10 @@ def _disentangle_raw(kernel, lp, lc, lm):
         return big_plus, minus_two_over_delta * cmath.log(w), big_minus, nu
     except OverflowError:  # cosh(nu), sinh(nu) or exp(-nu) left double range
         return _scaled(nu, half_c, x, lp, lm, minus_two_over_delta)
+    except NonFiniteInput:
+        raise
+    except ValueError:  # x overflowed to an infinite or NaN part, and cmath.cosh(nu) refuses it
+        raise NonFiniteInput("normal-ordered coordinates overflow double precision") from None
 
 
 def _checked_w(nu, half_c, x, cosh_nu, sinhc_nu, w, shift=0j):

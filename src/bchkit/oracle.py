@@ -4,15 +4,18 @@ Every closed-form identity in the package can be checked by exponentiating
 literal 2x2 matrices and multiplying them out.  The code here is deliberately
 independent of the composition formulas it verifies: it shares no numeric
 kernels with them, only the value types.
+
+The matrices are ``Mat2`` objects, four plain complex numbers, so the oracle
+runs on the standard library; numpy is not needed.  A ``Mat2`` converts to a
+numpy array wherever numpy asks for one (``np.asarray``, ``np.abs``,
+``np.linalg.det``, an ndarray on either side of ``@``, ``+`` or ``-``), so
+callers that hold numpy arrays can mix the two.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .algebra import AlgebraKind, ExponentParams, GroupElement
 from .errors import NonFiniteInput
@@ -26,19 +29,107 @@ __all__ = [
     "exponent_matrix",
 ]
 
-# 2x2 complex ndarray; kept as a plain alias rather than a wrapper class.
-Mat2 = np.ndarray
-
 _SERIES_S_THRESHOLD = 1e-4
 
+_SCALARS = (int, float, complex)
 
-@dataclass(frozen=True, eq=False)
+
+class Mat2:
+    """The 2x2 complex matrix [[a, b], [c, d]].
+
+    Supports ``@``, ``+`` and ``-`` between matrices, ``*`` by a scalar from
+    either side and ``/`` by a scalar, unary ``-``, entrywise ``abs()``,
+    ``.max()``, ``.conj()``, ``.T`` and ``m[i, j]``.  Any other operand is left
+    to its own type: an ndarray on either side of ``@``, ``+`` or ``-`` gives
+    the ndarray result, through ``__array__``.
+    """
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
+
+    @classmethod
+    def of(cls, m) -> Mat2:
+        """``m`` itself if it is a Mat2, else a Mat2 of any 2x2 nesting (ndarray, lists)."""
+        if isinstance(m, Mat2):
+            return m
+        (a, b), (c, d) = m
+        return cls(complex(a), complex(b), complex(c), complex(d))
+
+    def __matmul__(self, other):
+        if not isinstance(other, Mat2):
+            return NotImplemented
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+    def __add__(self, other):
+        if not isinstance(other, Mat2):
+            return NotImplemented
+        return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+
+    def __sub__(self, other):
+        if not isinstance(other, Mat2):
+            return NotImplemented
+        return Mat2(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+
+    def __mul__(self, k):
+        if not isinstance(k, _SCALARS):
+            return NotImplemented
+        return Mat2(k * self.a, k * self.b, k * self.c, k * self.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k):
+        if not isinstance(k, _SCALARS):
+            return NotImplemented
+        return Mat2(self.a / k, self.b / k, self.c / k, self.d / k)
+
+    def __neg__(self):
+        return Mat2(-self.a, -self.b, -self.c, -self.d)
+
+    def __abs__(self):
+        return Mat2(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+
+    def __getitem__(self, key):
+        i, j = key
+        return ((self.a, self.b), (self.c, self.d))[i][j]
+
+    def max(self, axis=None, out=None):
+        """Largest entry; ``axis`` and ``out`` (which ``np.max`` passes) go to numpy."""
+        if axis is None and out is None:
+            return max(self.a, self.b, self.c, self.d)
+        return self.__array__().max(axis=axis, out=out)
+
+    def conj(self) -> Mat2:
+        return Mat2(self.a.conjugate(), self.b.conjugate(), self.c.conjugate(), self.d.conjugate())
+
+    @property
+    def T(self) -> Mat2:
+        return Mat2(self.a, self.c, self.b, self.d)
+
+    def __array__(self, dtype=None, copy=None):
+        import numpy as np  # only a caller that already uses numpy gets here
+
+        return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex if dtype is None else dtype)
+
+    def __repr__(self) -> str:
+        return f"Mat2([[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]])"
+
+
 class GeneratorSet:
     """Matrix carriers of the raising, Cartan and lowering generators."""
 
-    m_plus: Mat2
-    m_c: Mat2
-    m_minus: Mat2
+    __slots__ = ("m_plus", "m_c", "m_minus")
+
+    def __init__(self, m_plus: Mat2, m_c: Mat2, m_minus: Mat2):
+        self.m_plus = m_plus
+        self.m_c = m_c
+        self.m_minus = m_minus
 
 
 def generators_for(algebra: AlgebraKind) -> GeneratorSet:
@@ -47,9 +138,9 @@ def generators_for(algebra: AlgebraKind) -> GeneratorSet:
     The commutation relations are re-checked on every build; a failure here
     is a defect in the tables below, not a runtime condition.
     """
-    raising = np.array([[0, 1], [0, 0]], dtype=complex)
-    lowering = np.array([[0, 0], [1, 0]], dtype=complex)
-    cartan = np.array([[0.5, 0], [0, -0.5]], dtype=complex)
+    raising = Mat2(0j, 1 + 0j, 0j, 0j)
+    lowering = Mat2(0j, 0j, 1 + 0j, 0j)
+    cartan = Mat2(0.5 + 0j, 0j, 0j, -0.5 + 0j)
     if algebra is AlgebraKind.SU2:
         gens = GeneratorSet(raising, cartan, lowering)
     elif algebra is AlgebraKind.SU11:
@@ -67,16 +158,19 @@ def _assert_commutators(algebra: AlgebraKind, gens: GeneratorSet) -> None:
     def comm(x: Mat2, y: Mat2) -> Mat2:
         return x @ y - y @ x
 
+    def close(x: Mat2, y: Mat2) -> bool:
+        return abs(x - y).max() <= 1e-15
+
     eps, delta = algebra.epsilon, algebra.delta
-    assert np.allclose(comm(gens.m_minus, gens.m_plus), 2 * eps * gens.m_c, atol=1e-15)
-    assert np.allclose(comm(gens.m_c, gens.m_plus), delta * gens.m_plus, atol=1e-15)
-    assert np.allclose(comm(gens.m_c, gens.m_minus), -delta * gens.m_minus, atol=1e-15)
+    assert close(comm(gens.m_minus, gens.m_plus), 2 * eps * gens.m_c)
+    assert close(comm(gens.m_c, gens.m_plus), delta * gens.m_plus)
+    assert close(comm(gens.m_c, gens.m_minus), -delta * gens.m_minus)
     for m in (gens.m_plus, gens.m_c, gens.m_minus):
-        assert abs(np.trace(m)) <= 1e-15
+        assert abs(m.a + m.d) <= 1e-15
 
 
-def mat_exp(m: Mat2) -> Mat2:
-    """Exponential of a 2x2 complex matrix in closed form.
+def mat_exp(m) -> Mat2:
+    """Exponential of a 2x2 complex matrix (a Mat2, an ndarray or nested lists) in closed form.
 
     Splits off the trace and uses the Cayley-Hamilton identity for the
     traceless part m0: m0 @ m0 = s^2 I with s^2 = -det(m0), so
@@ -84,12 +178,13 @@ def mat_exp(m: Mat2) -> Mat2:
     which makes the branch of the square root irrelevant; a short even series
     covers the region where sinh(s)/s would lose digits.
     """
-    m = np.asarray(m, dtype=complex)
-    if not np.isfinite(m).all():
+    m = Mat2.of(m)
+    a, b, c, d = m.a, m.b, m.c, m.d
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
         raise NonFiniteInput("matrix entries must be finite")
-    half_trace = 0.5 * (m[0, 0] + m[1, 1])
-    m0 = m - half_trace * np.eye(2)
-    s_sq = complex(-np.linalg.det(m0))
+    half_trace = 0.5 * (a + d)
+    a0, d0 = a - half_trace, d - half_trace
+    s_sq = b * c - a0 * d0
     s = cmath.sqrt(s_sq)
     if abs(s) < _SERIES_S_THRESHOLD:
         cosh_s = sum(s_sq**k / math.factorial(2 * k) for k in range(6))
@@ -97,7 +192,9 @@ def mat_exp(m: Mat2) -> Mat2:
     else:
         cosh_s = cmath.cosh(s)
         sinhc_s = cmath.sinh(s) / s
-    return cmath.exp(half_trace) * (cosh_s * np.eye(2) + sinhc_s * m0)
+    e = cmath.exp(half_trace)
+    es = e * sinhc_s
+    return Mat2(e * (cosh_s + sinhc_s * a0), es * b, es * c, e * (cosh_s + sinhc_s * d0))
 
 
 def element_matrix(g: GroupElement) -> Mat2:

@@ -68,6 +68,16 @@ def _exponent(name, lp, lc, lm):
     return lp * m_plus + lc * m_c + lm * m_minus
 
 
+def exponential(name, lp, lc, lm):
+    """exp(lp M+ + lc Mc + lm M-) on algebra ``name`` as a 2x2 mpmath matrix, to ``DIGITS`` digits.
+
+    ``name`` is "su11", "su2" or "so21"; lp, lc and lm are taken exactly as given.
+    """
+    lp, lc, lm = mpmath.mpc(lp), mpmath.mpc(lc), mpmath.mpc(lm)
+    with mpmath.workdps(DIGITS):
+        return mpmath.expm(_exponent(name, lp, lc, lm))
+
+
 def gauss_coordinates(name, lp, lc, lm):
     """(L+, log_c, L-, period) of exp(lp M+ + lc Mc + lm M-) on algebra ``name``, as mpmath numbers.
 

@@ -157,9 +157,16 @@ def test_disentangle_denominator_lost_to_roundoff_exits_3(capsys):
 
 
 def test_disentangle_non_finite_result_exits_2(capsys):
-    code, out = run_cli(capsys, "disentangle", "--algebra", "su2", "--lambda", "1e200,0", "0,0", "1e200,0")
-    assert code == 2
-    assert out == '{"error": "normal-ordered coordinates overflow double precision"}\n'
+    cases = [
+        ("su2", "1e200,0", "0,0", "1e200,0"),
+        # x = delta*eps*lp*lm overflows to nan - inf j, where cmath.cosh raises ValueError
+        ("su11", "4.870071729863563e199,5.256223429309925e199", "-0.002,-0.0007",
+         "-2.193879286821749e199,-3.094071925631383e199"),
+    ]
+    for algebra, *lam in cases:
+        code, out = run_cli(capsys, "disentangle", "--algebra", algebra, "--lambda", *lam)
+        assert code == 2
+        assert out == '{"error": "normal-ordered coordinates overflow double precision"}\n'
 
 
 def test_bad_pair_syntax_exits_2(capsys):
@@ -922,12 +929,19 @@ def run_python(*args):
     )
 
 
-# Blocks numpy before bchkit.cli is imported: ``import numpy`` then raises.
+# Blocks numpy before bchkit.cli is imported: ``import numpy`` then raises.  After the
+# command, the matrix oracle checks a disentangling on every algebra, still without numpy.
 WITHOUT_NUMPY = """\
 import sys
 sys.modules["numpy"] = None
 from bchkit.cli import main
-sys.exit(main(sys.argv[1:]))
+code = main(sys.argv[1:])
+from bchkit import AlgebraKind, ExponentParams, disentangle, element_matrix, exponent_matrix
+lam = ExponentParams(0.3 - 0.2j, 0.5 + 0.1j, -0.4 + 0.3j)
+for kind in AlgebraKind:
+    gap = abs(element_matrix(disentangle(kind, lam).element) - exponent_matrix(kind, lam)).max()
+    assert gap <= 1e-12, (kind, gap)
+sys.exit(code)
 """
 
 
@@ -960,6 +974,9 @@ for name in bchkit.__all__:
     getattr(bchkit, name)
 assert bchkit.element_matrix is bchkit.oracle.element_matrix
 assert bchkit.SqueezeParams is bchkit.squeeze.SqueezeParams
+bchkit.element_matrix(bchkit.identity_element(bchkit.AlgebraKind.SU11))
+for module in ("numpy", "dataclasses"):
+    assert module not in sys.modules, f"the oracle loaded {module}"
 """
 
 

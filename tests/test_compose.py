@@ -118,9 +118,22 @@ def test_disentangle_denominator_lost_to_roundoff_raises():
 
 
 def test_disentangle_overflow_raises_instead_of_returning_nan():
-    # nu^2 = 1e400 overflows: nu = inf and w = nan
-    with pytest.raises(NonFiniteInput, match="^normal-ordered coordinates overflow double precision$"):
-        disentangle(AlgebraKind.SU2, ExponentParams(1e200, 0, 1e200))
+    cases = [
+        # nu^2 = 1e400 overflows: nu = inf and w = nan
+        (AlgebraKind.SU2, ExponentParams(1e200, 0, 1e200)),
+        # x = delta*eps*lp*lm overflows to nan - inf j, and cmath.cosh(nu) raises ValueError
+        (
+            AlgebraKind.SU11,
+            ExponentParams(
+                4.870071729863563e199 + 5.256223429309925e199j,
+                -0.002 - 0.0007j,
+                -2.193879286821749e199 - 3.094071925631383e199j,
+            ),
+        ),
+    ]
+    for kind, lam in cases:
+        with pytest.raises(NonFiniteInput, match="^normal-ordered coordinates overflow double precision$"):
+            disentangle(kind, lam)
 
 
 def test_disentangle_triangular_exponent_beyond_exp_range():

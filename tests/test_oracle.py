@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,6 +9,7 @@ from bchkit import (
     AlgebraKind,
     ExponentParams,
     GroupElement,
+    Mat2,
     NonFiniteInput,
     RotationParams,
     element_matrix,
@@ -17,6 +19,11 @@ from bchkit import (
     mat_exp,
     rotation_element,
 )
+from reference import exponential
+
+# Bound on exponent_matrix's entrywise error against the mpmath matrix, relative to
+# the reference's largest entry, for exponents up to 10 in each coordinate part.
+EXPONENT_MATRIX_BOUND = 1e-14
 
 
 def _commutator(a, b):
@@ -142,3 +149,53 @@ def test_parameter_map_is_injective_near_identity():
             )
             gap = np.max(np.abs(exponent_matrix(kind, lam_a) - exponent_matrix(kind, lam_b)))
             assert gap > 1e-8
+
+
+def test_mat2_works_with_numpy_arrays():
+    # perfbench and the tests mix oracle matrices with ndarrays: each operation
+    # must give the ndarray result, whichever side the ndarray is on
+    m = element_matrix(GroupElement(AlgebraKind.SU11, 0.3 - 0.1j, 0.2 + 0.4j, -0.5j, phase=0.1j))
+    assert isinstance(m, Mat2)
+    a = np.asarray(m)
+    assert a.shape == (2, 2) and a.dtype == complex
+    assert [[m[i, j] for j in range(2)] for i in range(2)] == a.tolist()
+    n = np.array([[1.0, 2j], [-0.5, 0.25 - 1j]])
+    for got, expected in (
+        (m @ n, a @ n),
+        (n @ m, n @ a),
+        (m - n, a - n),
+        (n - m, n - a),
+        (m + n, a + n),
+        (n + m, n + a),
+    ):
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_array_equal(got, expected)
+    np.testing.assert_allclose(m @ m, a @ a, rtol=0, atol=1e-15)  # numpy may sum with FMA
+    np.testing.assert_array_equal(m.conj().T, a.conj().T)
+    # abs() of a complex and np.abs may round the modulus differently in the last bit
+    assert abs(m).max() == pytest.approx(np.abs(a).max(), rel=1e-15)
+    assert np.max(np.abs(m)) == np.abs(a).max()
+    assert np.max(abs(m)) == abs(m).max()
+    np.testing.assert_array_equal(-m, -a)
+    np.testing.assert_array_equal(2 * m, m * 2)
+    np.testing.assert_array_equal(m / 2, a / 2)
+    assert np.linalg.det(m) == pytest.approx(np.linalg.det(a), rel=1e-15)
+    assert np.trace(m) == m[0, 0] + m[1, 1]
+
+
+@pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda a: a.value)
+def test_exponent_matrix_matches_the_reference(kind):
+    rng = np.random.default_rng(43)
+    worst, where = 0.0, None
+    for scale in (1e-5, 0.1, 0.6, 3, 10):  # 1e-5 takes mat_exp's series branch
+        for _ in range(20):
+            parts = scale * rng.uniform(-1, 1, 6)
+            lp, lc, lm = complex(parts[0], parts[1]), complex(parts[2], parts[3]), complex(parts[4], parts[5])
+            got = exponent_matrix(kind, ExponentParams(lp, lc, lm))
+            ref = exponential(kind.value, lp, lc, lm)
+            entries = [(i, j) for i in range(2) for j in range(2)]
+            size = max(abs(ref[i, j]) for i, j in entries)
+            gap = float(max(abs(mpmath.mpc(got[i, j]) - ref[i, j]) for i, j in entries) / size)
+            if gap > worst:
+                worst, where = gap, (lp, lc, lm)
+    assert worst <= EXPONENT_MATRIX_BOUND, (worst, where)
