@@ -24,7 +24,7 @@ from .compose import _compose_coords, _continued_fraction, disentangle
 from .errors import NonFiniteInput, SingularDecomposition
 from .evolve import (
     HamiltonianSchedule,
-    _check_stride,
+    _check_count,
     default_checkpoint_stride,
     evolve,
     oscillator_schedule,
@@ -396,7 +396,8 @@ def cmd_evolve(args) -> int:
     _require(args.steps >= 1, f"--steps must be >= 1, got {args.steps}")
     _require(_finite(args.steps), "--steps is too large")
     stride = args.checkpoints
-    _check_stride(stride)
+    if stride is not None:
+        _check_count("checkpoint stride", stride)
     if args.csv is None:
         stride = None  # no trajectory is written, so none is recorded
     elif stride is None:

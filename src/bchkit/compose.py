@@ -13,9 +13,9 @@ three Gauss coordinates (big_plus, log_c, big_minus): one disentangles, one
 fold holds the only copy of the pair product and serves compose_many (so
 compose_pair, compose_many of two), :func:`bchkit.evolve.evolve` and the
 ``compose`` command, and one evaluates the continued fraction.  The fold
-returns its product; a singular error leaving it carries the position of the
-element it failed on, and evolve's checkpoints fold chunk by chunk, each
-chunk seeded with the product so far.  An element's scalar phase is a
+returns its product and takes the product so far as a seed, so evolve's
+checkpoints fold chunk by chunk; a singular error leaving it carries the
+step of the whole run it failed on.  An element's scalar phase is a
 central factor, so it only ever adds: compose_many sums the phases outside
 the fold.  The public functions wrap the same kernels, so every route gives
 the same bits.
@@ -153,7 +153,9 @@ def _checked_w(nu, half_c, x, cosh_nu, sinhc_nu, w, shift=0j):
 
 
 def _principal(angle: float) -> float:
-    """The angle taken to the principal branch, (-pi, pi]."""
+    """The angle on [-pi, pi], kept as it is if it is there already."""
+    if -math.pi <= angle <= math.pi:
+        return angle
     return math.atan2(math.sin(angle), math.cos(angle))
 
 
@@ -259,31 +261,34 @@ def _term_by_logs(factor, exponent, log_d):
         raise NonFiniteInput("group element coordinates must be finite") from None
 
 
-def _fold(algebra: AlgebraKind, coords: Iterable[tuple]) -> tuple:
+def _fold(algebra: AlgebraKind, coords: Iterable[tuple], acc=None, done=0) -> tuple:
     """Left fold of coordinate tuples, earliest first; returns the product.
 
-    The first tuple seeds the product and each later one acts after it; the
-    fold is left-associative, so a caller that folds in chunks, seeding each
-    chunk with the product so far, gets the same bits.  ``coords`` must be
-    nonempty.  This is the only copy of the pair product and the only check
-    on the fold: each tuple it takes and each product it makes is checked for
-    finiteness once, and each step's denominator d against TOL_SINGULAR.  A
-    SingularDecomposition that leaves the fold, from that check or from
-    ``coords`` itself (a singular slice), carries in ``step`` the 1-based
-    position of the tuple it failed on.  A step whose |d| leaves double range
-    raises NonFiniteInput; where its exp(delta*log_c) does, its terms are
-    taken by logs (_term_by_logs), so a power that multiplies an exact 0
-    coordinate is no error.  Nothing it returns is non-finite.
+    ``acc`` is a fold's product of the ``done`` steps before ``coords``;
+    without it the first tuple seeds the product and ``coords`` must be
+    nonempty.  The fold is left-associative, so a run folded in chunks gets
+    the bits of one fold.  This is the only copy of the pair product and the
+    only check on the fold: each tuple it takes and each product it makes is
+    checked for finiteness once, and each step's denominator d against
+    TOL_SINGULAR.  A SingularDecomposition that leaves the fold, from that
+    check or from ``coords`` itself (a singular slice), carries in ``step``
+    the 1-based step of the run it failed on.  A step whose |d| leaves
+    double range raises NonFiniteInput; where its exp(delta*log_c) does, its
+    terms are taken by logs (_term_by_logs), so a power that multiplies an
+    exact 0 coordinate is no error.  Nothing it returns is non-finite.
     Tuples are (big_plus, log_c, big_minus); phases are the callers' to add.
     """
     delta, _, delta_eps, two_over_delta, _ = algebra._kernel
     exp, log = cmath.exp, cmath.log
-    coords = enumerate(coords, start=1)
-    index = 0
+    coords = enumerate(coords, start=done + 1)
+    index = done
     try:
-        index, (p1, lc1, m1) = next(coords)
-        if not (isfinite(p1) and isfinite(lc1) and isfinite(m1)):
-            raise NonFiniteInput("group element coordinates must be finite")
+        if acc is None:
+            index, (p1, lc1, m1) = next(coords)
+            if not (isfinite(p1) and isfinite(lc1) and isfinite(m1)):
+                raise NonFiniteInput("group element coordinates must be finite")
+        else:
+            p1, lc1, m1 = acc
         for index, (p2, lc2, m2) in coords:
             if not (isfinite(p2) and isfinite(lc2) and isfinite(m2)):
                 raise NonFiniteInput("group element coordinates must be finite")
@@ -314,7 +319,7 @@ def _fold(algebra: AlgebraKind, coords: Iterable[tuple]) -> tuple:
             if not (isfinite(p1) and isfinite(lc1) and isfinite(m1)):
                 raise NonFiniteInput("group element coordinates must be finite")
     except SingularDecomposition as exc:
-        if exc.step is None:  # a singular slice from ``coords``, taking tuple index + 1
+        if exc.step is None:  # a singular slice from ``coords``, the step after ``index``
             exc.step = index + 1
         raise
     return p1, lc1, m1

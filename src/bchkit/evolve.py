@@ -11,7 +11,7 @@ the step coefficients sampled at the right endpoint by default.
 from __future__ import annotations
 
 import math
-from itertools import chain, islice
+from itertools import islice
 from operator import index
 from typing import Callable, Optional
 
@@ -78,16 +78,19 @@ def _check_t_final(t_final) -> None:
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
 
 
-def _check_stride(checkpoint_every) -> None:
-    """Raise unless the checkpoint stride is None or an integer of at least 1."""
-    if checkpoint_every is None:
-        return
+def _check_count(name: str, value) -> int:
+    """``value`` as a plain int; raise unless it is an integer from 1 to double range."""
     try:
-        index(checkpoint_every)
+        count = index(value)
+        ok = float(count) >= 1
     except TypeError:
-        raise ValueError(f"checkpoint stride must be an integer, got {checkpoint_every!r}") from None
-    if checkpoint_every < 1:
-        raise ValueError(f"checkpoint stride must be >= 1, got {checkpoint_every}")
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    except OverflowError:
+        bits = count.bit_length()
+        raise ValueError(f"{name} must be within double range, got {bits} bits") from None
+    if not ok:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return count
 
 
 def default_checkpoint_stride(steps: int) -> int:
@@ -112,51 +115,42 @@ def evolve(
     time; a slice or product that overflows raises NonFiniteInput, without
     them.  ``checkpoint_every`` = k, an integer, records the running
     element every k steps (plus the start and the end) in the trajectory:
-    the slices are folded k at a time, each chunk seeded with the product
-    so far, which gives the bits of the unchunked fold.
+    the fold runs k slices at a time, seeded with the product so far, and
+    gives the bits of one fold.
     ``midpoint`` samples eta at interval midpoints instead of right
     endpoints; that is a second-order variant beyond the plain product
     formula and is off by default.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    steps = _check_count("steps", steps)
     _check_t_final(schedule.t_final)
-    _check_stride(checkpoint_every)
-
     algebra = schedule.algebra
+    stride, trajectory = steps, None
+    if checkpoint_every is not None:
+        stride = _check_count("checkpoint stride", checkpoint_every)
+        trajectory = [(0.0, identity_element(algebra))]
+
     tau = schedule.t_final / steps
     slices = _slices(schedule, steps, tau, midpoint)
-    trajectory = None
-    done = 0  # steps folded into acc
+    acc, done = None, 0  # the product of the first ``done`` slices
     try:
-        if checkpoint_every is None:
-            acc = _fold(algebra, slices)
-        else:
-            trajectory = [(0.0, identity_element(algebra))]
-            stride, total = index(checkpoint_every), index(steps)  # plain ints, as step counts
-            while done < total:
-                size = min(stride, total - done)
-                chunk = islice(slices, size)
-                acc = _fold(algebra, chain((acc,), chunk) if done else chunk)
-                done += size
-                trajectory.append((done * tau, GroupElement(algebra, *acc)))
+        while steps - done > stride:
+            acc = _fold(algebra, islice(slices, stride), acc, done)
+            done += stride
+            trajectory.append((done * tau, GroupElement(algebra, *acc)))
+        acc = _fold(algebra, slices, acc, done)
     except SingularDecomposition as exc:
-        step = done + exc.step - 1 if done else exc.step  # a later chunk's position 1 is acc
-        exc.step = step  # the cause carries the step of the run, not its position in a chunk
-        t_right = step * tau
+        t_right = exc.step * tau
         raise SingularDecomposition(
-            f"evolution singular at step {step} of {steps} (t = {t_right:.6g})",
+            f"evolution singular at step {exc.step} of {steps} (t = {t_right:.6g})",
             denominator_abs=exc.denominator_abs,
-            step=step,
+            step=exc.step,
             time=t_right,
         ) from exc
 
-    return EvolutionResult(
-        element=trajectory[-1][1] if trajectory is not None else GroupElement(algebra, *acc),
-        steps=steps,
-        tau=tau,
-        trajectory=tuple(trajectory) if trajectory is not None else None,
-    )
+    element = GroupElement(algebra, *acc)
+    if trajectory is not None:
+        trajectory = (*trajectory, (steps * tau, element))
+    return EvolutionResult(element=element, steps=steps, tau=tau, trajectory=trajectory)
 
 
 def _slices(schedule: HamiltonianSchedule, steps: int, tau: float, midpoint: bool):
@@ -191,13 +185,20 @@ def oscillator_schedule(
     At omega = omega0 the coupling terms vanish and H reduces to
     2 omega0 Tc, the static oscillator.
     """
-    omega0 = float(omega0)
+    try:
+        omega0 = float(omega0)
+    except OverflowError:  # an integer beyond double range
+        raise InvalidFrequency("reference frequency is beyond double range") from None
     if not (math.isfinite(omega0) and omega0 > 0):
         raise InvalidFrequency(f"reference frequency must be positive, got {omega0}")
     _check_t_final(t_final)
 
     def eta(t: float):
-        omega = float(omega_of_t(t))
+        omega = omega_of_t(t)
+        try:
+            omega = float(omega)
+        except OverflowError:  # an integer beyond double range
+            raise InvalidFrequency(f"omega({t:.6g}) is beyond double range") from None
         if not (math.isfinite(omega) and omega > 0):
             raise InvalidFrequency(f"omega({t:.6g}) = {omega} is not positive")
         coupling = (omega * omega - omega0 * omega0) / (2.0 * omega0)

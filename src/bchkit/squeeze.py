@@ -50,8 +50,12 @@ class SqueezeParams(_Frozen):
     __slots__ = ("r", "phi")
 
     def __init__(self, r: float, phi: float = 0.0):
-        r, phi = float(r), float(phi)
-        if not (math.isfinite(r) and math.isfinite(phi)):
+        try:
+            r, phi = float(r), float(phi)
+            ok = math.isfinite(r) and math.isfinite(phi)
+        except OverflowError:  # an integer beyond double range
+            ok = False
+        if not ok:
             raise NonFiniteInput("squeeze parameters must be finite")
         if r < 0:
             # z = r e^{i phi} is what matters; fold the sign into the phase
@@ -70,8 +74,12 @@ class RotationParams(_Frozen):
     __slots__ = ("angle",)
 
     def __init__(self, angle: float):
-        angle = float(angle)
-        if not math.isfinite(angle):
+        try:
+            angle = float(angle)
+            ok = math.isfinite(angle)
+        except OverflowError:  # an integer beyond double range
+            ok = False
+        if not ok:
             raise NonFiniteInput("rotation angle must be finite")
         _set(self, "angle", _wrap_angle(angle))
 
@@ -182,7 +190,12 @@ def factor_squeeze_rotation(g: GroupElement) -> SqueezeRotationFactorization:
 
     # exp(2i angle) = Lambda_c cosh^2 r when g factors; the half-angle leaves
     # two candidates a half turn apart.
-    doubled = g.big_c() * math.cosh(r) ** 2
+    try:
+        doubled = g.big_c() * math.cosh(r) ** 2
+    except OverflowError:  # |Lambda_c| = exp(Re log_c) leaves double range, far above sech^2 r <= 1
+        raise NotFactorizable(
+            f"no squeeze-rotation form: Lambda_c = exp({g.log_c:.6g}) leaves double range"
+        ) from None
     half = 0.5 * cmath.phase(doubled)
     candidates = []
     for angle in (half, half + math.pi):

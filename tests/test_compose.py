@@ -109,6 +109,23 @@ def test_disentangle_triangular_exponent_keeps_its_normal_ordered_form():
         assert g.big_minus == 0
 
 
+@pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda a: a.value)
+def test_disentangle_triangular_exponent_keeps_lambda_c_exactly(kind):
+    # w = exp(-delta*lc/2) is kept as its principal log, and an angle Im(delta*lc/2)
+    # already on that branch stays as it is, so -(2/delta) log w gives back lc bit for bit
+    rng = np.random.default_rng(73)
+    kept = 0
+    for re, im, l in rng.uniform(-2 * math.pi, 2 * math.pi, (4000, 3)):
+        lc = complex(re, im)
+        if abs((kind.delta * lc).imag) / 2 > math.pi:
+            continue
+        l = float(l)
+        lam = ExponentParams(l, lc, 0) if kept % 2 else ExponentParams(0, lc, l)
+        assert disentangle(kind, lam).element.log_c == lc
+        kept += 1
+    assert kept > 1000
+
+
 def test_disentangle_denominator_lost_to_roundoff_raises():
     # su(2) with lambda = (A q, 0, -A/q) has w = cos(A); at A near (k + 1/2) pi, about 1e6,
     # |w| ~ 1e-11 is below the roundoff that rounding A^2 leaves in w

@@ -106,6 +106,14 @@ def test_evolve_validates_arguments():
     schedule = _constant_schedule(AlgebraKind.SU11, (0, 1.0, 0))
     with pytest.raises(ValueError, match="steps"):
         evolve(schedule, 0)
+    with pytest.raises(ValueError, match=r"^steps must be an integer, got 2\.0$"):
+        evolve(schedule, 2.0)
+    with pytest.raises(ValueError, match="^steps must be within double range"):
+        evolve(schedule, 10**400)
+    # a numpy count runs as the plain int it stands for, down to the type of tau
+    wide, plain = evolve(schedule, np.int64(64)), evolve(schedule, 64)
+    assert type(wide.tau) is float and type(wide.steps) is int
+    assert (wide.tau, wide.element) == (plain.tau, plain.element)
     with pytest.raises(ValueError, match="stride"):
         evolve(schedule, 10, checkpoint_every=0)
     bad = HamiltonianSchedule(AlgebraKind.SU11, lambda t: (0, 1.0, 0), -2.0)
@@ -383,5 +391,11 @@ def test_invalid_frequencies_rejected():
     schedule = oscillator_schedule(1.0, lambda t: 1.0 - 2.0 * t, 1.0)
     with pytest.raises(InvalidFrequency):
         evolve(schedule, 8)
+    # an integer beyond double range is no frequency, as a reference or from omega(t)
+    for huge in (10**400, -(10**5000)):
+        with pytest.raises(InvalidFrequency, match="^reference frequency is beyond double range$"):
+            oscillator_schedule(huge, lambda t: 1.0, 1.0)
+    with pytest.raises(InvalidFrequency, match=r"^omega\(0\.125\) is beyond double range$"):
+        evolve(oscillator_schedule(1.0, lambda t: 10**400, 1.0), 8)
     with pytest.raises(ValueError, match="t_final"):
         oscillator_schedule(1.0, lambda t: 1.0, 0.0)

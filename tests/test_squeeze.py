@@ -304,3 +304,29 @@ def test_factorization_rejects_off_orbit_elements():
     warped = GroupElement(AlgebraKind.SU11, 0.5 + 0j, 0.4 + 0j, 0.5 + 0j)
     with pytest.raises(NotFactorizable):
         factor_squeeze_rotation(warped)
+
+
+@pytest.mark.parametrize("log_c", [700, 710, 1e5], ids=lambda x: f"log_c={x:g}")
+def test_factorization_rejects_a_cartan_coordinate_beyond_double_range(log_c):
+    # |Lambda_c| = exp(log_c) is far above sech^2 r <= 1; from about 709.8 it is no double
+    # at all, and that is reported like the residual that rejects it below
+    g = GroupElement(AlgebraKind.SU11, 0.5 + 0j, complex(log_c, 0.5), 0.5 + 0j)
+    with pytest.raises(NotFactorizable):
+        factor_squeeze_rotation(g)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda bad: SqueezeParams(bad),
+        lambda bad: SqueezeParams(0.5, bad),
+        lambda bad: RotationParams(bad),
+    ],
+    ids=["r", "phi", "angle"],
+)
+@pytest.mark.parametrize(
+    "bad", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="int-beyond-double")]
+)
+def test_squeeze_value_types_refuse_non_finite_input(make, bad):
+    with pytest.raises(NonFiniteInput):
+        make(bad)
