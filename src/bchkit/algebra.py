@@ -65,22 +65,30 @@ def make_algebra(kind: str | AlgebraKind) -> AlgebraKind:
     try:
         return AlgebraKind(str(kind).lower())
     except ValueError:
-        names = ", ".join(a.value for a in AlgebraKind)
-        raise ValueError(f"unknown algebra {kind!r}; expected one of {names}") from None
+        pass
+    try:
+        shown = repr(kind)
+    except ValueError:  # an integer with more digits than str() converts
+        shown = f"(an integer of {kind.bit_length()} bits)"
+    names = ", ".join(a.value for a in AlgebraKind)
+    raise ValueError(f"unknown algebra {shown}; expected one of {names}")
 
 
-# Sets a field of a _Frozen instance past its __setattr__; for constructors only.
-_set = object.__setattr__
+def _setters(cls) -> tuple:
+    """The ``__set__`` of each of ``cls``'s slot descriptors, bound once, in slot order."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 class _Frozen:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``__slots__`` and sets them in ``__init__``
-    through ``object.__setattr__``.  Instances compare equal when they are of
-    the same class with equal field values, hash as the tuple of those values,
-    refuse assignment and deletion, and pickle and copy by calling the
-    constructor with the field values in slot order.
+    A subclass names its fields in ``__slots__``.  Right after its class body,
+    ``_setters`` binds the ``__set__`` of each slot's member descriptor once,
+    to module-level names, and ``__init__`` stores each field with one call to
+    its setter, past the refusing ``__setattr__``.  Instances compare equal
+    when they are of the same class with equal field values, hash as the
+    tuple of those values, refuse assignment and deletion, and pickle and
+    copy by calling the constructor with the field values in slot order.
     """
 
     __slots__ = ()
@@ -116,9 +124,9 @@ class ExponentParams(_Frozen):
     __slots__ = ("lambda_plus", "lambda_c", "lambda_minus")
 
     def __init__(self, lambda_plus: complex, lambda_c: complex, lambda_minus: complex):
-        _set(self, "lambda_plus", lambda_plus)
-        _set(self, "lambda_c", lambda_c)
-        _set(self, "lambda_minus", lambda_minus)
+        _set_lambda_plus(self, lambda_plus)
+        _set_lambda_c(self, lambda_c)
+        _set_lambda_minus(self, lambda_minus)
 
     def is_finite(self) -> bool:
         return (
@@ -126,6 +134,9 @@ class ExponentParams(_Frozen):
             and cmath.isfinite(self.lambda_c)
             and cmath.isfinite(self.lambda_minus)
         )
+
+
+_set_lambda_plus, _set_lambda_c, _set_lambda_minus = _setters(ExponentParams)
 
 
 class GroupElement(_Frozen):
@@ -147,11 +158,11 @@ class GroupElement(_Frozen):
         big_minus: complex,
         phase: complex = 0j,
     ):
-        _set(self, "algebra", algebra)
-        _set(self, "big_plus", big_plus)
-        _set(self, "log_c", log_c)
-        _set(self, "big_minus", big_minus)
-        _set(self, "phase", phase)
+        _set_algebra(self, algebra)
+        _set_big_plus(self, big_plus)
+        _set_log_c(self, log_c)
+        _set_big_minus(self, big_minus)
+        _set_phase(self, phase)
 
     def big_c(self) -> complex:
         return cmath.exp(self.log_c)
@@ -163,6 +174,9 @@ class GroupElement(_Frozen):
             and cmath.isfinite(self.big_minus)
             and cmath.isfinite(self.phase)
         )
+
+
+_set_algebra, _set_big_plus, _set_log_c, _set_big_minus, _set_phase = _setters(GroupElement)
 
 
 def identity_element(algebra: AlgebraKind) -> GroupElement:

@@ -29,7 +29,7 @@ import sys
 from cmath import isfinite
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import AlgebraKind, ExponentParams, GroupElement, _Frozen, _set
+from .algebra import AlgebraKind, ExponentParams, GroupElement, _Frozen, _setters
 from .errors import (
     AlgebraMismatch,
     EmptySequence,
@@ -372,8 +372,11 @@ class DisentangleResult(_Frozen):
     __slots__ = ("element", "nu")
 
     def __init__(self, element: GroupElement, nu: complex):
-        _set(self, "element", element)
-        _set(self, "nu", nu)
+        _set_element(self, element)
+        _set_nu(self, nu)
+
+
+_set_element, _set_nu = _setters(DisentangleResult)
 
 
 def disentangle(algebra: AlgebraKind, lam: ExponentParams) -> DisentangleResult:

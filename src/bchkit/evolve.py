@@ -15,9 +15,9 @@ from itertools import islice
 from operator import index
 from typing import Callable, Optional
 
-from .algebra import AlgebraKind, GroupElement, _Frozen, _set, identity_element
+from .algebra import AlgebraKind, GroupElement, _Frozen, _setters, identity_element
 from .compose import _disentangle_raw, _fold
-from .errors import InvalidFrequency, SingularDecomposition
+from .errors import InvalidFrequency, NonFiniteInput, SingularDecomposition
 
 __all__ = [
     "EtaTriple",
@@ -43,9 +43,12 @@ class HamiltonianSchedule(_Frozen):
     __slots__ = ("algebra", "eta", "t_final")
 
     def __init__(self, algebra: AlgebraKind, eta: Callable[[float], EtaTriple], t_final: float):
-        _set(self, "algebra", algebra)
-        _set(self, "eta", eta)
-        _set(self, "t_final", t_final)
+        _set_algebra(self, algebra)
+        _set_eta(self, eta)
+        _set_t_final(self, t_final)
+
+
+_set_algebra, _set_eta, _set_t_final = _setters(HamiltonianSchedule)
 
 
 class EvolutionResult(_Frozen):
@@ -56,14 +59,22 @@ class EvolutionResult(_Frozen):
     def __init__(
         self, element: GroupElement, steps: int, tau: float, trajectory: Optional[tuple] = None
     ):
-        _set(self, "element", element)
-        _set(self, "steps", steps)
-        _set(self, "tau", tau)
-        _set(self, "trajectory", trajectory)
+        _set_element(self, element)
+        _set_steps(self, steps)
+        _set_tau(self, tau)
+        _set_trajectory(self, trajectory)
+
+
+_set_element, _set_steps, _set_tau, _set_trajectory = _setters(EvolutionResult)
 
 
 def step_element(algebra: AlgebraKind, eta_j, tau: float) -> GroupElement:
     """Normal-ordered element of exp(-i tau H_j): evolve's slice, on a one-step constant schedule."""
+    try:
+        -1j * tau  # the slice's first product, where an integer beyond double range overflows
+    except OverflowError:
+        bits = int(tau).bit_length()
+        raise NonFiniteInput(f"tau must be within double range, got an integer of {bits} bits") from None
     schedule = HamiltonianSchedule(algebra, lambda t: eta_j, tau)
     return GroupElement(algebra, *next(_slices(schedule, 1, tau, False)))
 
@@ -72,8 +83,9 @@ def _check_t_final(t_final) -> None:
     """Raise unless t_final is positive and finite as a double (a huge integer is not)."""
     try:
         ok = 0 < float(t_final) < math.inf
-    except OverflowError:
-        ok = False
+    except OverflowError:  # its digits may pass str()'s limit, so give its size
+        size = f"{'a negative' if t_final < 0 else 'an'} integer of {int(t_final).bit_length()} bits"
+        raise ValueError(f"t_final must be positive and finite, got {size}") from None
     if not ok:
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .algebra import AlgebraKind, GroupElement, _Frozen, _set, identity_element
+from .algebra import AlgebraKind, GroupElement, _Frozen, _setters, identity_element
 from .compose import compose_pair
 from .errors import NonFiniteInput, NotFactorizable
 
@@ -60,12 +60,15 @@ class SqueezeParams(_Frozen):
         if r < 0:
             # z = r e^{i phi} is what matters; fold the sign into the phase
             r, phi = -r, phi + math.pi
-        _set(self, "r", r)
-        _set(self, "phi", _wrap_angle(phi))
+        _set_r(self, r)
+        _set_phi(self, _wrap_angle(phi))
 
     @property
     def z(self) -> complex:
         return self.r * cmath.exp(1j * self.phi)
+
+
+_set_r, _set_phi = _setters(SqueezeParams)
 
 
 class RotationParams(_Frozen):
@@ -81,7 +84,10 @@ class RotationParams(_Frozen):
             ok = False
         if not ok:
             raise NonFiniteInput("rotation angle must be finite")
-        _set(self, "angle", _wrap_angle(angle))
+        _set_angle(self, _wrap_angle(angle))
+
+
+(_set_angle,) = _setters(RotationParams)
 
 
 class SqueezeRotationFactorization(_Frozen):
@@ -104,10 +110,10 @@ class SqueezeRotationFactorization(_Frozen):
         phase_shift: complex = 0j,
         residual: float | None = None,
     ):
-        _set(self, "squeeze", squeeze)
-        _set(self, "rotation", rotation)
-        _set(self, "phase_shift", phase_shift)
-        _set(self, "residual", residual)
+        _set_squeeze(self, squeeze)
+        _set_rotation(self, rotation)
+        _set_phase_shift(self, phase_shift)
+        _set_residual(self, residual)
 
     def recompose(self) -> GroupElement:
         product = compose_pair(
@@ -120,6 +126,9 @@ class SqueezeRotationFactorization(_Frozen):
             product.big_minus,
             phase=product.phase + self.phase_shift,
         )
+
+
+_set_squeeze, _set_rotation, _set_phase_shift, _set_residual = _setters(SqueezeRotationFactorization)
 
 
 def squeeze_element(p: SqueezeParams) -> GroupElement:

@@ -9,6 +9,7 @@ from bchkit import (
     AlgebraKind,
     HamiltonianSchedule,
     InvalidFrequency,
+    NonFiniteInput,
     SingularDecomposition,
     compose_many,
     default_checkpoint_stride,
@@ -122,7 +123,16 @@ def test_evolve_validates_arguments():
 
 
 @pytest.mark.parametrize(
-    "t_final", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="int-beyond-double")]
+    "t_final",
+    [
+        math.inf,
+        -math.inf,
+        math.nan,
+        pytest.param(10**400, id="int-beyond-double"),
+        # more digits than str() converts: the message gives the size instead
+        pytest.param(10**5000, id="int-beyond-str"),
+        pytest.param(-(10**5000), id="negative-int-beyond-str"),
+    ],
 )
 def test_non_finite_t_final_is_rejected_by_name(t_final):
     # before any slice is built, so the error names the field instead of a coordinate
@@ -184,6 +194,13 @@ def test_step_element_takes_any_tau_as_disentangle_does(algebra, tau):
     parts = lambda g: [struct.pack("<dd", z.real, z.imag) for z in (g.big_plus, g.log_c, g.big_minus, g.phase)]
     assert got.algebra is algebra
     assert parts(got) == parts(expected)
+
+
+@pytest.mark.parametrize("tau", [10**400, -(10**400)], ids=["positive", "negative"])
+def test_step_element_names_a_tau_beyond_double_range(tau):
+    # -1j * tau would overflow with a bare OverflowError that names nothing
+    with pytest.raises(NonFiniteInput, match=r"^tau must be within double range, got an integer of 1329 bits"):
+        step_element(AlgebraKind.SU11, (1, 0, 1), tau)
 
 
 def test_singular_step_carries_position_and_time():
