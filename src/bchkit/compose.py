@@ -63,9 +63,9 @@ _SERIES_NU_THRESHOLD = 1e-4
 # 0.5 * TOL_SINGULAR * y groups as (0.5 * TOL_SINGULAR) * y, so this keeps the bits
 _HALF_TOL = 0.5 * TOL_SINGULAR
 
-# Where |nu| <= 1 and |half_c| <= 1, the roundoff scale of w in _checked_w is
-# below 8.6e-12: |cosh nu| <= cosh 1, |sinhc nu| <= sinh 1 and
-# |x| <= |half_c|^2 + |nu^2| <= 2 bound it by
+# Where |nu| <= 1 (beyond, w is carried as exp(nu)*w_s, with its own test) and
+# |half_c| <= 1, the roundoff scale of w is below 8.6e-12: |cosh nu| <= cosh 1,
+# |sinhc nu| <= sinh 1 and |x| <= |half_c|^2 + |nu^2| <= 2 bound it by
 # TOL_SINGULAR*(cosh 1 + sinh 1) + 1.5*TOL_SINGULAR*(sinh 1 + cosh 1 + sinh 1).
 # So a |w| above this passes that test, and is taken without evaluating it.
 _W_CLEAR = 1e-10
@@ -102,54 +102,45 @@ def _cosh_sinhc(nu: complex) -> tuple[complex, complex]:
 
 def _disentangle_raw(kernel, lp, lc, lm):
     """(big_plus, log_c, big_minus, nu) of exp(lp T+ + lc Tc + lm T-); see disentangle."""
-    if not (isfinite(lp) and isfinite(lc) and isfinite(lm)):
-        raise NonFiniteInput("exponent coordinates must be finite")
+    try:
+        if not (isfinite(lp) and isfinite(lc) and isfinite(lm)):
+            raise NonFiniteInput("exponent coordinates must be finite")
+    except OverflowError:  # an integer beyond double range
+        raise _beyond_range(("lambda_plus", "lambda_c", "lambda_minus"), (lp, lc, lm)) from None
     _, half_delta, delta_eps, _, minus_two_over_delta = kernel
     half_c = half_delta * lc
     x = delta_eps * lp * lm
     if not x and not (lp and lm):  # triangular: w = exp(-half_c) exactly
         return _triangular(half_c, lp, lm, minus_two_over_delta)
-    try:
-        nu = cmath.sqrt(half_c * half_c - x)
-        a_nu = abs(nu)
-        if a_nu < _SERIES_NU_THRESHOLD:
-            cosh_nu, sinhc_nu = _series(nu)
-        else:  # _cosh_sinhc's closed form, inlined: one call less per slice
-            cosh_nu, sinhc_nu = cmath.cosh(nu), cmath.sinh(nu) / nu
-        w = cosh_nu - half_c * sinhc_nu
-        if not (abs(w) > _W_CLEAR and a_nu <= 1.0 and abs(half_c) <= 1.0):
-            w = _checked_w(nu, half_c, x, cosh_nu, sinhc_nu, w)  # a NaN w lands here too
-        ratio = sinhc_nu / w
-        big_plus, big_minus = lp * ratio, lm * ratio
-        if not (isfinite(big_plus) and isfinite(big_minus)):
-            raise NonFiniteInput("normal-ordered coordinates overflow double precision")
-        return big_plus, minus_two_over_delta * cmath.log(w), big_minus, nu
-    except OverflowError:  # cosh(nu), sinh(nu) or exp(-nu) left double range
-        return _scaled(nu, half_c, x, lp, lm, minus_two_over_delta)
-    except NonFiniteInput:
-        raise
-    except ValueError:  # x overflowed to an infinite or NaN part, and cmath.cosh(nu) refuses it
-        raise NonFiniteInput("normal-ordered coordinates overflow double precision") from None
+    nu = cmath.sqrt(half_c * half_c - x)
+    a_nu = abs(nu)
+    if a_nu < _SERIES_NU_THRESHOLD:
+        cosh_nu, sinhc_nu = _series(nu)
+    elif not a_nu <= 1.0:  # a NaN nu too
+        return _beyond_one(nu, a_nu, half_c, x, lp, lm, minus_two_over_delta)
+    else:  # _cosh_sinhc's closed form, inlined: one call less per slice
+        cosh_nu, sinhc_nu = cmath.cosh(nu), cmath.sinh(nu) / nu
+    w = cosh_nu - half_c * sinhc_nu
+    if not (abs(w) > _W_CLEAR and abs(half_c) <= 1.0):
+        # w's terms, plus the rounding of nu^2 = half_c^2 - x times a bound on
+        # |dw/d(nu^2)|, TOL_SINGULAR applied first to keep it finite
+        ah, ac, a_s = abs(half_c), abs(cosh_nu), abs(sinhc_nu)
+        tol_nu2 = _HALF_TOL * (ah * ah + abs(x))
+        _check_w(w, TOL_SINGULAR * (ac + ah * a_s) + tol_nu2 * (a_s + ah * (ac + a_s)), "|w|")
+    ratio = sinhc_nu / w
+    big_plus, big_minus = lp * ratio, lm * ratio
+    if not (isfinite(big_plus) and isfinite(big_minus)):
+        raise NonFiniteInput("normal-ordered coordinates overflow double precision")
+    return big_plus, minus_two_over_delta * cmath.log(w), big_minus, nu
 
 
-def _checked_w(nu, half_c, x, cosh_nu, sinhc_nu, w, shift=0j):
-    """w where it clears its roundoff scale, else _w_by_exp's form of it.
-
-    The roundoff scale is w's terms, plus the rounding of nu^2 = half_c^2 - x
-    times a bound on |dw/d(nu^2)|, TOL_SINGULAR applied first to keep it
-    finite; a NaN w fails.  cosh_nu, sinhc_nu, w and the result may all be
-    scaled by exp(-shift): the test is the same on every scale.
-    """
-    ah = abs(half_c)
-    ac = abs(cosh_nu)
-    a_s = abs(sinhc_nu)
-    n2 = abs(nu * nu)
-    tol_nu2 = _HALF_TOL * (ah * ah + abs(x))
-    if abs(w) > TOL_SINGULAR * (ac + ah * a_s) + tol_nu2 * (
-        a_s + ah / (n2 if n2 > 1.0 else 1.0) * (ac + a_s)
-    ):
-        return w
-    return _w_by_exp(nu, half_c, x, cosh_nu, sinhc_nu, w, tol_nu2, shift)
+def _check_w(w, scale, name):
+    """Raise SingularDecomposition, reporting |w| as ``name``, unless |w| clears ``scale``."""
+    if not abs(w) > scale:
+        raise SingularDecomposition(
+            f"no normal-ordered form: disentangling denominator {name} = {abs(w):.3e} is singular",
+            denominator_abs=abs(w),
+        )
 
 
 def _principal(angle: float) -> float:
@@ -159,27 +150,55 @@ def _principal(angle: float) -> float:
     return math.atan2(math.sin(angle), math.cos(angle))
 
 
-def _scaled(nu, half_c, x, lp, lm, minus_two_over_delta):
-    """_disentangle_raw's result where lp*lm != 0 and cosh(nu), sinh(nu) or exp(-nu) overflowed.
+def _beyond_one(nu, a_nu, half_c, x, lp, lm, minus_two_over_delta):
+    """_disentangle_raw's result where |nu| > 1, on the exp(-nu) scale.
 
-    With Re nu >= 0 (the principal root), cosh(nu) = exp(nu)*c and
-    sinh(nu)/nu = exp(nu)*s, where c = (1 + exp(-2 nu))/2 and
-    s = (1 - exp(-2 nu))/(2 nu) stay in range.  So w = exp(nu)*w_s with
-    w_s = c - half_c*s, each L = l*s/w_s and log w = nu + log w_s, taken to
-    the principal branch (|nu| < 1.4e154, so log_c stays finite).  w_s gets
-    the guard of w on its own scale, and NonFiniteInput is raised only where
-    L leaves double range.
+    With Re nu >= 0 (the principal root), m = exp(-2 nu) and
+    s = (1 - m)/(2 nu) stay in range, cosh(nu) = exp(nu)*(1 + m)/2 and
+    sinh(nu)/nu = exp(nu)*s.  So w = exp(nu)*w_s, each L = l*s/w_s and
+    log w = nu + log w_s, taken to the principal branch.  A sign picks the
+    form of w_s: m - x*s/(nu + half_c) where Re(conj(nu) half_c) > 0, so
+    |nu + half_c| >= |nu| and it cancels only where w does, else
+    (1 + m)/2 - half_c*s.  As where |nu| <= 1, each form's guard is its own
+    terms before they cancel, plus the rounding of nu^2 times a bound on how
+    far that moves the form; a singular w_s is reported as |w exp(-nu)|.
+    NonFiniteInput is raised only where nu or L leaves double range.
     """
+    if not isfinite(nu):  # x or half_c^2 overflowed
+        raise NonFiniteInput("normal-ordered coordinates overflow double precision")
     m = cmath.exp(-2.0 * nu)
-    c, s = 0.5 * (1.0 + m), (1.0 - m) / (2.0 * nu)
-    w_s = _checked_w(nu, half_c, x, c, s, c - half_c * s, nu)
+    s = (1.0 - m) / (2.0 * nu)
+    ah, a_m, a_s = abs(half_c), abs(m), abs(s)
+    a_c = 0.5 * (1.0 + a_m)
+    tol_nu2 = _HALF_TOL * (ah * ah + abs(x))
+    if (nu.conjugate() * half_c).real > 0:
+        nu_h = nu + half_c
+        t = x * s / nu_h
+        w_s, a_t = m - t, abs(t)
+        tol_w = tol_nu2 / a_nu * (a_m + a_t / a_nu + (abs(x) * a_c / a_nu + a_t) / abs(nu_h))
+        _check_w(w_s, TOL_SINGULAR * (a_m + a_t) + tol_w, "|w exp(-nu)|")
+    else:
+        h_s = half_c * s
+        w_s = 0.5 * (1.0 + m) - h_s
+        tol_w = tol_nu2 * (a_s + ah / (a_nu * a_nu) * (a_c + a_s))
+        _check_w(w_s, TOL_SINGULAR * (a_c + abs(h_s)) + tol_w, "|w exp(-nu)|")
     ratio = s / w_s
     big_plus, big_minus = lp * ratio, lm * ratio
-    log_w = nu + cmath.log(w_s)
-    log_c = minus_two_over_delta * complex(log_w.real, _principal(log_w.imag))
     if not (isfinite(big_plus) and isfinite(big_minus)):
         raise NonFiniteInput("normal-ordered coordinates overflow double precision")
+    log_w = nu + cmath.log(w_s)
+    log_c = minus_two_over_delta * complex(log_w.real, _principal(log_w.imag))
     return big_plus, log_c, big_minus, nu
+
+
+def _beyond_range(names, values) -> NonFiniteInput:
+    """The error naming the first of ``values`` that is an integer beyond double range."""
+    for name, value in zip(names, values):
+        try:
+            complex(value)
+        except OverflowError:
+            bits = int(value).bit_length()
+            return NonFiniteInput(f"{name} must be within double range, got an integer of {bits} bits")
 
 
 def _triangular(half_c, lp, lm, minus_two_over_delta):
@@ -214,37 +233,6 @@ def _triangular(half_c, lp, lm, minus_two_over_delta):
     if not (isfinite(big_plus) and isfinite(big_minus)):
         raise NonFiniteInput("normal-ordered coordinates overflow double precision")
     return big_plus, minus_two_over_delta * log_w, big_minus, nu
-
-
-def _w_by_exp(nu, half_c, x, cosh_nu, sinhc_nu, w, tol_nu2, shift=0j):
-    """w as exp(-nu) - x*sinhc(nu)/(nu + half_c); raise, with |w|, if that is singular too.
-
-    Equal to cosh(nu) - half_c*sinhc(nu) as nu^2 = half_c^2 - x, but it keeps
-    w ~ exp(-nu) where that form cancels (x small, |nu| > 1); a triangular
-    exponent (lp*lm == 0) is _triangular's and never comes here.  nu's sign makes
-    |nu + half_c| >= |nu|; the roundoff scale is the terms of w plus nu's,
-    tol_nu2/|nu| with TOL_SINGULAR applied, times a bound on |dw/dnu|.  With
-    ``shift``, cosh_nu, sinhc_nu, w and the result are scaled by exp(-shift),
-    and a singular w is reported as |w exp(-shift)|.
-    """
-    if not isfinite(w):
-        raise NonFiniteInput("normal-ordered coordinates overflow double precision")
-    a_nu = abs(nu)
-    if a_nu > 1.0:
-        if (nu.conjugate() * half_c).real < 0:
-            nu = -nu
-        e, nu_h = cmath.exp(-nu - shift), nu + half_c
-        t = x * sinhc_nu / nu_h
-        a_e, a_t, a_nu_h = abs(e), abs(t), abs(nu_h)
-        if abs(e - t) > TOL_SINGULAR * (a_e + a_t) + tol_nu2 / a_nu * (
-            a_e + a_t / a_nu + (abs(x) * abs(cosh_nu) / a_nu + a_t) / a_nu_h
-        ):
-            return e - t
-    name = "|w exp(-nu)|" if shift else "|w|"
-    raise SingularDecomposition(
-        f"no normal-ordered form: disentangling denominator {name} = {abs(w):.3e} is singular",
-        denominator_abs=abs(w),
-    )
 
 
 def _term_by_logs(factor, exponent, log_d):
@@ -285,13 +273,19 @@ def _fold(algebra: AlgebraKind, coords: Iterable[tuple], acc=None, done=0) -> tu
     try:
         if acc is None:
             index, (p1, lc1, m1) = next(coords)
-            if not (isfinite(p1) and isfinite(lc1) and isfinite(m1)):
-                raise NonFiniteInput("group element coordinates must be finite")
+            try:
+                if not (isfinite(p1) and isfinite(lc1) and isfinite(m1)):
+                    raise NonFiniteInput("group element coordinates must be finite")
+            except OverflowError:  # an integer beyond double range
+                raise _beyond_range(("big_plus", "log_c", "big_minus"), (p1, lc1, m1)) from None
         else:
             p1, lc1, m1 = acc
         for index, (p2, lc2, m2) in coords:
-            if not (isfinite(p2) and isfinite(lc2) and isfinite(m2)):
-                raise NonFiniteInput("group element coordinates must be finite")
+            try:
+                if not (isfinite(p2) and isfinite(lc2) and isfinite(m2)):
+                    raise NonFiniteInput("group element coordinates must be finite")
+            except OverflowError:  # an integer beyond double range
+                raise _beyond_range(("big_plus", "log_c", "big_minus"), (p2, lc2, m2)) from None
             d = 1.0 - delta_eps * p1 * m2
             try:  # only this arithmetic: an error from the incoming iterator keeps its own type
                 if abs(d) <= TOL_SINGULAR:
@@ -387,9 +381,12 @@ def disentangle(algebra: AlgebraKind, lam: ExponentParams) -> DisentangleResult:
     L+- = l+- * (sinh(nu)/nu) / w and lc_out = -(2/delta)*Log(w), principal
     branch.  Every ingredient is even in nu, so the root branch is irrelevant.
     A triangular exponent, l+*l- == 0, takes its exact form w = exp(-delta*lc/2)
-    and no other.  Elsewhere, where the form above cancels, w is taken as
-    exp(-nu) - delta*eps*l+*l- sinh(nu)/(nu (nu + delta*lc/2)).
-    A w within roundoff of 0 raises SingularDecomposition; an overflow, NonFiniteInput.
+    and no other.  Where |nu| > 1, w is taken on the exp(-nu) scale, in the one
+    of two equal forms that a sign picks so it cannot cancel where w does not:
+    exp(-nu) - delta*eps*l+*l- sinh(nu)/(nu (nu + delta*lc/2)) with nu the
+    principal root, where Re(conj(nu) delta*lc/2) > 0, else the form above.
+    A w within roundoff of 0 raises SingularDecomposition (reporting |w exp(-nu)|
+    where |nu| > 1); a coordinate that leaves double range, NonFiniteInput.
     """
     big_plus, log_c, big_minus, nu = _disentangle_raw(
         algebra._kernel, lam.lambda_plus, lam.lambda_c, lam.lambda_minus

@@ -16,7 +16,7 @@ from operator import index
 from typing import Callable, Optional
 
 from .algebra import AlgebraKind, GroupElement, _Frozen, _setters, identity_element
-from .compose import _disentangle_raw, _fold
+from .compose import _beyond_range, _disentangle_raw, _fold
 from .errors import InvalidFrequency, NonFiniteInput, SingularDecomposition
 
 __all__ = [
@@ -172,12 +172,17 @@ def _slices(schedule: HamiltonianSchedule, steps: int, tau: float, midpoint: boo
     shift = 0.5 * tau if midpoint else 0.0  # j*tau - 0.0 is j*tau, bit for bit
     for j in range(1, steps + 1):
         eta_plus, eta_c, eta_minus = eta(j * tau - shift)
-        big_plus, log_c, big_minus, _ = _disentangle_raw(
-            kernel,
-            minus_i_tau * (eta_plus if eta_plus.__class__ is complex else complex(eta_plus)),
-            minus_i_tau * (eta_c if eta_c.__class__ is complex else complex(eta_c)),
-            minus_i_tau * (eta_minus if eta_minus.__class__ is complex else complex(eta_minus)),
-        )
+        try:
+            big_plus, log_c, big_minus, _ = _disentangle_raw(
+                kernel,
+                minus_i_tau * (eta_plus if eta_plus.__class__ is complex else complex(eta_plus)),
+                minus_i_tau * (eta_c if eta_c.__class__ is complex else complex(eta_c)),
+                minus_i_tau * (eta_minus if eta_minus.__class__ is complex else complex(eta_minus)),
+            )
+        except OverflowError:  # complex() of an integer beyond double range
+            t = f"({j * tau - shift:.6g})"
+            names = ("eta_plus" + t, "eta_c" + t, "eta_minus" + t)
+            raise _beyond_range(names, (eta_plus, eta_c, eta_minus)) from None
         yield big_plus, log_c, big_minus
 
 

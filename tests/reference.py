@@ -26,6 +26,10 @@ import mpmath
 # Digits kept after the cancellation in g22 has taken its share.
 DIGITS = 30
 
+# Relative bound on every coordinate of a disentangling off the triangular set,
+# |lambda| up to 1e3, log_c modulo its period (tests/test_reference.py's census).
+CENSUS_BOUND = 1e-13
+
 _I = mpmath.mpc(0, 1)
 
 
@@ -97,3 +101,25 @@ def gauss_coordinates(name, lp, lc, lm):
         log_c = -(2 / b) * mpmath.log(g22)
         period = 4 * mpmath.pi * _I / b
         return big_plus, log_c, big_minus, period
+
+
+def relative_error(got, expected, period=None):
+    """|got - expected| / |expected|, the difference first reduced modulo ``period`` if given."""
+    with mpmath.workdps(40):
+        diff = mpmath.mpc(got) - expected
+        if period is not None:
+            diff -= mpmath.nint(mpmath.re(diff / period)) * period
+        return float(abs(diff) / abs(expected))
+
+
+def worst_relative_error(name, lp, lc, lm, got):
+    """The largest relative_error of got = (L+, log_c, L-) against gauss_coordinates(name, lp, lc, lm).
+
+    log_c is compared modulo its period.
+    """
+    big_plus, log_c, big_minus, period = gauss_coordinates(name, lp, lc, lm)
+    return max(
+        relative_error(got[0], big_plus),
+        relative_error(got[1], log_c, period),
+        relative_error(got[2], big_minus),
+    )

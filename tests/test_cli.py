@@ -148,6 +148,32 @@ def test_disentangle_triangular_exponent_beyond_exp_range_exits_0(capsys):
     assert as_complex(payload["log_c"]) == expected
 
 
+# reference.gauss_coordinates("su11", 1, 25, 1e-20): L+ and log_c
+NEAR_TRIANGULAR_PLUS = 2880195973.4587531
+NEAR_TRIANGULAR_LOG_C = 25.000000000002304
+# reference.gauss_coordinates("su11", 0.15522507714800948-0.03746370018883782j,
+# 1054.6045162172938+1154.7775871381216j, 0.04263016461507618+0.2077347678254593j): L+
+LARGE_NU_PLUS = -6333.97091616008 + 3776.86547575415j
+
+
+def test_disentangle_near_triangular_exponent_exits_0(capsys):
+    # lambda_plus*lambda_minus = 1e-20 next to (lambda_c/2)^2: cosh(nu) - (lc/2) sinh(nu)/nu
+    # cancels down to about exp(-nu), so w is taken on the exp(-nu) scale
+    code, out = run_cli(capsys, "disentangle", "--algebra", "su11", "--lambda", "1,0", "25,0", "1e-20,0")
+    assert code == 0
+    payload = json.loads(out)
+    assert as_complex(payload["Lambda_plus"]) == pytest.approx(NEAR_TRIANGULAR_PLUS, rel=1e-13)
+    assert as_complex(payload["log_c"]) == pytest.approx(NEAR_TRIANGULAR_LOG_C, rel=1e-13)
+
+
+def test_disentangle_large_nu_exits_0(capsys):
+    lam = ("0.15522507714800948,-0.03746370018883782", "1054.6045162172938,1154.7775871381216",
+           "0.04263016461507618,0.2077347678254593")
+    code, out = run_cli(capsys, "disentangle", "--algebra", "su11", "--lambda", *lam)
+    assert code == 0
+    assert as_complex(json.loads(out)["Lambda_plus"]) == pytest.approx(LARGE_NU_PLUS, rel=1e-13)
+
+
 def test_disentangle_denominator_lost_to_roundoff_exits_3(capsys):
     big_a = (318310 + 0.5) * math.pi
     plus, minus = f"{big_a * 1.1!r},0", f"{-big_a / 1.1!r},0"

@@ -22,7 +22,8 @@ from bchkit import (
     exponent_matrix,
     identity_element,
 )
-from bchkit.compose import _cosh_sinhc, _disentangle_raw, _scaled
+from bchkit.compose import _cosh_sinhc, _disentangle_raw
+from reference import CENSUS_BOUND, worst_relative_error
 
 
 def random_params(rng, scale=0.5):
@@ -89,6 +90,26 @@ def test_disentangle_matches_matrix_oracle():
 def test_disentangle_rejects_non_finite():
     with pytest.raises(NonFiniteInput):
         disentangle(AlgebraKind.SU2, ExponentParams(math.nan, 0, 0))
+
+
+@pytest.mark.parametrize("index, name", [(0, "lambda_plus"), (1, "lambda_c"), (2, "lambda_minus")])
+def test_disentangle_names_an_integer_beyond_double_range(index, name):
+    # the finiteness check would raise a bare OverflowError that names nothing
+    lam = [1, 0, 1]
+    lam[index] = 10**400
+    with pytest.raises(NonFiniteInput, match=f"^{name} must be within double range, got an integer of 1329 bits$"):
+        disentangle(AlgebraKind.SU11, ExponentParams(*lam))
+
+
+@pytest.mark.parametrize("position", [0, 1], ids=["first", "second"])
+@pytest.mark.parametrize("index, name", [(0, "big_plus"), (1, "log_c"), (2, "big_minus")])
+def test_compose_many_names_an_integer_beyond_double_range(index, name, position):
+    coords = [0, 0, 0]
+    coords[index] = -(10**400)
+    elements = [identity_element(AlgebraKind.SU11)] * 2
+    elements[position] = GroupElement(AlgebraKind.SU11, *coords)
+    with pytest.raises(NonFiniteInput, match=f"^{name} must be within double range, got an integer of 1329 bits$"):
+        compose_many(elements)
 
 
 def test_disentangle_singular_input_raises():
@@ -197,29 +218,23 @@ def test_disentangle_general_exponent_beyond_cosh_range():
 
 @pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda a: a.value)
 def test_scaled_route_is_the_plain_one_where_both_are_in_range(kind):
-    # _scaled carries w as exp(nu)*w_s; where cosh(nu) is finite it must give the plain
-    # route's coordinates, also where w cancels and is taken as exp(-nu) - x sinhc(nu)/(nu + lc/2)
+    # every |nu| > 1 exponent is taken on the exp(-nu) scale, w = exp(nu)*w_s; it must match
+    # the extended-precision reference, also where cosh(nu) - (lc/2) sinh(nu)/nu cancels
     rng = np.random.default_rng(67)
-    _, half_delta, delta_eps, _, minus_two_over_delta = kernel = kind._kernel
-    period = minus_two_over_delta * 2j * math.pi  # log_c is fixed up to this
+    kernel = kind._kernel
     compared = 0
     # lambda_c and lambda_plus-minus of one size, where w does not cancel, or a tiny
-    # lambda_plus*lambda_minus under |Re lambda_c| >= 300, where w cancels past every digit
-    # and is taken in the second form
+    # lambda_plus*lambda_minus under |Re lambda_c| >= 300, where that form of w cancels past
+    # every digit
     for scale, small in [(3, 3), (30, 30), (300, 300), (600, 1e-30)] * 50:
         parts = rng.uniform(-1, 1, 6)
         lp, lm = small * complex(*parts[0:2]), small * complex(*parts[4:6])
         lc = scale * complex(math.copysign(0.5 + abs(parts[2]) / 2, parts[2]), parts[3])
         try:
-            plain = _disentangle_raw(kernel, lp, lc, lm)
+            got = _disentangle_raw(kernel, lp, lc, lm)
         except (SingularDecomposition, NonFiniteInput):
             continue
-        half_c, x = half_delta * lc, delta_eps * lp * lm
-        scaled = _scaled(plain[3], half_c, x, lp, lm, minus_two_over_delta)
-        for got, want in ((scaled[0], plain[0]), (scaled[2], plain[2])):
-            assert abs(got - want) <= 1e-12 * abs(want)
-        turns = round(((scaled[1] - plain[1]) / period).real)
-        assert abs(scaled[1] - turns * period - plain[1]) <= 1e-12 * max(1.0, abs(plain[1]))
+        assert worst_relative_error(kind.value, lp, lc, lm, got[:3]) <= CENSUS_BOUND, (lp, lc, lm)
         compared += 1
     assert compared >= 190
 

@@ -203,6 +203,21 @@ def test_step_element_names_a_tau_beyond_double_range(tau):
         step_element(AlgebraKind.SU11, (1, 0, 1), tau)
 
 
+@pytest.mark.parametrize("index, name", [(0, "eta_plus"), (1, "eta_c"), (2, "eta_minus")])
+def test_step_element_names_an_eta_beyond_double_range(index, name):
+    # complex() of the integer would raise a bare OverflowError that names nothing
+    eta = [1, 0, 1]
+    eta[index] = -(10**400)
+    with pytest.raises(NonFiniteInput, match=rf"^{name}\(0\.5\) must be within double range, got an integer of 1329 bits$"):
+        step_element(AlgebraKind.SU11, tuple(eta), 0.5)
+
+
+def test_evolve_names_an_eta_beyond_double_range():
+    schedule = HamiltonianSchedule(AlgebraKind.SU2, lambda t: (0.1, 10**400 if t > 0.5 else 0.2, 0.1), 1.0)
+    with pytest.raises(NonFiniteInput, match=r"^eta_c\(0\.75\) must be within double range, got an integer of 1329 bits$"):
+        evolve(schedule, 4, checkpoint_every=1)
+
+
 def test_singular_step_carries_position_and_time():
     # the third step's exponent works out to (pi/2, 0, pi/2), whose
     # normal-ordered form does not exist in the su(1,1) chart
