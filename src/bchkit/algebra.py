@@ -129,11 +129,15 @@ class ExponentParams(_Frozen):
         _set_lambda_minus(self, lambda_minus)
 
     def is_finite(self) -> bool:
-        return (
-            cmath.isfinite(self.lambda_plus)
-            and cmath.isfinite(self.lambda_c)
-            and cmath.isfinite(self.lambda_minus)
-        )
+        """Whether every coordinate is a finite double; an integer beyond double range is not."""
+        try:
+            return (
+                cmath.isfinite(self.lambda_plus)
+                and cmath.isfinite(self.lambda_c)
+                and cmath.isfinite(self.lambda_minus)
+            )
+        except OverflowError:
+            return False
 
 
 _set_lambda_plus, _set_lambda_c, _set_lambda_minus = _setters(ExponentParams)
@@ -168,12 +172,16 @@ class GroupElement(_Frozen):
         return cmath.exp(self.log_c)
 
     def is_finite(self) -> bool:
-        return (
-            cmath.isfinite(self.big_plus)
-            and cmath.isfinite(self.log_c)
-            and cmath.isfinite(self.big_minus)
-            and cmath.isfinite(self.phase)
-        )
+        """Whether every coordinate and the phase is a finite double; an integer beyond double range is not."""
+        try:
+            return (
+                cmath.isfinite(self.big_plus)
+                and cmath.isfinite(self.log_c)
+                and cmath.isfinite(self.big_minus)
+                and cmath.isfinite(self.phase)
+            )
+        except OverflowError:
+            return False
 
 
 _set_algebra, _set_big_plus, _set_log_c, _set_big_minus, _set_phase = _setters(GroupElement)

@@ -14,11 +14,11 @@ fold holds the only copy of the pair product and serves compose_many (so
 compose_pair, compose_many of two), :func:`bchkit.evolve.evolve` and the
 ``compose`` command, and one evaluates the continued fraction.  The fold
 returns its product and takes the product so far as a seed, so evolve's
-checkpoints fold chunk by chunk; a singular error leaving it carries the
-step of the whole run it failed on.  An element's scalar phase is a
-central factor, so it only ever adds: compose_many sums the phases outside
-the fold.  The public functions wrap the same kernels, so every route gives
-the same bits.
+checkpoints fold chunk by chunk.  Tuples are checked where they enter it,
+so it checks only what it makes, and a singular error carries the step of
+the whole run.  An element's scalar phase is a central factor, so it only
+ever adds: compose_many sums the phases outside the fold.  The public
+functions wrap the same kernels, so every route gives the same bits.
 """
 
 from __future__ import annotations
@@ -101,7 +101,11 @@ def _cosh_sinhc(nu: complex) -> tuple[complex, complex]:
 # constants from ``algebra._kernel``, formed once at import in algebra.py.
 
 def _disentangle_raw(kernel, lp, lc, lm):
-    """(big_plus, log_c, big_minus, nu) of exp(lp T+ + lc Tc + lm T-); see disentangle."""
+    """(big_plus, log_c, big_minus, nu) of exp(lp T+ + lc Tc + lm T-); see disentangle.
+
+    All four are finite (each route checks L+ and L-, and log_c is the log
+    of a finite, nonzero w), so a fold takes its coordinates unchecked.
+    """
     try:
         if not (isfinite(lp) and isfinite(lc) and isfinite(lm)):
             raise NonFiniteInput("exponent coordinates must be finite")
@@ -192,13 +196,17 @@ def _beyond_one(nu, a_nu, half_c, x, lp, lm, minus_two_over_delta):
 
 
 def _beyond_range(names, values) -> NonFiniteInput:
-    """The error naming the first of ``values`` that is an integer beyond double range."""
+    """NonFiniteInput naming the first of ``values`` that is an integer beyond double range.
+
+    If none is (a sum of them left the range), it says the coordinates must be finite.
+    """
     for name, value in zip(names, values):
         try:
             complex(value)
         except OverflowError:
             bits = int(value).bit_length()
             return NonFiniteInput(f"{name} must be within double range, got an integer of {bits} bits")
+    return NonFiniteInput("group element coordinates must be finite")
 
 
 def _triangular(half_c, lp, lm, minus_two_over_delta):
@@ -255,67 +263,50 @@ def _fold(algebra: AlgebraKind, coords: Iterable[tuple], acc=None, done=0) -> tu
     ``acc`` is a fold's product of the ``done`` steps before ``coords``;
     without it the first tuple seeds the product and ``coords`` must be
     nonempty.  The fold is left-associative, so a run folded in chunks gets
-    the bits of one fold.  This is the only copy of the pair product and the
-    only check on the fold: each tuple it takes and each product it makes is
-    checked for finiteness once, and each step's denominator d against
-    TOL_SINGULAR.  A SingularDecomposition that leaves the fold, from that
-    check or from ``coords`` itself (a singular slice), carries in ``step``
-    the 1-based step of the run it failed on.  A step whose |d| leaves
-    double range raises NonFiniteInput; where its exp(delta*log_c) does, its
-    terms are taken by logs (_term_by_logs), so a power that multiplies an
-    exact 0 coordinate is no error.  Nothing it returns is non-finite.
+    the bits of one fold.  This is the only copy of the pair product.  The
+    tuples it takes are finite already (each is checked, or built finite,
+    where it enters), so it checks only what it makes: each step's
+    denominator d against TOL_SINGULAR, and each product for finiteness.  A
+    singular step raises SingularDecomposition carrying in ``step`` its
+    1-based step of the run.  A step whose |d| leaves double range raises
+    NonFiniteInput; where its exp(delta*log_c) does, its terms are taken by
+    logs (_term_by_logs), so a power that multiplies an exact 0 coordinate
+    is no error.  Nothing it returns is non-finite.
     Tuples are (big_plus, log_c, big_minus); phases are the callers' to add.
     """
     delta, _, delta_eps, two_over_delta, _ = algebra._kernel
     exp, log = cmath.exp, cmath.log
     coords = enumerate(coords, start=done + 1)
-    index = done
-    try:
-        if acc is None:
-            index, (p1, lc1, m1) = next(coords)
-            try:
-                if not (isfinite(p1) and isfinite(lc1) and isfinite(m1)):
-                    raise NonFiniteInput("group element coordinates must be finite")
-            except OverflowError:  # an integer beyond double range
-                raise _beyond_range(("big_plus", "log_c", "big_minus"), (p1, lc1, m1)) from None
+    if acc is None:
+        _, acc = next(coords)
+    p1, lc1, m1 = acc
+    for index, (p2, lc2, m2) in coords:
+        d = 1.0 - delta_eps * p1 * m2
+        try:
+            if abs(d) <= TOL_SINGULAR:
+                raise SingularDecomposition(
+                    f"no normal-ordered form: composition denominator |d| = {abs(d):.3e} "
+                    "is singular",
+                    denominator_abs=abs(d),
+                    step=index,
+                )
+        except OverflowError:  # |d| left double range
+            raise NonFiniteInput("group element coordinates must be finite") from None
+        try:
+            pow_c1 = exp(delta * lc1)
+            pow_c2 = exp(delta * lc2)
+        except OverflowError:  # the term a power scales may still be in range
+            log_d = log(d)
+            p1 = p2 + _term_by_logs(p1, delta * lc2, log_d)
+            m1 = m1 + _term_by_logs(m2, delta * lc1, log_d)
+            lc1 = lc1 + lc2 - two_over_delta * log_d
         else:
-            p1, lc1, m1 = acc
-        for index, (p2, lc2, m2) in coords:
-            try:
-                if not (isfinite(p2) and isfinite(lc2) and isfinite(m2)):
-                    raise NonFiniteInput("group element coordinates must be finite")
-            except OverflowError:  # an integer beyond double range
-                raise _beyond_range(("big_plus", "log_c", "big_minus"), (p2, lc2, m2)) from None
-            d = 1.0 - delta_eps * p1 * m2
-            try:  # only this arithmetic: an error from the incoming iterator keeps its own type
-                if abs(d) <= TOL_SINGULAR:
-                    raise SingularDecomposition(
-                        f"no normal-ordered form: composition denominator |d| = {abs(d):.3e} "
-                        "is singular",
-                        denominator_abs=abs(d),
-                        step=index,
-                    )
-            except OverflowError:  # |d| left double range
-                raise NonFiniteInput("group element coordinates must be finite") from None
-            try:
-                pow_c1 = exp(delta * lc1)
-                pow_c2 = exp(delta * lc2)
-            except OverflowError:  # the term a power scales may still be in range
-                log_d = log(d)
-                p1 = p2 + _term_by_logs(p1, delta * lc2, log_d)
-                m1 = m1 + _term_by_logs(m2, delta * lc1, log_d)
-                lc1 = lc1 + lc2 - two_over_delta * log_d
-            else:
-                p1 = p2 + p1 * pow_c2 / d
-                # kept as a subtraction: adding (-two_over_delta) * log(d) can flip a signed zero
-                lc1 = lc1 + lc2 - two_over_delta * log(d)
-                m1 = m1 + m2 * pow_c1 / d
-            if not (isfinite(p1) and isfinite(lc1) and isfinite(m1)):
-                raise NonFiniteInput("group element coordinates must be finite")
-    except SingularDecomposition as exc:
-        if exc.step is None:  # a singular slice from ``coords``, the step after ``index``
-            exc.step = index + 1
-        raise
+            p1 = p2 + p1 * pow_c2 / d
+            # kept as a subtraction: adding (-two_over_delta) * log(d) can flip a signed zero
+            lc1 = lc1 + lc2 - two_over_delta * log(d)
+            m1 = m1 + m2 * pow_c1 / d
+        if not (isfinite(p1) and isfinite(lc1) and isfinite(m1)):
+            raise NonFiniteInput("group element coordinates must be finite")
     return p1, lc1, m1
 
 
@@ -339,24 +330,25 @@ def _continued_fraction(algebra: AlgebraKind, coords: Iterable[tuple]) -> comple
     delta, _, delta_eps, _, _ = algebra._kernel
     exp = cmath.exp
     coords = iter(coords)
-    value = next(coords)[0]
-    for big_plus, log_c, big_minus in coords:
-        if value == 0:
-            value = big_plus
-            continue
-        partial = delta_eps * big_minus - 1.0 / value
-        if partial == 0:
-            raise SingularDecomposition(
-                "continued fraction hit a zero partial denominator",
-                denominator_abs=0.0,
-            )
-        try:
-            power = exp(delta * log_c)
-        except OverflowError:
-            raise NonFiniteInput("group element coordinates must be finite") from None
-        value = big_plus - power / partial
-    if not isfinite(value):
-        raise NonFiniteInput("group element coordinates must be finite")
+    big_plus, log_c, big_minus = next(coords)  # bound for the error below, even with no loop
+    value = big_plus
+    try:
+        for big_plus, log_c, big_minus in coords:
+            if value == 0:
+                value = big_plus
+                continue
+            partial = delta_eps * big_minus - 1.0 / value
+            if partial == 0:
+                raise SingularDecomposition(
+                    "continued fraction hit a zero partial denominator",
+                    denominator_abs=0.0,
+                )
+            value = big_plus - exp(delta * log_c) / partial
+        if not isfinite(value):
+            raise NonFiniteInput("group element coordinates must be finite")
+    except OverflowError:  # an integer beyond double range, or exp(delta*log_c) overflowed
+        names = ("big_plus", "big_plus", "log_c", "big_minus")
+        raise _beyond_range(names, (value, big_plus, log_c, big_minus)) from None
     return value
 
 
@@ -407,18 +399,24 @@ def _summed_coords(
 ) -> Iterator[tuple]:
     """_checked_coords that also adds the phases, left to right, and appends the sum to ``total``.
 
-    The running sum is checked as each element is reached, before the fold
-    takes its coordinates, so a non-finite phase, or a sum that leaves double
-    range, raises NonFiniteInput at that element.
+    Here compose_many's tuples enter the fold, so each element is checked as
+    it is reached: its algebra, then its coordinates and the running phase
+    sum, which raise NonFiniteInput there if not finite (naming an integer
+    beyond double range), before any later pair is formed.
     """
     phase = None
     for g in elements:
         if g.algebra is not algebra:
             raise AlgebraMismatch(f"cannot compose {g.algebra.value} with {algebra.value}")
-        phase = g.phase if phase is None else phase + g.phase
-        if not isfinite(phase):
-            raise NonFiniteInput("group element coordinates must be finite")
-        yield g.big_plus, g.log_c, g.big_minus
+        big_plus, log_c, big_minus = g.big_plus, g.log_c, g.big_minus
+        try:
+            phase = g.phase if phase is None else phase + g.phase
+            if not (isfinite(phase) and isfinite(big_plus) and isfinite(log_c) and isfinite(big_minus)):
+                raise NonFiniteInput("group element coordinates must be finite")
+        except OverflowError:  # an integer beyond double range, or a sum of them
+            names = ("big_plus", "log_c", "big_minus", "phase")
+            raise _beyond_range(names, (big_plus, log_c, big_minus, g.phase)) from None
+        yield big_plus, log_c, big_minus
     total.append(phase)
 
 

@@ -166,7 +166,11 @@ def evolve(
 
 
 def _slices(schedule: HamiltonianSchedule, steps: int, tau: float, midpoint: bool):
-    """Coordinate tuples of the N slices, earliest first, each disentangled as it is reached."""
+    """Coordinate tuples of the N slices, earliest first, each disentangled as it is reached.
+
+    The tuples are finite, as _disentangle_raw returns them; a singular
+    slice raises its SingularDecomposition with ``step`` set to its 1-based j.
+    """
     eta, kernel = schedule.eta, schedule.algebra._kernel
     minus_i_tau = -1j * tau
     shift = 0.5 * tau if midpoint else 0.0  # j*tau - 0.0 is j*tau, bit for bit
@@ -183,6 +187,9 @@ def _slices(schedule: HamiltonianSchedule, steps: int, tau: float, midpoint: boo
             t = f"({j * tau - shift:.6g})"
             names = ("eta_plus" + t, "eta_c" + t, "eta_minus" + t)
             raise _beyond_range(names, (eta_plus, eta_c, eta_minus)) from None
+        except SingularDecomposition as exc:
+            exc.step = j
+            raise
         yield big_plus, log_c, big_minus
 
 

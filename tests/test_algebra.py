@@ -89,6 +89,16 @@ def test_finiteness_helpers():
     assert not ExponentParams(0, complex(0, math.inf), 0).is_finite()
     g = GroupElement(AlgebraKind.SU11, 0j, 0j, 0j, phase=complex(math.nan, 0))
     assert not g.is_finite()
+    # an integer beyond double range is not finite as a double; cmath.isfinite would raise
+    assert ExponentParams(1, 0, 1).is_finite()
+    for k in range(3):
+        lam = [1, 0, 1]
+        lam[k] = 10**400
+        assert not ExponentParams(*lam).is_finite()
+    for k in range(4):
+        coords = [0, 0, 0, 0]
+        coords[k] = -(10**400)
+        assert not GroupElement(AlgebraKind.SU11, *coords).is_finite()
 
 
 # ---------------------------------------------------------------------------

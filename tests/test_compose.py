@@ -102,9 +102,9 @@ def test_disentangle_names_an_integer_beyond_double_range(index, name):
 
 
 @pytest.mark.parametrize("position", [0, 1], ids=["first", "second"])
-@pytest.mark.parametrize("index, name", [(0, "big_plus"), (1, "log_c"), (2, "big_minus")])
+@pytest.mark.parametrize("index, name", [(0, "big_plus"), (1, "log_c"), (2, "big_minus"), (3, "phase")])
 def test_compose_many_names_an_integer_beyond_double_range(index, name, position):
-    coords = [0, 0, 0]
+    coords = [0, 0, 0, 0]
     coords[index] = -(10**400)
     elements = [identity_element(AlgebraKind.SU11)] * 2
     elements[position] = GroupElement(AlgebraKind.SU11, *coords)
@@ -438,6 +438,12 @@ def test_overflowing_phase_sum_raises_at_its_element():
     lowerer = GroupElement(kind, 0j, 0j, 1.0 + 0j)
     with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
         compose_many([big, big, raiser, lowerer])
+    # integer phases that each fit a double, whose exact sum does not
+    huge = GroupElement(kind, 0j, 0j, 0j, 10**308)
+    with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+        compose_many([huge, huge])
+    with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+        compose_many([huge, huge, raiser, lowerer])
 
 
 def test_compose_many_of_identities():
@@ -504,6 +510,21 @@ def test_continued_fraction_never_returns_non_finite():
     for elements in cases:
         with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
             alpha_continued_fraction(elements)
+
+
+@pytest.mark.parametrize(
+    "count, position, index, name",
+    # the first element's log_c and big_minus never enter the fraction
+    [(1, 0, 0, "big_plus"), (2, 0, 0, "big_plus"), (2, 1, 0, "big_plus"), (2, 1, 1, "log_c"), (2, 1, 2, "big_minus")],
+)
+def test_continued_fraction_names_an_integer_beyond_double_range(count, position, index, name):
+    # its arithmetic would raise a bare OverflowError that names nothing
+    coords = [0.1, 0, 0.1]
+    coords[index] = -(10**400)
+    elements = [GroupElement(AlgebraKind.SU11, 0.1 + 0j, 0j, 0.1 + 0j)] * count
+    elements[position] = GroupElement(AlgebraKind.SU11, *coords)
+    with pytest.raises(NonFiniteInput, match=f"^{name} must be within double range, got an integer of 1329 bits$"):
+        alpha_continued_fraction(elements)
 
 
 def test_continued_fraction_matches_pair_composition():

@@ -288,6 +288,7 @@ def _singular_at(kind, step):
         table[step - 1] = (strength, 0j, strength)
         with pytest.raises(SingularDecomposition) as reference:
             step_element(algebra, table[step - 1], CHUNK_TAU)
+        assert reference.value.step == 1  # step_element's slice is step 1 of a one-step run
         cause = reference.value
     else:
         prefix = compose_many([step_element(algebra, eta, CHUNK_TAU) for eta in table[: step - 1]])

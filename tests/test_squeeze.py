@@ -310,6 +310,14 @@ def test_factorization_rejects_a_cartan_coordinate_beyond_double_range(log_c):
         factor_squeeze_rotation(g)
 
 
+@pytest.mark.parametrize("field", ["big_plus", "phase"])
+def test_factorization_rejects_an_integer_beyond_double_range(field):
+    # is_finite() would raise a bare OverflowError instead of saying False
+    coords = {"big_plus": 0.5, "log_c": 0j, "big_minus": 0.5, "phase": 0j, field: 10**400}
+    with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+        factor_squeeze_rotation(GroupElement(AlgebraKind.SU11, **coords))
+
+
 @pytest.mark.parametrize(
     "make",
     [
