@@ -12,41 +12,20 @@ only by the tests.  The oracle's names, and those of the squeeze module,
 are imported on first access, so ``import bchkit`` compiles neither
 ``bchkit.oracle`` nor ``bchkit.squeeze``.  The value types are frozen
 ``__slots__`` classes, not dataclasses.
+
+Each submodule's ``__all__`` is its public list.  The package re-exports
+those of ``algebra``, ``compose``, ``errors`` and ``evolve`` as they are,
+and lists only the lazy names, which it cannot read without importing
+their modules.
 """
 
 import importlib
 
-from .algebra import (
-    AlgebraKind,
-    ExponentParams,
-    GroupElement,
-    identity_element,
-    make_algebra,
-)
-from .compose import (
-    TOL_SINGULAR,
-    DisentangleResult,
-    alpha_continued_fraction,
-    compose_many,
-    compose_pair,
-    disentangle,
-)
-from .errors import (
-    AlgebraMismatch,
-    EmptySequence,
-    InvalidFrequency,
-    NonFiniteInput,
-    NotFactorizable,
-    SingularDecomposition,
-)
-from .evolve import (
-    EvolutionResult,
-    HamiltonianSchedule,
-    default_checkpoint_stride,
-    evolve,
-    oscillator_schedule,
-    step_element,
-)
+from . import algebra, compose, errors, evolve as _evolve
+from .algebra import *
+from .compose import *
+from .errors import *
+from .evolve import *
 
 __version__ = "0.1.0"
 
@@ -68,42 +47,11 @@ _LAZY = {
 }
 
 __all__ = [
-    "AlgebraKind",
-    "ExponentParams",
-    "GroupElement",
-    "identity_element",
-    "make_algebra",
-    "TOL_SINGULAR",
-    "DisentangleResult",
-    "disentangle",
-    "compose_pair",
-    "compose_many",
-    "alpha_continued_fraction",
-    "AlgebraMismatch",
-    "EmptySequence",
-    "InvalidFrequency",
-    "NonFiniteInput",
-    "NotFactorizable",
-    "SingularDecomposition",
-    "HamiltonianSchedule",
-    "EvolutionResult",
-    "step_element",
-    "evolve",
-    "default_checkpoint_stride",
-    "oscillator_schedule",
-    "Mat2",
-    "GeneratorSet",
-    "generators_for",
-    "mat_exp",
-    "element_matrix",
-    "exponent_matrix",
-    "SqueezeParams",
-    "RotationParams",
-    "SqueezeRotationFactorization",
-    "squeeze_element",
-    "rotation_element",
-    "compose_squeezes",
-    "factor_squeeze_rotation",
+    *algebra.__all__,
+    *compose.__all__,
+    *errors.__all__,
+    *_evolve.__all__,  # the star import rebinds the name evolve to the function
+    *_LAZY,
     "__version__",
 ]
 

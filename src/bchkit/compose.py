@@ -328,22 +328,30 @@ def _compose_coords(algebra: AlgebraKind, coords: Iterable[tuple], count: int) -
 def _continued_fraction(algebra: AlgebraKind, coords: Iterable[tuple]) -> complex:
     """Final raising coordinate of nonempty coordinate tuples; see alpha_continued_fraction."""
     delta, _, delta_eps, _, _ = algebra._kernel
-    exp = cmath.exp
+    exp, tiny = cmath.exp, sys.float_info.min
     coords = iter(coords)
     big_plus, log_c, big_minus = next(coords)  # bound for the error below, even with no loop
     value = big_plus
     try:
         for big_plus, log_c, big_minus in coords:
-            if value == 0:
-                value = big_plus
-                continue
-            partial = delta_eps * big_minus - 1.0 / value
-            if partial == 0:
-                raise SingularDecomposition(
-                    "continued fraction hit a zero partial denominator",
-                    denominator_abs=0.0,
-                )
-            value = big_plus - exp(delta * log_c) / partial
+            if abs(value) < tiny:  # 1.0 / value would leave double range
+                if value == 0:
+                    value = big_plus
+                    continue
+                # the term multiplied through by value: the fold's step p2 + p1 * pow_c2 / d
+                partial = 1.0 - delta_eps * value * big_minus
+                if partial != 0:
+                    value = big_plus + value * exp(delta * log_c) / partial
+                    continue
+            else:
+                partial = delta_eps * big_minus - 1.0 / value
+                if partial != 0:
+                    value = big_plus - exp(delta * log_c) / partial
+                    continue
+            raise SingularDecomposition(
+                "continued fraction hit a zero partial denominator",
+                denominator_abs=0.0,
+            )
         if not isfinite(value):
             raise NonFiniteInput("group element coordinates must be finite")
     except OverflowError:  # an integer beyond double range, or exp(delta*log_c) overflowed
@@ -461,8 +469,12 @@ def alpha_continued_fraction(elements: Sequence[GroupElement]) -> complex:
 
     A zero running value is a removable case (its reciprocal only appears in
     a denominator that then blows up, killing the whole fraction term), so it
-    is taken in the limit; an exactly zero partial denominator is not
-    removable and raises, and a value that leaves double range raises NonFiniteInput.
+    is taken in the limit.  A nonzero running value below the smallest
+    normal double is removable too: its reciprocal cannot be evaluated in
+    double there, so that term takes the fold's form, the term multiplied
+    through by the value.  An exactly zero partial denominator, in either
+    form, is not removable and raises, and a value that leaves double range
+    raises NonFiniteInput.
     """
     if len(elements) == 0:
         raise EmptySequence("need at least one element")

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SingularDecomposition",
+    "AlgebraMismatch",
+    "NonFiniteInput",
+    "EmptySequence",
+    "NotFactorizable",
+    "InvalidFrequency",
+]
+
 
 class SingularDecomposition(ArithmeticError):
     """The requested Gauss (normal-ordered) decomposition does not exist.

@@ -17,10 +17,9 @@ from typing import Callable, Optional
 
 from .algebra import AlgebraKind, GroupElement, _Frozen, _setters, identity_element
 from .compose import _beyond_range, _disentangle_raw, _fold
-from .errors import InvalidFrequency, NonFiniteInput, SingularDecomposition
+from .errors import InvalidFrequency, SingularDecomposition
 
 __all__ = [
-    "EtaTriple",
     "HamiltonianSchedule",
     "EvolutionResult",
     "step_element",
@@ -73,8 +72,7 @@ def step_element(algebra: AlgebraKind, eta_j, tau: float) -> GroupElement:
     try:
         -1j * tau  # the slice's first product, where an integer beyond double range overflows
     except OverflowError:
-        bits = int(tau).bit_length()
-        raise NonFiniteInput(f"tau must be within double range, got an integer of {bits} bits") from None
+        raise _beyond_range(("tau",), (tau,)) from None
     schedule = HamiltonianSchedule(algebra, lambda t: eta_j, tau)
     return GroupElement(algebra, *next(_slices(schedule, 1, tau, False)))
 

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import gc
+import importlib
 import json
 import math
 import os
@@ -266,6 +267,26 @@ def test_compose_continued_fraction_agreement(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["alpha_abs_difference"] <= 1e-10
     assert as_complex(payload["alpha_continued_fraction"]) == pytest.approx(as_complex(payload["alpha"]))
+
+
+@pytest.mark.parametrize(
+    "seed, log_c, alpha",
+    # 1.0 / seed leaves double range; mpmath at 40 digits gives the first alpha
+    [([1e-309, 0], [700, 0], [0.10001014232054735, 0]), ([5e-324, 5e-324], [0, 0], [0.1, 5e-324])],
+    ids=["1e-309", "complex-subnormal"],
+)
+def test_compose_continued_fraction_of_a_value_whose_reciprocal_leaves_double_range(tmp_path, capsys, seed, log_c, alpha):
+    entries = [
+        {"Lambda_plus": seed, "log_c": [0.0, 0.0], "Lambda_minus": [0.0, 0.0]},
+        {"Lambda_plus": [0.1, 0.0], "log_c": log_c, "Lambda_minus": [0.1, 0.0]},
+    ]
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(entries))
+    code, out = run_cli(capsys, "compose", "--algebra", "su11", "--continued-fraction", str(path))
+    assert code == 0, out
+    payload = json.loads(out)
+    assert payload["alpha"] == payload["alpha_continued_fraction"] == alpha
+    assert payload["alpha_abs_difference"] == 0
 
 
 def test_compose_input_problems_exit_2(tmp_path, capsys):
@@ -1009,3 +1030,14 @@ for module in ("numpy", "dataclasses"):
 def test_import_bchkit_leaves_numpy_unloaded_until_the_oracle_is_used():
     proc = run_python("-c", LAZY_ORACLE)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_package_lists_only_its_lazy_names_and_reexports_the_rest():
+    eager = {name: importlib.import_module(f"bchkit.{name}") for name in ("algebra", "compose", "errors", "evolve")}
+    lazy = {name: importlib.import_module(f"bchkit.{name}") for name in ("oracle", "squeeze")}
+    assert bchkit._LAZY == {name: module for module in lazy for name in lazy[module].__all__}
+    assert len(bchkit.__all__) == len(set(bchkit.__all__))
+    listed = [(name, module) for module in eager.values() for name in module.__all__]
+    assert sorted(bchkit.__all__) == sorted([name for name, _ in listed] + [*bchkit._LAZY, "__version__"])
+    for name, module in listed:
+        assert getattr(bchkit, name) is getattr(module, name), name

@@ -555,6 +555,36 @@ def test_continued_fraction_survives_identity_seed():
     assert abs(alpha_continued_fraction(elements) - expected) <= 1e-12
 
 
+# mpmath at 40 digits: 0.1 + 1e-309 * exp(700) / (1 - delta*eps * 1e-309 * 0.1)
+TINY_SEED_ALPHA = 0.10001014232054735
+
+
+@pytest.mark.parametrize(
+    "seed, power, alpha",
+    # 1.0 / seed overflows: 1/1e-309 to inf, which dropped the term (0.1 instead of
+    # 0.10001...), and 1/(5e-324+5e-324j) to a nan part, which raised NonFiniteInput
+    [(1e-309 + 0j, 700, TINY_SEED_ALPHA), (5e-324 + 5e-324j, 0, 0.1)],
+    ids=["1e-309", "complex-subnormal"],
+)
+@pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda a: a.value)
+def test_continued_fraction_takes_a_value_whose_reciprocal_leaves_double_range(kind, seed, power, alpha):
+    log_c = power / complex(kind.delta)  # exp(delta*log_c) = exp(power)
+    elements = [GroupElement(kind, seed, 0j, 0j), GroupElement(kind, 0.1 + 0j, log_c, 0.1 + 0j)]
+    got = alpha_continued_fraction(elements)
+    assert abs(got - alpha) <= 1e-16 * alpha
+    # there the term takes the fold's step, so the two routes agree to the bit
+    assert complex_bits(got) == complex_bits(compose_many(elements).big_plus)
+
+
+@pytest.mark.parametrize("kind, big_minus", [(AlgebraKind.SU11, 2.0**1023), (AlgebraKind.SU2, -(2.0**1023))])
+def test_continued_fraction_zero_partial_after_a_value_whose_reciprocal_leaves_double_range(kind, big_minus):
+    # delta*eps * 2**-1023 * big_minus == 1 exactly: the same singular partial, not a ZeroDivisionError
+    elements = [GroupElement(kind, 2.0**-1023 + 0j, 0j, 0j), GroupElement(kind, 0.1 + 0j, 0j, big_minus + 0j)]
+    with pytest.raises(SingularDecomposition, match="^continued fraction hit a zero partial denominator$") as excinfo:
+        alpha_continued_fraction(elements)
+    assert excinfo.value.denominator_abs == 0.0
+
+
 def test_continued_fraction_rejects_mixed_algebras():
     with pytest.raises(AlgebraMismatch, match="^cannot compose so21 with su11$"):
         alpha_continued_fraction(
