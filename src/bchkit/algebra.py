@@ -74,6 +74,18 @@ def make_algebra(kind: str | AlgebraKind) -> AlgebraKind:
     raise ValueError(f"unknown algebra {shown}; expected one of {names}")
 
 
+def _finite(*values) -> bool:
+    """Whether every value is a finite double; an integer beyond double range is not.
+
+    The kernels' hot paths (the fold and the checks where tuples enter it)
+    keep their own inline tests; every other finiteness question asks this.
+    """
+    try:
+        return all(map(cmath.isfinite, values))
+    except OverflowError:
+        return False
+
+
 def _setters(cls) -> tuple:
     """The ``__set__`` of each of ``cls``'s slot descriptors, bound once, in slot order."""
     return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
@@ -130,14 +142,7 @@ class ExponentParams(_Frozen):
 
     def is_finite(self) -> bool:
         """Whether every coordinate is a finite double; an integer beyond double range is not."""
-        try:
-            return (
-                cmath.isfinite(self.lambda_plus)
-                and cmath.isfinite(self.lambda_c)
-                and cmath.isfinite(self.lambda_minus)
-            )
-        except OverflowError:
-            return False
+        return _finite(self.lambda_plus, self.lambda_c, self.lambda_minus)
 
 
 _set_lambda_plus, _set_lambda_c, _set_lambda_minus = _setters(ExponentParams)
@@ -173,15 +178,7 @@ class GroupElement(_Frozen):
 
     def is_finite(self) -> bool:
         """Whether every coordinate and the phase is a finite double; an integer beyond double range is not."""
-        try:
-            return (
-                cmath.isfinite(self.big_plus)
-                and cmath.isfinite(self.log_c)
-                and cmath.isfinite(self.big_minus)
-                and cmath.isfinite(self.phase)
-            )
-        except OverflowError:
-            return False
+        return _finite(self.big_plus, self.log_c, self.big_minus, self.phase)
 
 
 _set_algebra, _set_big_plus, _set_log_c, _set_big_minus, _set_phase = _setters(GroupElement)

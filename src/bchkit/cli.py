@@ -13,13 +13,12 @@ import argparse
 import cmath
 import gc
 import json
-import math
 import re
 import sys
 from bisect import bisect_right
 from cmath import isfinite
 
-from .algebra import AlgebraKind, ExponentParams, make_algebra
+from .algebra import AlgebraKind, ExponentParams, _finite, make_algebra
 from .compose import _compose_coords, _continued_fraction, disentangle
 from .errors import NonFiniteInput, SingularDecomposition
 from .evolve import (
@@ -82,14 +81,6 @@ def _require(condition, message: str) -> None:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _finite(a, b=0.0) -> bool:
-    """Whether the numbers are finite as doubles; an integer beyond double range is not."""
-    try:
-        return math.isfinite(a) and math.isfinite(b)
-    except OverflowError:
-        return False
 
 
 def _number_field(obj: dict, key: str, label: str = "schedule") -> float:

@@ -103,8 +103,9 @@ def _cosh_sinhc(nu: complex) -> tuple[complex, complex]:
 def _disentangle_raw(kernel, lp, lc, lm):
     """(big_plus, log_c, big_minus, nu) of exp(lp T+ + lc Tc + lm T-); see disentangle.
 
-    All four are finite (each route checks L+ and L-, and log_c is the log
-    of a finite, nonzero w), so a fold takes its coordinates unchecked.
+    All four are finite (L+ and L- are checked once, after either general
+    route or in _triangular, and log_c is the log of a finite, nonzero w),
+    so a fold takes its coordinates unchecked.
     """
     try:
         if not (isfinite(lp) and isfinite(lc) and isfinite(lm)):
@@ -118,24 +119,25 @@ def _disentangle_raw(kernel, lp, lc, lm):
         return _triangular(half_c, lp, lm, minus_two_over_delta)
     nu = cmath.sqrt(half_c * half_c - x)
     a_nu = abs(nu)
-    if a_nu < _SERIES_NU_THRESHOLD:
-        cosh_nu, sinhc_nu = _series(nu)
-    elif not a_nu <= 1.0:  # a NaN nu too
-        return _beyond_one(nu, a_nu, half_c, x, lp, lm, minus_two_over_delta)
-    else:  # _cosh_sinhc's closed form, inlined: one call less per slice
-        cosh_nu, sinhc_nu = cmath.cosh(nu), cmath.sinh(nu) / nu
-    w = cosh_nu - half_c * sinhc_nu
-    if not (abs(w) > _W_CLEAR and abs(half_c) <= 1.0):
-        # w's terms, plus the rounding of nu^2 = half_c^2 - x times a bound on
-        # |dw/d(nu^2)|, TOL_SINGULAR applied first to keep it finite
-        ah, ac, a_s = abs(half_c), abs(cosh_nu), abs(sinhc_nu)
-        tol_nu2 = _HALF_TOL * (ah * ah + abs(x))
-        _check_w(w, TOL_SINGULAR * (ac + ah * a_s) + tol_nu2 * (a_s + ah * (ac + a_s)), "|w|")
-    ratio = sinhc_nu / w
+    if not a_nu <= 1.0:  # a NaN nu too
+        ratio, log_w = _beyond_one(nu, a_nu, half_c, x)
+    else:
+        if a_nu < _SERIES_NU_THRESHOLD:
+            cosh_nu, sinhc_nu = _series(nu)
+        else:  # _cosh_sinhc's closed form, inlined: one call less per slice
+            cosh_nu, sinhc_nu = cmath.cosh(nu), cmath.sinh(nu) / nu
+        w = cosh_nu - half_c * sinhc_nu
+        if not (abs(w) > _W_CLEAR and abs(half_c) <= 1.0):
+            # w's terms, plus the rounding of nu^2 = half_c^2 - x times a bound on
+            # |dw/d(nu^2)|, TOL_SINGULAR applied first to keep it finite
+            ah, ac, a_s = abs(half_c), abs(cosh_nu), abs(sinhc_nu)
+            tol_nu2 = _HALF_TOL * (ah * ah + abs(x))
+            _check_w(w, TOL_SINGULAR * (ac + ah * a_s) + tol_nu2 * (a_s + ah * (ac + a_s)), "|w|")
+        ratio, log_w = sinhc_nu / w, cmath.log(w)
     big_plus, big_minus = lp * ratio, lm * ratio
     if not (isfinite(big_plus) and isfinite(big_minus)):
         raise NonFiniteInput("normal-ordered coordinates overflow double precision")
-    return big_plus, minus_two_over_delta * cmath.log(w), big_minus, nu
+    return big_plus, minus_two_over_delta * log_w, big_minus, nu
 
 
 def _check_w(w, scale, name):
@@ -154,22 +156,24 @@ def _principal(angle: float) -> float:
     return math.atan2(math.sin(angle), math.cos(angle))
 
 
-def _beyond_one(nu, a_nu, half_c, x, lp, lm, minus_two_over_delta):
-    """_disentangle_raw's result where |nu| > 1, on the exp(-nu) scale.
+def _beyond_one(nu, a_nu, half_c, x):
+    """(sinh(nu)/(nu w), principal log w) where |nu| > 1, on the exp(-nu) scale.
 
     With Re nu >= 0 (the principal root), m = exp(-2 nu) and
     s = (1 - m)/(2 nu) stay in range, cosh(nu) = exp(nu)*(1 + m)/2 and
-    sinh(nu)/nu = exp(nu)*s.  So w = exp(nu)*w_s, each L = l*s/w_s and
+    sinh(nu)/nu = exp(nu)*s.  So w = exp(nu)*w_s, the ratio is s/w_s and
     log w = nu + log w_s, taken to the principal branch.  A sign picks the
     form of w_s: m - x*s/(nu + half_c) where Re(conj(nu) half_c) > 0, so
     |nu + half_c| >= |nu| and it cancels only where w does, else
     (1 + m)/2 - half_c*s.  As where |nu| <= 1, each form's guard is its own
     terms before they cancel, plus the rounding of nu^2 times a bound on how
     far that moves the form; a singular w_s is reported as |w exp(-nu)|.
-    NonFiniteInput is raised only where nu or L leaves double range.
+    The caller forms L+- = l+- * ratio and checks them, as for |nu| <= 1; a
+    non-finite nu (x or half_c^2 overflowed) is returned as the ratio, so
+    that check reports it.
     """
-    if not isfinite(nu):  # x or half_c^2 overflowed
-        raise NonFiniteInput("normal-ordered coordinates overflow double precision")
+    if not isfinite(nu):  # lp and lm are nonzero here, so lp * nu is not finite either
+        return nu, nu
     m = cmath.exp(-2.0 * nu)
     s = (1.0 - m) / (2.0 * nu)
     ah, a_m, a_s = abs(half_c), abs(m), abs(s)
@@ -186,13 +190,8 @@ def _beyond_one(nu, a_nu, half_c, x, lp, lm, minus_two_over_delta):
         w_s = 0.5 * (1.0 + m) - h_s
         tol_w = tol_nu2 * (a_s + ah / (a_nu * a_nu) * (a_c + a_s))
         _check_w(w_s, TOL_SINGULAR * (a_c + abs(h_s)) + tol_w, "|w exp(-nu)|")
-    ratio = s / w_s
-    big_plus, big_minus = lp * ratio, lm * ratio
-    if not (isfinite(big_plus) and isfinite(big_minus)):
-        raise NonFiniteInput("normal-ordered coordinates overflow double precision")
     log_w = nu + cmath.log(w_s)
-    log_c = minus_two_over_delta * complex(log_w.real, _principal(log_w.imag))
-    return big_plus, log_c, big_minus, nu
+    return s / w_s, complex(log_w.real, _principal(log_w.imag))
 
 
 def _beyond_range(names, values) -> NonFiniteInput:
@@ -341,12 +340,18 @@ def _continued_fraction(algebra: AlgebraKind, coords: Iterable[tuple]) -> comple
                 # the term multiplied through by value: the fold's step p2 + p1 * pow_c2 / d
                 partial = 1.0 - delta_eps * value * big_minus
                 if partial != 0:
-                    value = big_plus + value * exp(delta * log_c) / partial
+                    try:
+                        value = big_plus + value * exp(delta * log_c) / partial
+                    except OverflowError:  # the term by logs, as the fold takes it
+                        value = big_plus + _term_by_logs(value, delta * log_c, cmath.log(partial))
                     continue
             else:
                 partial = delta_eps * big_minus - 1.0 / value
                 if partial != 0:
-                    value = big_plus - exp(delta * log_c) / partial
+                    try:
+                        value = big_plus - exp(delta * log_c) / partial
+                    except OverflowError:  # the term by logs, as the fold takes it
+                        value = big_plus - _term_by_logs(1.0, delta * log_c, cmath.log(partial))
                     continue
             raise SingularDecomposition(
                 "continued fraction hit a zero partial denominator",
@@ -354,7 +359,7 @@ def _continued_fraction(algebra: AlgebraKind, coords: Iterable[tuple]) -> comple
             )
         if not isfinite(value):
             raise NonFiniteInput("group element coordinates must be finite")
-    except OverflowError:  # an integer beyond double range, or exp(delta*log_c) overflowed
+    except OverflowError:  # an integer beyond double range; a power that overflows is taken by logs above
         names = ("big_plus", "big_plus", "log_c", "big_minus")
         raise _beyond_range(names, (value, big_plus, log_c, big_minus)) from None
     return value
@@ -474,7 +479,8 @@ def alpha_continued_fraction(elements: Sequence[GroupElement]) -> complex:
     double there, so that term takes the fold's form, the term multiplied
     through by the value.  An exactly zero partial denominator, in either
     form, is not removable and raises, and a value that leaves double range
-    raises NonFiniteInput.
+    raises NonFiniteInput.  Where a term's power exp(delta*log_c) leaves
+    double range, that term is taken by logs, as the fold takes it.
     """
     if len(elements) == 0:
         raise EmptySequence("need at least one element")

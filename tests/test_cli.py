@@ -21,8 +21,10 @@ from bchkit import (
     compose_squeezes,
     disentangle,
     element_matrix,
+    evolve,
     exponent_matrix,
     factor_squeeze_rotation,
+    oscillator_schedule,
 )
 import bchkit
 from bchkit.cli import _render, load_schedule, main
@@ -287,6 +289,24 @@ def test_compose_continued_fraction_of_a_value_whose_reciprocal_leaves_double_ra
     payload = json.loads(out)
     assert payload["alpha"] == payload["alpha_continued_fraction"] == alpha
     assert payload["alpha_abs_difference"] == 0
+
+
+def test_compose_continued_fraction_takes_an_overflowing_power_by_logs(tmp_path, capsys):
+    # exp(710) of the second element leaves double range (this exited 2); the term it
+    # scales does not, and the third element brings the product back down
+    entries = [
+        {"Lambda_plus": [1e-300, 0.0], "log_c": [0.0, 0.0], "Lambda_minus": [0.0, 0.0]},
+        {"Lambda_plus": [0.1, 0.0], "log_c": [710.0, 0.0], "Lambda_minus": [0.1, 0.0]},
+        {"Lambda_plus": [0.0, 0.0], "log_c": [-200.0, 0.0], "Lambda_minus": [0.0, 0.0]},
+    ]
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(entries))
+    code, out = run_cli(capsys, "compose", "--algebra", "su11", "--continued-fraction", str(path))
+    assert code == 0, out
+    payload = json.loads(out)
+    # 1.32e-14 relative: the rounding of exponents near 710 taken through exp
+    alpha = abs(as_complex(payload["alpha"]))
+    assert 0 < payload["alpha_abs_difference"] <= 2e-14 * alpha
 
 
 def test_compose_input_problems_exit_2(tmp_path, capsys):
@@ -564,6 +584,24 @@ def test_evolve_jump_preset_matches_matrix_oracle(tmp_path, capsys):
     )
     gap = np.max(np.abs(element_matrix(element) - exponent_matrix(AlgebraKind.SU11, lam)))
     assert gap <= 1e-10
+
+
+def test_evolve_jump_preset_switches_at_t_jump(tmp_path, capsys):
+    profile = {"type": "jump", "omega_before": 1.0, "omega_after": 1.7, "t_jump": 1.3}
+    sched = write_schedule(tmp_path, oscillator_with(profile, t_final=3.0))
+    code, out = run_cli(capsys, "evolve", "--schedule", sched, "--steps", "16")
+    assert code == 0
+    result = evolve(oscillator_schedule(1.0, lambda t: 1.0 if t < 1.3 else 1.7, 3.0), 16)
+    g = result.element
+    expected = {
+        "alpha": g.big_plus, "beta": g.big_c(), "gamma": g.big_minus, "log_c": g.log_c,
+        "steps": result.steps, "tau": result.tau,
+    }
+    assert out == _render(expected) + "\n"
+    del profile["t_jump"]  # switches at t = 0 instead
+    sched = write_schedule(tmp_path, oscillator_with(profile, t_final=3.0), name="at_zero.json")
+    code, out_at_zero = run_cli(capsys, "evolve", "--schedule", sched, "--steps", "16")
+    assert code == 0 and out_at_zero != out
 
 
 def test_evolve_csv_trajectory(tmp_path, capsys):

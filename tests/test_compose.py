@@ -174,6 +174,18 @@ def test_disentangle_overflow_raises_instead_of_returning_nan():
             disentangle(kind, lam)
 
 
+def test_disentangle_overflow_within_the_unit_disk_of_nu_raises():
+    # nu = 0.5 and w = cosh(0.5) * 1e-6 clears the guard, so the route for |nu| <= 1
+    # forms L+ = 1e306 * sinhc(nu)/w, about 1e312, and its shared check raises
+    nu = 0.5
+    h = nu / math.tanh(nu) * (1 - 1e-6)
+    x = h * h - nu * nu
+    lam = ExponentParams(1e306, 2 * h, x / 1e306)
+    assert abs(cmath.sqrt(0.25 * lam.lambda_c**2 - lam.lambda_plus * lam.lambda_minus) - nu) <= 1e-9
+    with pytest.raises(NonFiniteInput, match="^normal-ordered coordinates overflow double precision$"):
+        disentangle(AlgebraKind.SU11, lam)
+
+
 def test_disentangle_triangular_exponent_beyond_exp_range():
     # lambda_plus*lambda_minus = 0: w = exp(-lc/2), past where the general route's
     # sinhc(nu)/w overflows (lc = 800) or cosh(nu) itself does (lc = 1500)
@@ -574,6 +586,20 @@ def test_continued_fraction_takes_a_value_whose_reciprocal_leaves_double_range(k
     assert abs(got - alpha) <= 1e-16 * alpha
     # there the term takes the fold's step, so the two routes agree to the bit
     assert complex_bits(got) == complex_bits(compose_many(elements).big_plus)
+
+
+@pytest.mark.parametrize(
+    "seed, alpha",
+    # exp(710) leaves double range though the term it scales does not: the fold takes that
+    # term by logs, and the continued fraction raised NonFiniteInput on both
+    [(1e-300 + 0j, 223399476.7161764), (1e-309 + 0j, 0.3233994766161702)],
+    ids=["1e-300", "1e-309"],
+)
+def test_continued_fraction_takes_an_overflowing_power_by_logs(seed, alpha):
+    kind = AlgebraKind.SU11
+    elements = [GroupElement(kind, seed, 0j, 0j), GroupElement(kind, 0.1 + 0j, 710 + 0j, 0.1 + 0j)]
+    assert compose_many(elements).big_plus == alpha
+    assert abs(alpha_continued_fraction(elements) - alpha) <= 1e-15 * alpha
 
 
 @pytest.mark.parametrize("kind, big_minus", [(AlgebraKind.SU11, 2.0**1023), (AlgebraKind.SU2, -(2.0**1023))])
