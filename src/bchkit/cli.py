@@ -334,10 +334,12 @@ def _samples_schedule(samples, algebra: AlgebraKind, t_final: float) -> Hamilton
                 _complex_field(entry, "eta_minus", "sample", pos),
             )
         )
-    eta = _interp(
-        times, triples, lambda a, b, frac: tuple(x + (y - x) * frac for x, y in zip(a, b)),
-        '"samples"',
-    )
+
+    def blend(a, b, frac):
+        (p1, c1, m1), (p2, c2, m2) = a, b
+        return (p1 + (p2 - p1) * frac, c1 + (c2 - c1) * frac, m1 + (m2 - m1) * frac)
+
+    eta = _interp(times, triples, blend, '"samples"')
     _require(t_final >= times[-1], '"t_final" must not precede the last sample time')
     return HamiltonianSchedule(algebra, eta, t_final)
 

@@ -6,7 +6,8 @@ product exp(L+ T+) exp(lc Tc) exp(L- T-) by :func:`disentangle`; ordered
 products are multiplied by :func:`compose_pair` and folded over sequences by
 :func:`compose_many`.  The final raising coordinate of a long product also has
 a generalized continued fraction form, :func:`alpha_continued_fraction`, kept
-as an independent cross-check of the fold.
+as a cross-check of the fold: its arithmetic is independent of the fold's,
+its input check is the fold's.
 
 Underneath, private kernels do the arithmetic on plain complex triples, the
 three Gauss coordinates (big_plus, log_c, big_minus): one disentangles, one
@@ -16,9 +17,10 @@ compose_pair, compose_many of two), :func:`bchkit.evolve.evolve` and the
 returns its product and takes the product so far as a seed, so evolve's
 checkpoints fold chunk by chunk.  Tuples are checked where they enter it,
 so it checks only what it makes, and a singular error carries the step of
-the whole run.  An element's scalar phase is a central factor, so it only
-ever adds: compose_many sums the phases outside the fold.  The public
-functions wrap the same kernels, so every route gives the same bits.
+the whole run.  Every element sequence enters both kernels through one
+generator, which checks each element and sums the phases (a central
+factor, so they only ever add) outside the kernels.  The public functions
+wrap the same kernels, so every route gives the same bits.
 """
 
 from __future__ import annotations
@@ -325,12 +327,11 @@ def _compose_coords(algebra: AlgebraKind, coords: Iterable[tuple], count: int) -
 
 
 def _continued_fraction(algebra: AlgebraKind, coords: Iterable[tuple]) -> complex:
-    """Final raising coordinate of nonempty coordinate tuples; see alpha_continued_fraction."""
+    """Final raising coordinate of nonempty checked coordinate tuples; see alpha_continued_fraction."""
     delta, _, delta_eps, _, _ = algebra._kernel
     exp, tiny = cmath.exp, sys.float_info.min
     coords = iter(coords)
-    big_plus, log_c, big_minus = next(coords)  # bound for the error below, even with no loop
-    value = big_plus
+    value = next(coords)[0]
     try:
         for big_plus, log_c, big_minus in coords:
             if abs(value) < tiny:  # 1.0 / value would leave double range
@@ -357,11 +358,10 @@ def _continued_fraction(algebra: AlgebraKind, coords: Iterable[tuple]) -> comple
                 "continued fraction hit a zero partial denominator",
                 denominator_abs=0.0,
             )
-        if not isfinite(value):
-            raise NonFiniteInput("group element coordinates must be finite")
-    except OverflowError:  # an integer beyond double range; a power that overflows is taken by logs above
-        names = ("big_plus", "big_plus", "log_c", "big_minus")
-        raise _beyond_range(names, (value, big_plus, log_c, big_minus)) from None
+    except OverflowError:  # abs() of a value whose parts are finite but whose modulus is not
+        raise NonFiniteInput("group element coordinates must be finite") from None
+    if not isfinite(value):
+        raise NonFiniteInput("group element coordinates must be finite")
     return value
 
 
@@ -399,23 +399,16 @@ def disentangle(algebra: AlgebraKind, lam: ExponentParams) -> DisentangleResult:
     return DisentangleResult(GroupElement(algebra, big_plus, log_c, big_minus), nu)
 
 
-def _checked_coords(elements: Iterable[GroupElement], algebra: AlgebraKind) -> Iterator[tuple]:
-    """Coordinate triples of ``elements``, each checked against ``algebra`` as it is reached."""
-    for g in elements:
-        if g.algebra is not algebra:
-            raise AlgebraMismatch(f"cannot compose {g.algebra.value} with {algebra.value}")
-        yield g.big_plus, g.log_c, g.big_minus
-
-
-def _summed_coords(
+def _checked_coords(
     elements: Iterable[GroupElement], algebra: AlgebraKind, total: list
 ) -> Iterator[tuple]:
-    """_checked_coords that also adds the phases, left to right, and appends the sum to ``total``.
+    """Coordinate triples of ``elements``; the sum of their phases, left to right, goes on ``total``.
 
-    Here compose_many's tuples enter the fold, so each element is checked as
-    it is reached: its algebra, then its coordinates and the running phase
-    sum, which raise NonFiniteInput there if not finite (naming an integer
-    beyond double range), before any later pair is formed.
+    Every element sequence enters the kernels here, the fold's and the
+    continued fraction's, so each element is checked as it is reached: its
+    algebra, then its coordinates and the running phase sum, which raise
+    NonFiniteInput there if not finite (naming an integer beyond double
+    range), before any later pair is formed.
     """
     phase = None
     for g in elements:
@@ -459,9 +452,9 @@ def compose_many(elements: Sequence[GroupElement]) -> GroupElement:
     """
     count = len(elements)
     if count == 0:
-        raise EmptySequence("need at least one element to compose")
+        raise EmptySequence("need at least one element")
     algebra, phase = elements[0].algebra, []
-    coords = _compose_coords(algebra, _summed_coords(elements, algebra, phase), count)
+    coords = _compose_coords(algebra, _checked_coords(elements, algebra, phase), count)
     return elements[0] if count == 1 else GroupElement(algebra, *coords, *phase)
 
 
@@ -469,8 +462,10 @@ def alpha_continued_fraction(elements: Sequence[GroupElement]) -> complex:
     """Final raising coordinate of a product via its continued fraction.
 
     Evaluated bottom-up from the innermost term (the first element's raising
-    coordinate).  Independent of the fold in compose_many, which is the point:
-    agreement between the two is a nontrivial consistency check.
+    coordinate).  Its arithmetic is independent of the fold in compose_many,
+    which is the point: agreement between the two is a nontrivial consistency
+    check.  Its input check is the fold's: elements are read as compose_many
+    reads them, so the same input raises the same error at the same element.
 
     A zero running value is a removable case (its reciprocal only appears in
     a denominator that then blows up, killing the whole fraction term), so it
@@ -485,4 +480,4 @@ def alpha_continued_fraction(elements: Sequence[GroupElement]) -> complex:
     if len(elements) == 0:
         raise EmptySequence("need at least one element")
     algebra = elements[0].algebra
-    return _continued_fraction(algebra, _checked_coords(elements, algebra))
+    return _continued_fraction(algebra, _checked_coords(elements, algebra, []))

@@ -214,6 +214,7 @@ def oscillator_schedule(
     if not (math.isfinite(omega0) and omega0 > 0):
         raise InvalidFrequency(f"reference frequency must be positive, got {omega0}")
     _check_t_final(t_final)
+    omega0_sq, two_omega0, inf = omega0 * omega0, 2.0 * omega0, math.inf
 
     def eta(t: float):
         omega = omega_of_t(t)
@@ -221,10 +222,10 @@ def oscillator_schedule(
             omega = float(omega)
         except OverflowError:  # an integer beyond double range
             raise InvalidFrequency(f"omega({t:.6g}) is beyond double range") from None
-        if not (math.isfinite(omega) and omega > 0):
+        if not 0.0 < omega < inf:  # a NaN fails too
             raise InvalidFrequency(f"omega({t:.6g}) = {omega} is not positive")
-        coupling = (omega * omega - omega0 * omega0) / (2.0 * omega0)
-        cartan = (omega * omega + omega0 * omega0) / omega0
-        return (complex(coupling), complex(cartan), complex(coupling))
+        omega_sq = omega * omega
+        coupling = complex((omega_sq - omega0_sq) / two_omega0)
+        return (coupling, complex((omega_sq + omega0_sq) / omega0), coupling)
 
     return HamiltonianSchedule(AlgebraKind.SU11, eta, float(t_final))

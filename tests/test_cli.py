@@ -1,3 +1,4 @@
+import bisect
 import cmath
 import functools
 import gc
@@ -5,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -842,6 +844,43 @@ def test_schedule_interpolation_values(tmp_path):
     ]
     for t, eta in expected:
         assert samples.eta(t) == tuple(complex(v) for v in eta), t
+
+
+def frozen_samples_eta(times, triples, t):
+    """The samples schedule's eta as first written, blending through tuple(); a fixed reference."""
+    if t <= times[0]:
+        return triples[0]
+    if t >= times[-1]:
+        return triples[-1]
+    i = bisect.bisect_right(times, t) - 1
+    frac = (t - times[i]) / (times[i + 1] - times[i])
+    return tuple(x + (y - x) * frac for x, y in zip(triples[i], triples[i + 1]))
+
+
+def complex_bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def test_samples_eta_is_bit_for_bit_the_first_blend(tmp_path):
+    rng = np.random.default_rng(101)
+    times = [0, *np.cumsum(rng.uniform(0.1, 2.0, 11)).tolist()]  # an int first knot
+    knots = [[rng.uniform(-3, 3, 2).tolist() for _ in range(3)] for _ in times]
+    knots[1] = [[1, -2], [0, 3], [-1, 0]]  # integer components
+    path = write_schedule(
+        tmp_path,
+        {
+            "format": 1, "algebra": "su2", "t_final": times[-1] + 1.0,
+            "samples": [
+                {"t": t, "eta_plus": p, "eta_c": c, "eta_minus": m} for t, (p, c, m) in zip(times, knots)
+            ],
+        },
+    )
+    schedule = load_schedule(path)
+    triples = [tuple(complex(*v) for v in knot) for knot in knots]
+    between = rng.uniform(-1.0, times[-1] + 1.0, 200).tolist()
+    for t in [*times, *between, *map(np.float64, between[:20])]:
+        got = schedule.eta(t)
+        assert [complex_bits(z) for z in got] == [complex_bits(z) for z in frozen_samples_eta(times, triples, t)], t
 
 
 def test_evolve_rejects_bad_steps(tmp_path, capsys):

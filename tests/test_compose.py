@@ -526,8 +526,11 @@ def test_continued_fraction_never_returns_non_finite():
 
 @pytest.mark.parametrize(
     "count, position, index, name",
-    # the first element's log_c and big_minus never enter the fraction
-    [(1, 0, 0, "big_plus"), (2, 0, 0, "big_plus"), (2, 1, 0, "big_plus"), (2, 1, 1, "log_c"), (2, 1, 2, "big_minus")],
+    [
+        (1, 0, 0, "big_plus"), (1, 0, 1, "log_c"), (1, 0, 2, "big_minus"),
+        (2, 0, 0, "big_plus"), (2, 0, 1, "log_c"), (2, 0, 2, "big_minus"),
+        (2, 1, 0, "big_plus"), (2, 1, 1, "log_c"), (2, 1, 2, "big_minus"),
+    ],
 )
 def test_continued_fraction_names_an_integer_beyond_double_range(count, position, index, name):
     # its arithmetic would raise a bare OverflowError that names nothing
@@ -618,6 +621,44 @@ def test_continued_fraction_rejects_mixed_algebras():
         )
     with pytest.raises(EmptySequence):
         alpha_continued_fraction([])
+
+
+def parity_rows():
+    """(id, elements) on which the continued fraction must raise as compose_many does."""
+    su11 = AlgebraKind.SU11
+    ident = identity_element(su11)
+    h = GroupElement(su11, 0.1 + 0j, 0j, 0.1 + 0j)
+    rows = []
+    for bad_value in (math.nan, math.inf, -math.inf):
+        for index, name in enumerate(("big_plus", "log_c", "big_minus")):
+            coords = [0.1, 0, 0.1]
+            coords[index] = bad_value
+            bad = GroupElement(su11, *coords)
+            rows.append((f"{name}={bad_value}-first", [bad, h]))
+            rows.append((f"{name}={bad_value}-after-identity", [ident, bad]))
+            rows.append((f"{name}={bad_value}-mid", [h, h, bad, h]))
+    big_phase = GroupElement(su11, 0j, 0j, 0j, 1e308 + 0j)
+    rows += [
+        ("nan-phase", [h, GroupElement(su11, 0.1 + 0j, 0j, 0.1 + 0j, complex(math.nan, 0))]),
+        ("overflowing-phase-sum", [h, big_phase, big_phase, h]),
+        ("integer-beyond-double-range", [GroupElement(su11, 0.1, -(10**400), 0.1), h]),
+        # both parts are finite, |big_plus| is not: abs() of it overflows in the fraction
+        ("value-beyond-double-range", [GroupElement(su11, 1.5e308 + 1.5e308j, 0j, 0j), h]),
+        ("mixed-algebras", [ident, h, identity_element(AlgebraKind.SO21)]),
+        ("empty", []),
+    ]
+    return rows
+
+
+def raised(evaluate, elements):
+    with pytest.raises(Exception) as excinfo:
+        evaluate(elements)
+    return type(excinfo.value), str(excinfo.value)
+
+
+@pytest.mark.parametrize("elements", [pytest.param(e, id=i) for i, e in parity_rows()])
+def test_continued_fraction_rejects_what_the_fold_rejects(elements):
+    assert raised(alpha_continued_fraction, elements) == raised(compose_many, elements)
 
 
 def frozen_alpha_continued_fraction(elements):

@@ -418,6 +418,48 @@ def test_sudden_jump_squeezing_magnitude():
     assert gap <= 1e-12
 
 
+def frozen_oscillator_eta(omega0, omega):
+    """oscillator_schedule's eta as first written, for a valid omega; a fixed reference."""
+    omega0, omega = float(omega0), float(omega)
+    coupling = (omega * omega - omega0 * omega0) / (2.0 * omega0)
+    cartan = (omega * omega + omega0 * omega0) / omega0
+    return (complex(coupling), complex(cartan), complex(coupling))
+
+
+def triple_bits(triple):
+    return tuple(struct.pack("<dd", z.real, z.imag) for z in triple)
+
+
+def test_oscillator_eta_is_bit_for_bit_the_first_formula():
+    rng = np.random.default_rng(97)
+    spread = [m * 10.0**e for e in range(-150, 151, 10) for m in rng.uniform(1.0, 10.0, 2)]
+    frequencies = [1, 2, 7, np.float64(1.3), np.float64(0.25), np.float32(0.7), *spread]
+    for omega0 in frequencies:
+        schedule = oscillator_schedule(omega0, lambda t: frequencies[int(t)], len(frequencies))
+        for k, omega in enumerate(frequencies):
+            got = schedule.eta(float(k))
+            assert triple_bits(got) == triple_bits(frozen_oscillator_eta(omega0, omega)), (omega0, omega)
+
+
+@pytest.mark.parametrize(
+    "omega, message",
+    [
+        (math.nan, "omega(0.25) = nan is not positive"),
+        (math.inf, "omega(0.25) = inf is not positive"),
+        (-math.inf, "omega(0.25) = -inf is not positive"),
+        (0, "omega(0.25) = 0.0 is not positive"),
+        (-1, "omega(0.25) = -1.0 is not positive"),
+        (10**400, "omega(0.25) is beyond double range"),
+    ],
+    ids=["nan", "inf", "-inf", "0", "-1", "10**400"],
+)
+def test_oscillator_eta_names_an_invalid_frequency(omega, message):
+    schedule = oscillator_schedule(1.0, lambda t: omega, 1.0)
+    with pytest.raises(InvalidFrequency) as excinfo:
+        schedule.eta(0.25)
+    assert str(excinfo.value) == message
+
+
 def test_invalid_frequencies_rejected():
     with pytest.raises(InvalidFrequency):
         oscillator_schedule(-1.0, lambda t: 1.0, 1.0)
