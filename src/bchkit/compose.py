@@ -88,13 +88,6 @@ def _series(nu: complex) -> tuple[complex, complex]:
     return (1 + 0j) + nu_sq / 2.0 + p2 / 24.0, (1 + 0j) + nu_sq / 6.0 + p2 / 120.0
 
 
-def _cosh_sinhc(nu: complex) -> tuple[complex, complex]:
-    """cosh(nu) and sinh(nu)/nu as a pair; both even in nu, finite at nu = 0."""
-    if abs(nu) < _SERIES_NU_THRESHOLD:
-        return _series(nu)
-    return cmath.cosh(nu), cmath.sinh(nu) / nu
-
-
 # Raw kernels.  Coordinates travel as plain complex triples, the three Gauss
 # coordinates (big_plus, log_c, big_minus); only the public wrappers and the
 # results of folds build GroupElement objects.  The scalar phase never enters
@@ -126,7 +119,7 @@ def _disentangle_raw(kernel, lp, lc, lm):
     else:
         if a_nu < _SERIES_NU_THRESHOLD:
             cosh_nu, sinhc_nu = _series(nu)
-        else:  # _cosh_sinhc's closed form, inlined: one call less per slice
+        else:
             cosh_nu, sinhc_nu = cmath.cosh(nu), cmath.sinh(nu) / nu
         w = cosh_nu - half_c * sinhc_nu
         if not (abs(w) > _W_CLEAR and abs(half_c) <= 1.0):
@@ -222,7 +215,11 @@ def _triangular(half_c, lp, lm, minus_two_over_delta):
     log_w = complex(-half_c.real, _principal(-half_c.imag))
     rising = (half_c.real, half_c.imag) >= (0.0, 0.0)
     nu = half_c if rising else -half_c  # the principal root, Re nu >= 0, so |g| <= 1
-    g = _cosh_sinhc(nu)[1] * cmath.exp(-nu) if nu.real < 709.0 else 0.5 / nu
+    if nu.real < 709.0:
+        sinhc = _series(nu)[1] if abs(nu) < _SERIES_NU_THRESHOLD else cmath.sinh(nu) / nu
+        g = sinhc * cmath.exp(-nu)
+    else:
+        g = 0.5 / nu
 
     def coordinate(l):
         if l == 0:

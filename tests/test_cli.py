@@ -3,14 +3,15 @@ import cmath
 import functools
 import gc
 import importlib
+import itertools
 import json
 import math
 import os
+import random
 import struct
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from bchkit import (
@@ -35,14 +36,46 @@ from bchkit.cli import _render, load_schedule, main
 HUGE = int("9" * 401)
 
 
+def refuse_constant(name):
+    raise ValueError(f"non-finite {name} in output")
+
+
+def check_body(out):
+    """Fail unless out is one strict JSON object (no NaN or Infinity) with no bare "math range error"."""
+    assert isinstance(json.loads(out, parse_constant=refuse_constant), dict), out
+    assert "math range error" not in out, out
+
+
 def run_cli(capsys, *argv):
+    """main's exit code and stdout; a nonempty stdout must pass check_body."""
     code = main(list(argv))
-    return code, capsys.readouterr().out
+    out = capsys.readouterr().out
+    if out:
+        check_body(out)
+    return code, out
+
+
+def test_run_cli_checks_every_body():
+    check_body('{"alpha": [0.1, 0]}\n')
+    for out in ('{"error": "math range error"}\n', '{"alpha": [NaN, 0]}\n', '[0.1, 0]\n', '{} {}\n'):
+        with pytest.raises((AssertionError, ValueError)):
+            check_body(out)
 
 
 def pair(z):
     z = complex(z)
     return [z.real, z.imag]
+
+
+def random_exponent(rng, scale):
+    """An exponent whose six real parts are uniform on [-scale, scale]."""
+    parts = [rng.uniform(-scale, scale) for _ in range(6)]
+    return ExponentParams(complex(*parts[0:2]), complex(*parts[2:4]), complex(*parts[4:6]))
+
+
+def element_entry(g):
+    """An element file entry of g's coordinates."""
+    return {"Lambda_plus": pair(g.big_plus), "log_c": pair(g.log_c), "Lambda_minus": pair(g.big_minus)}
 
 
 def as_complex(value):
@@ -70,11 +103,7 @@ def test_disentangle_cartan_output(capsys):
 
 
 def test_disentangle_matches_library_bitwise(capsys):
-    rng = np.random.default_rng(97)
-    parts = rng.uniform(-0.5, 0.5, 6)
-    lam = ExponentParams(
-        complex(parts[0], parts[1]), complex(parts[2], parts[3]), complex(parts[4], parts[5])
-    )
+    lam = random_exponent(random.Random(97), 0.5)
     args = [f"{v.real!r},{v.imag!r}" for v in (lam.lambda_plus, lam.lambda_c, lam.lambda_minus)]
     code, out = run_cli(capsys, "disentangle", "--algebra", "so21", "--lambda", *args)
     assert code == 0
@@ -114,15 +143,30 @@ def test_disentangle_exponent_beyond_cosh_range_exits_0(capsys):
     assert as_complex(payload["log_c"]) == pytest.approx(-2 * 799.3068528194400547, rel=1e-15)
 
 
-def test_disentangle_singular_exits_3(capsys):
+def test_disentangle_singular_exits_3(tmp_path, capsys):
+    # exp(pi/2 (T+ + T-)) has no normal-ordered form, alone and as the slice of step 7 of an
+    # evolve run: eta is 0 up to t = 1.5 and eta_plus = eta_minus = 2 pi i at t = 1.75, so with
+    # tau = 0.25 step 7, the first of the third chunk of 3, is singular, and the body names it
     half_pi = repr(math.pi / 2)
-    code, out = run_cli(
-        capsys, "disentangle", "--algebra", "su11", "--lambda", f"{half_pi},0", "0,0", f"{half_pi},0"
-    )
-    assert code == 3
-    payload = json.loads(out)
-    assert "error" in payload
-    assert payload["denominator_abs"] <= 1e-12
+    quiet = {"eta_plus": [0, 0], "eta_c": [0, 0], "eta_minus": [0, 0]}
+    kick = dict(quiet, t=1.75, eta_plus=[0, 2 * math.pi], eta_minus=[0, 2 * math.pi])
+    sched = write_schedule(tmp_path, {
+        "format": 1, "algebra": "su11", "t_final": 2.5,
+        "samples": [dict(quiet, t=0), dict(quiet, t=1.5), kick],
+    })
+    csv_path = str(tmp_path / "singular.csv")
+    cases = [
+        (["disentangle", "--algebra", "su11", "--lambda", f"{half_pi},0", "0,0", f"{half_pi},0"], {}),
+        (["evolve", "--schedule", sched, "--steps", "10", "--csv", csv_path, "--checkpoints", "3"],
+         {"step": 7, "time": 1.75}),
+    ]
+    for argv, named in cases:
+        code, out = run_cli(capsys, *argv)
+        assert code == 3
+        payload = json.loads(out)
+        assert "error" in payload
+        assert payload["denominator_abs"] <= 1e-12
+        assert {key: payload[key] for key in named} == named
 
 
 def test_disentangle_huge_coordinate_is_not_singular(capsys):
@@ -253,17 +297,10 @@ def test_compose_consumes_disentangle_output(tmp_path, capsys):
 
 
 def test_compose_continued_fraction_agreement(tmp_path, capsys):
-    rng = np.random.default_rng(101)
-    entries = []
-    for _ in range(5):
-        parts = rng.uniform(-0.5, 0.5, 6)
-        lam = ExponentParams(
-            complex(parts[0], parts[1]), complex(parts[2], parts[3]), complex(parts[4], parts[5])
-        )
-        g = disentangle(AlgebraKind.SU11, lam).element
-        entries.append(
-            {"Lambda_plus": pair(g.big_plus), "log_c": pair(g.log_c), "Lambda_minus": pair(g.big_minus)}
-        )
+    rng = random.Random(101)
+    entries = [
+        element_entry(disentangle(AlgebraKind.SU11, random_exponent(rng, 0.5)).element) for _ in range(5)
+    ]
     path = tmp_path / "five.json"
     path.write_text(json.dumps(entries))
     code, out = run_cli(capsys, "compose", "--algebra", "su11", "--continued-fraction", str(path))
@@ -584,7 +621,7 @@ def test_evolve_jump_preset_matches_matrix_oracle(tmp_path, capsys):
     lam = ExponentParams(
         -1j * t_final * coupling, -1j * t_final * cartan, -1j * t_final * coupling
     )
-    gap = np.max(np.abs(element_matrix(element) - exponent_matrix(AlgebraKind.SU11, lam)))
+    gap = abs(element_matrix(element) - exponent_matrix(AlgebraKind.SU11, lam)).max()
     assert gap <= 1e-10
 
 
@@ -861,10 +898,19 @@ def complex_bits(z):
     return struct.pack("<dd", z.real, z.imag)
 
 
+def numpy_float64s(values):
+    """values as numpy.float64 scalars, or none where numpy cannot be imported."""
+    try:
+        float64 = importlib.import_module("numpy").float64
+    except ImportError:
+        return []
+    return [float64(v) for v in values]
+
+
 def test_samples_eta_is_bit_for_bit_the_first_blend(tmp_path):
-    rng = np.random.default_rng(101)
-    times = [0, *np.cumsum(rng.uniform(0.1, 2.0, 11)).tolist()]  # an int first knot
-    knots = [[rng.uniform(-3, 3, 2).tolist() for _ in range(3)] for _ in times]
+    rng = random.Random(101)
+    times = [0, *itertools.accumulate(rng.uniform(0.1, 2.0) for _ in range(11))]  # an int first knot
+    knots = [[[rng.uniform(-3, 3) for _ in range(2)] for _ in range(3)] for _ in times]
     knots[1] = [[1, -2], [0, 3], [-1, 0]]  # integer components
     path = write_schedule(
         tmp_path,
@@ -877,8 +923,8 @@ def test_samples_eta_is_bit_for_bit_the_first_blend(tmp_path):
     )
     schedule = load_schedule(path)
     triples = [tuple(complex(*v) for v in knot) for knot in knots]
-    between = rng.uniform(-1.0, times[-1] + 1.0, 200).tolist()
-    for t in [*times, *between, *map(np.float64, between[:20])]:
+    between = [rng.uniform(-1.0, times[-1] + 1.0) for _ in range(200)]
+    for t in [*times, *between, *numpy_float64s(between[:20])]:
         got = schedule.eta(t)
         assert [complex_bits(z) for z in got] == [complex_bits(z) for z in frozen_samples_eta(times, triples, t)], t
 
@@ -901,18 +947,10 @@ ODD_POSITIONS = {"first": 0, "middle": FILE_LENGTH // 2, "last": FILE_LENGTH - 1
 @functools.lru_cache(maxsize=None)
 def float_entries(algebra):
     """FILE_LENGTH element file entries with "log_c" and float pairs only."""
-    rng = np.random.default_rng(211)
-    entries = []
-    for _ in range(FILE_LENGTH):
-        parts = rng.uniform(-0.4, 0.4, 6)
-        lam = ExponentParams(
-            complex(parts[0], parts[1]), complex(parts[2], parts[3]), complex(parts[4], parts[5])
-        )
-        g = disentangle(algebra, lam).element
-        entries.append(
-            {"Lambda_plus": pair(g.big_plus), "log_c": pair(g.log_c), "Lambda_minus": pair(g.big_minus)}
-        )
-    return tuple(entries)
+    rng = random.Random(211)
+    return tuple(
+        element_entry(disentangle(algebra, random_exponent(rng, 0.4)).element) for _ in range(FILE_LENGTH)
+    )
 
 
 def with_odd_entry(algebra, make_odd, position):
@@ -944,6 +982,19 @@ VALID_ODD = {
     "extra-keys": lambda e: dict(e, note="not read", phase=[1.0, 2.0]),
 }
 
+
+def mixed_entries(algebra):
+    """float_entries with a "Lambda_c" entry every 7th (k % 7 == 3) and an integer-parts
+    entry every 11th (k % 11 == 5, where no "Lambda_c" entry is): a long file of every kind."""
+    entries = list(float_entries(algebra))
+    for k, entry in enumerate(entries):
+        if k % 7 == 3:
+            entries[k] = VALID_ODD["Lambda_c"](entry)
+        elif k % 11 == 5:
+            entries[k] = VALID_ODD["integer-parts"](entry)
+    return entries
+
+
 # invalid entries and the error each gets; {pos} is the entry's 1-based position
 INVALID_ODD = {
     "true-in-pair": (
@@ -969,11 +1020,15 @@ INVALID_ODD = {
 
 @pytest.mark.parametrize(
     "odd, position",
-    [("none", None)] + [(odd, position) for odd in sorted(VALID_ODD) for position in ODD_POSITIONS],
+    [("none", None), ("mixed", None)]
+    + [(odd, position) for odd in sorted(VALID_ODD) for position in ODD_POSITIONS],
 )
 @pytest.mark.parametrize("algebra", list(AlgebraKind), ids=lambda a: a.value)
 def test_compose_file_prints_the_library_fold(tmp_path, capsys, algebra, odd, position):
-    entries = with_odd_entry(algebra, VALID_ODD.get(odd), position)
+    if odd == "mixed":
+        entries = mixed_entries(algebra)
+    else:
+        entries = with_odd_entry(algebra, VALID_ODD.get(odd), position)
     path = tmp_path / "elements.json"
     path.write_text(json.dumps(entries))
     code, out = run_cli(capsys, "compose", "--algebra", algebra.value, "--continued-fraction", str(path))

@@ -1,12 +1,17 @@
-"""disentangle against the extended-precision reference in reference.py."""
+"""disentangle against the extended-precision reference in reference.py, and
+_triangular against its first arithmetic on the same draws."""
 
 import cmath
 import math
+import struct
+import sys
+from cmath import isfinite
 
 import numpy as np
 import pytest
 
-from bchkit import AlgebraKind, ExponentParams, disentangle
+from bchkit import AlgebraKind, ExponentParams, NonFiniteInput, disentangle
+from bchkit.compose import _SERIES_NU_THRESHOLD, _principal, _series, _triangular
 from reference import CENSUS_BOUND, gauss_coordinates, relative_error, worst_relative_error
 
 # Relative bound on every coordinate of a triangular exponent's disentangling.
@@ -17,29 +22,87 @@ def unit(rng):
     return cmath.exp(1j * rng.uniform(-math.pi, math.pi))
 
 
+def triangular_draws(rng, magnitudes=(0.1, 1, 10, 25, 100, 300)):
+    """(side, lp, lc, lm) with lp*lm == 0: 20 draws per side for each |lambda_c|."""
+    for magnitude in magnitudes:
+        for side in ("plus", "minus"):
+            for _ in range(20):
+                lc = magnitude * unit(rng)
+                l = 10.0 ** rng.uniform(-1, 1) * unit(rng)
+                lp, lm = (l, 0j) if side == "plus" else (0j, l)
+                yield side, lp, lc, lm
+
+
 @pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda a: a.value)
 def test_triangular_census_matches_the_reference(kind):
     # lambda_plus*lambda_minus == 0: w = exp(-delta*lambda_c/2) exactly, which the
     # general form cosh(nu) - (delta*lambda_c/2) sinh(nu)/nu only reaches by cancellation
     rng = np.random.default_rng(12)
     worst, where = 0.0, None
-    for magnitude in (0.1, 1, 10, 25, 100, 300):
-        for side in ("plus", "minus"):
-            for _ in range(20):
-                lc = magnitude * unit(rng)
-                l = 10.0 ** rng.uniform(-1, 1) * unit(rng)
-                lp, lm = (l, 0j) if side == "plus" else (0j, l)
-                g = disentangle(kind, ExponentParams(lp, lc, lm)).element
-                big_plus, log_c, big_minus, period = gauss_coordinates(kind.value, lp, lc, lm)
-                zero, nonzero = (g.big_minus, g.big_plus) if side == "plus" else (g.big_plus, g.big_minus)
-                assert zero == 0, (lp, lc, lm)
-                errors = (
-                    relative_error(nonzero, big_plus if side == "plus" else big_minus),
-                    relative_error(g.log_c, log_c, period),
-                )
-                if max(errors) > worst:
-                    worst, where = max(errors), (lp, lc, lm)
+    for side, lp, lc, lm in triangular_draws(rng):
+        g = disentangle(kind, ExponentParams(lp, lc, lm)).element
+        big_plus, log_c, big_minus, period = gauss_coordinates(kind.value, lp, lc, lm)
+        zero, nonzero = (g.big_minus, g.big_plus) if side == "plus" else (g.big_plus, g.big_minus)
+        assert zero == 0, (lp, lc, lm)
+        errors = (
+            relative_error(nonzero, big_plus if side == "plus" else big_minus),
+            relative_error(g.log_c, log_c, period),
+        )
+        if max(errors) > worst:
+            worst, where = max(errors), (lp, lc, lm)
     assert worst <= TRIANGULAR_BOUND, (worst, where)
+
+
+def seed_triangular(half_c, lp, lm, minus_two_over_delta):
+    """_triangular as it was when g came from the pair (cosh(nu), sinh(nu)/nu); kept verbatim."""
+
+    def _cosh_sinhc(nu):
+        if abs(nu) < _SERIES_NU_THRESHOLD:
+            return _series(nu)
+        return cmath.cosh(nu), cmath.sinh(nu) / nu
+
+    log_w = complex(-half_c.real, _principal(-half_c.imag))
+    rising = (half_c.real, half_c.imag) >= (0.0, 0.0)
+    nu = half_c if rising else -half_c
+    g = _cosh_sinhc(nu)[1] * cmath.exp(-nu) if nu.real < 709.0 else 0.5 / nu
+
+    def coordinate(l):
+        if l == 0:
+            return 0j
+        lg = l * g
+        if not rising:
+            return lg
+        if half_c.real < 709.0 and abs(lg) >= sys.float_info.min:
+            e = cmath.exp(half_c)
+            return lg * e * e
+        try:
+            return cmath.exp(cmath.log(l) + cmath.log(g) + 2.0 * half_c)
+        except OverflowError:
+            return complex(math.inf, 0.0)
+
+    big_plus, big_minus = coordinate(lp), coordinate(lm)
+    if not (isfinite(big_plus) and isfinite(big_minus)):
+        raise NonFiniteInput("normal-ordered coordinates overflow double precision")
+    return big_plus, minus_two_over_delta * log_w, big_minus, nu
+
+
+def outcome(function, *args):
+    """Bit patterns of a kernel's result, or the message of the NonFiniteInput it raised."""
+    try:
+        return [struct.pack("<dd", z.real, z.imag) for z in function(*args)]
+    except NonFiniteInput as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda a: a.value)
+def test_triangular_g_keeps_its_bits(kind):
+    # g = sinh(nu)/nu * exp(-nu) no longer forms cosh(nu); the census draws, plus
+    # |lambda_c| = 1e-5 for the series and 2000 for Re nu >= 709, keep every bit
+    _, half_delta, _, _, minus_two_over_delta = kind._kernel
+    rng = np.random.default_rng(12)
+    for _, lp, lc, lm in triangular_draws(rng, (1e-5, 0.1, 1, 10, 25, 100, 300, 2000)):
+        args = (half_delta * lc, lp, lm, minus_two_over_delta)
+        assert outcome(_triangular, *args) == outcome(seed_triangular, *args), (lp, lc, lm)
 
 
 def census_draw(rng, region):
