@@ -329,34 +329,35 @@ def _continued_fraction(algebra: AlgebraKind, coords: Iterable[tuple]) -> comple
     exp, tiny = cmath.exp, sys.float_info.min
     coords = iter(coords)
     value = next(coords)[0]
-    try:
-        for big_plus, log_c, big_minus in coords:
-            if abs(value) < tiny:  # 1.0 / value would leave double range
-                if value == 0:
-                    value = big_plus
-                    continue
-                # the term multiplied through by value: the fold's step p2 + p1 * pow_c2 / d
-                partial = 1.0 - delta_eps * value * big_minus
-                if partial != 0:
-                    try:
-                        value = big_plus + value * exp(delta * log_c) / partial
-                    except OverflowError:  # the term by logs, as the fold takes it
-                        value = big_plus + _term_by_logs(value, delta * log_c, cmath.log(partial))
-                    continue
-            else:
-                partial = delta_eps * big_minus - 1.0 / value
-                if partial != 0:
-                    try:
-                        value = big_plus - exp(delta * log_c) / partial
-                    except OverflowError:  # the term by logs, as the fold takes it
-                        value = big_plus - _term_by_logs(1.0, delta * log_c, cmath.log(partial))
-                    continue
-            raise SingularDecomposition(
-                "continued fraction hit a zero partial denominator",
-                denominator_abs=0.0,
-            )
-    except OverflowError:  # abs() of a value whose parts are finite but whose modulus is not
-        raise NonFiniteInput("group element coordinates must be finite") from None
+    for big_plus, log_c, big_minus in coords:
+        try:
+            beyond = abs(value) < tiny  # 1.0 / value would leave double range
+        except OverflowError:  # both parts finite, the modulus not: 1.0 / value underflows
+            beyond = True
+        if beyond:
+            if value == 0:
+                value = big_plus
+                continue
+            # the term multiplied through by value: the fold's step p2 + p1 * pow_c2 / d
+            partial = 1.0 - delta_eps * value * big_minus
+            if partial != 0:
+                try:
+                    value = big_plus + value * exp(delta * log_c) / partial
+                except OverflowError:  # the term by logs, as the fold takes it
+                    value = big_plus + _term_by_logs(value, delta * log_c, cmath.log(partial))
+                continue
+        else:
+            partial = delta_eps * big_minus - 1.0 / value
+            if partial != 0:
+                try:
+                    value = big_plus - exp(delta * log_c) / partial
+                except OverflowError:  # the term by logs, as the fold takes it
+                    value = big_plus - _term_by_logs(1.0, delta * log_c, cmath.log(partial))
+                continue
+        raise SingularDecomposition(
+            "continued fraction hit a zero partial denominator",
+            denominator_abs=0.0,
+        )
     if not isfinite(value):
         raise NonFiniteInput("group element coordinates must be finite")
     return value
@@ -466,13 +467,16 @@ def alpha_continued_fraction(elements: Sequence[GroupElement]) -> complex:
 
     A zero running value is a removable case (its reciprocal only appears in
     a denominator that then blows up, killing the whole fraction term), so it
-    is taken in the limit.  A nonzero running value below the smallest
-    normal double is removable too: its reciprocal cannot be evaluated in
-    double there, so that term takes the fold's form, the term multiplied
-    through by the value.  An exactly zero partial denominator, in either
-    form, is not removable and raises, and a value that leaves double range
-    raises NonFiniteInput.  Where a term's power exp(delta*log_c) leaves
-    double range, that term is taken by logs, as the fold takes it.
+    is taken in the limit.  A nonzero running value whose reciprocal cannot
+    be evaluated in double, one below the smallest normal double or one
+    whose parts are finite but whose modulus is not, is removable too: that
+    term takes the fold's form, the term multiplied through by the value.
+    On that branch the term is the fold's own arithmetic, so there the
+    cross-check is not independent.  An exactly zero partial denominator,
+    in either form, is not removable and raises, and a value that leaves
+    double range raises NonFiniteInput.  Where a term's power
+    exp(delta*log_c) leaves double range, that term is taken by logs, as the
+    fold takes it.
     """
     if len(elements) == 0:
         raise EmptySequence("need at least one element")

@@ -1,7 +1,5 @@
 import cmath
-import copy
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -24,6 +22,7 @@ from bchkit import (
     make_algebra,
 )
 from bchkit.algebra import _Frozen
+from frozen import clones
 
 
 def test_structure_constants():
@@ -103,12 +102,6 @@ def test_finiteness_helpers():
 
 # ---------------------------------------------------------------------------
 # value types: frozen, compared and hashed by field values, picklable
-
-
-def clones(value):
-    """Copies of ``value`` made by every pickle protocol, copy.copy and copy.deepcopy."""
-    pickled = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-    return pickled + [copy.copy(value), copy.deepcopy(value)]
 
 
 def test_value_types_compare_and_hash_by_fields():

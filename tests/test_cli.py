@@ -8,7 +8,6 @@ import json
 import math
 import os
 import random
-import struct
 import subprocess
 import sys
 
@@ -31,6 +30,7 @@ from bchkit import (
 )
 import bchkit
 from bchkit.cli import _render, load_schedule, main
+from frozen import complex_bits
 
 # json.dumps writes this as a 401-digit integer, far beyond double range
 HUGE = int("9" * 401)
@@ -311,19 +311,27 @@ def test_compose_continued_fraction_agreement(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "seed, log_c, alpha",
-    # 1.0 / seed leaves double range; mpmath at 40 digits gives the first alpha
-    [([1e-309, 0], [700, 0], [0.10001014232054735, 0]), ([5e-324, 5e-324], [0, 0], [0.1, 5e-324])],
-    ids=["1e-309", "complex-subnormal"],
+    "algebra, seed, log_c, minus, alpha",
+    # 1.0 / seed leaves double range; mpmath at 40 digits gives the first alpha.  The
+    # modulus of the last seed leaves double range though both its parts are finite
+    # (this exited 2), and the fold adds 0.1 to it without a trace
+    [
+        ("su11", [1e-309, 0], [700, 0], [0.1, 0], [0.10001014232054735, 0]),
+        ("su11", [5e-324, 5e-324], [0, 0], [0.1, 0], [0.1, 5e-324]),
+        *((name, [1.5e308, 1.5e308], [0, 0], [0, 0], [1.5e308, 1.5e308]) for name in ("su11", "su2", "so21")),
+    ],
+    ids=["1e-309", "complex-subnormal", "modulus-su11", "modulus-su2", "modulus-so21"],
 )
-def test_compose_continued_fraction_of_a_value_whose_reciprocal_leaves_double_range(tmp_path, capsys, seed, log_c, alpha):
+def test_compose_continued_fraction_of_a_value_whose_reciprocal_leaves_double_range(
+    tmp_path, capsys, algebra, seed, log_c, minus, alpha
+):
     entries = [
         {"Lambda_plus": seed, "log_c": [0.0, 0.0], "Lambda_minus": [0.0, 0.0]},
-        {"Lambda_plus": [0.1, 0.0], "log_c": log_c, "Lambda_minus": [0.1, 0.0]},
+        {"Lambda_plus": [0.1, 0.0], "log_c": log_c, "Lambda_minus": minus},
     ]
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(entries))
-    code, out = run_cli(capsys, "compose", "--algebra", "su11", "--continued-fraction", str(path))
+    code, out = run_cli(capsys, "compose", "--algebra", algebra, "--continued-fraction", str(path))
     assert code == 0, out
     payload = json.loads(out)
     assert payload["alpha"] == payload["alpha_continued_fraction"] == alpha
@@ -892,10 +900,6 @@ def frozen_samples_eta(times, triples, t):
     i = bisect.bisect_right(times, t) - 1
     frac = (t - times[i]) / (times[i + 1] - times[i])
     return tuple(x + (y - x) * frac for x, y in zip(triples[i], triples[i + 1]))
-
-
-def complex_bits(z):
-    return struct.pack("<dd", z.real, z.imag)
 
 
 def numpy_float64s(values):

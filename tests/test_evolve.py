@@ -1,6 +1,5 @@
 import cmath
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from bchkit import (
     oscillator_schedule,
     step_element,
 )
+from frozen import complex_bits, element_bits
 
 
 def _components(g):
@@ -88,21 +88,6 @@ def test_cartan_schedule_gives_pure_phase():
         assert result.element.log_c.real == 0
 
 
-def test_evolve_equals_composed_step_sequence():
-    schedule = oscillator_schedule(1.0, lambda t: 1.0 + 0.2 * math.sin(t), 4.0)
-    steps = 50
-    tau = schedule.t_final / steps
-    elements = [
-        step_element(schedule.algebra, schedule.eta(j * tau), tau)
-        for j in range(1, steps + 1)
-    ]
-    folded = compose_many(elements)
-    evolved = evolve(schedule, steps).element
-    assert evolved.big_plus == folded.big_plus
-    assert evolved.log_c == folded.log_c
-    assert evolved.big_minus == folded.big_minus
-
-
 def test_evolve_validates_arguments():
     schedule = _constant_schedule(AlgebraKind.SU11, (0, 1.0, 0))
     with pytest.raises(ValueError, match="steps"):
@@ -144,21 +129,6 @@ def test_non_finite_t_final_is_rejected_by_name(t_final):
         oscillator_schedule(1.0, lambda t: 1.0, t_final)
 
 
-def test_trajectory_checkpoints():
-    schedule = _constant_schedule(AlgebraKind.SU11, (0.1, 1.0, 0.1))
-    result = evolve(schedule, 10, checkpoint_every=4)
-    assert result.trajectory is not None
-    times = [t for t, _ in result.trajectory]
-    assert times == [0.0, 4 * result.tau, 8 * result.tau, 10 * result.tau]
-    t0, g0 = result.trajectory[0]
-    assert g0 == identity_element(AlgebraKind.SU11)
-    t_last, g_last = result.trajectory[-1]
-    assert t_last == pytest.approx(schedule.t_final)
-    assert _gap(g_last, result.element) == 0.0
-    # no checkpointing requested: no trajectory stored
-    assert evolve(schedule, 10).trajectory is None
-
-
 def test_default_checkpoint_stride():
     assert default_checkpoint_stride(5) == 1
     assert default_checkpoint_stride(100) == 1
@@ -191,9 +161,8 @@ def test_step_element_takes_any_tau_as_disentangle_does(algebra, tau):
     lam = ExponentParams(*(-1j * tau * complex(v) for v in eta))
     expected = disentangle(algebra, lam).element
     got = step_element(algebra, eta, tau)
-    parts = lambda g: [struct.pack("<dd", z.real, z.imag) for z in (g.big_plus, g.log_c, g.big_minus, g.phase)]
     assert got.algebra is algebra
-    assert parts(got) == parts(expected)
+    assert element_bits(got) == element_bits(expected)
 
 
 @pytest.mark.parametrize("tau", [10**400, -(10**400)], ids=["positive", "negative"])
@@ -218,31 +187,13 @@ def test_evolve_names_an_eta_beyond_double_range():
         evolve(schedule, 4, checkpoint_every=1)
 
 
-def test_singular_step_carries_position_and_time():
-    # the third step's exponent works out to (pi/2, 0, pi/2), whose
-    # normal-ordered form does not exist in the su(1,1) chart
-    def eta(t):
-        strength = 2 * math.pi if t > 0.5 else 0.1
-        return (1j * strength, 0, 1j * strength)
-
-    schedule = HamiltonianSchedule(AlgebraKind.SU11, eta, 1.0)
-    with pytest.raises(SingularDecomposition) as excinfo:
-        evolve(schedule, 4)
-    assert excinfo.value.step == 3
-    assert excinfo.value.time == pytest.approx(0.75)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints fold chunk by chunk
 
-# 10 steps of tau = 0.1: a stride of 3 folds steps 1-3, 4-6, 7-9 and 10, each chunk after
-# the first seeded with the product so far
+# 10 steps of tau = 0.1: a stride of 3 folds steps 1-3, 4-6, 7-9 and 10, a stride of 4
+# steps 1-4, 5-8 and 9-10, each chunk after the first seeded with the product so far
 CHUNK_STEPS, CHUNK_TAU = 10, 0.1
-STRIDES = [None, 1, 3, CHUNK_STEPS]
-
-
-def _bits(g):
-    return [struct.pack("<dd", z.real, z.imag) for z in (g.big_plus, g.log_c, g.big_minus, g.phase)]
+STRIDES = [None, 1, 3, 4, CHUNK_STEPS]
 
 
 def _table_schedule(algebra, table):
@@ -263,7 +214,7 @@ def test_chunked_trajectory_is_compose_many_over_prefixes(algebra, stride):
     elements = [step_element(algebra, eta, CHUNK_TAU) for eta in table]
     result = evolve(_table_schedule(algebra, table), CHUNK_STEPS, checkpoint_every=stride)
     assert result.tau == CHUNK_TAU
-    assert _bits(result.element) == _bits(compose_many(elements))
+    assert element_bits(result.element) == element_bits(compose_many(elements))
     if stride is None:
         assert result.trajectory is None
         return
@@ -271,7 +222,7 @@ def test_chunked_trajectory_is_compose_many_over_prefixes(algebra, stride):
     assert [t for t, _ in result.trajectory] == [j * CHUNK_TAU if j else 0.0 for j in rows]
     assert result.trajectory[0][1] == identity_element(algebra)
     for (_, g), j in zip(result.trajectory[1:], rows[1:]):
-        assert _bits(g) == _bits(compose_many(elements[:j]))
+        assert element_bits(g) == element_bits(compose_many(elements[:j]))
 
 
 def _singular_at(kind, step):
@@ -361,11 +312,11 @@ def test_slices_take_each_eta_value_as_complex_of_it(algebra, kind):
     for eta in table:
         lam = ExponentParams(*((-1j * CHUNK_TAU) * complex(v) for v in eta))
         elements.append(disentangle(algebra, lam).element)
-        assert _bits(step_element(algebra, eta, CHUNK_TAU)) == _bits(elements[-1])
+        assert element_bits(step_element(algebra, eta, CHUNK_TAU)) == element_bits(elements[-1])
     result = evolve(_table_schedule(algebra, table), CHUNK_STEPS, checkpoint_every=1)
-    assert _bits(result.element) == _bits(compose_many(elements))
+    assert element_bits(result.element) == element_bits(compose_many(elements))
     for (_, g), j in zip(result.trajectory[1:], range(1, CHUNK_STEPS + 1)):
-        assert _bits(g) == _bits(compose_many(elements[:j]))
+        assert element_bits(g) == element_bits(compose_many(elements[:j]))
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +377,6 @@ def frozen_oscillator_eta(omega0, omega):
     return (complex(coupling), complex(cartan), complex(coupling))
 
 
-def triple_bits(triple):
-    return tuple(struct.pack("<dd", z.real, z.imag) for z in triple)
-
-
 def test_oscillator_eta_is_bit_for_bit_the_first_formula():
     rng = np.random.default_rng(97)
     spread = [m * 10.0**e for e in range(-150, 151, 10) for m in rng.uniform(1.0, 10.0, 2)]
@@ -438,7 +385,8 @@ def test_oscillator_eta_is_bit_for_bit_the_first_formula():
         schedule = oscillator_schedule(omega0, lambda t: frequencies[int(t)], len(frequencies))
         for k, omega in enumerate(frequencies):
             got = schedule.eta(float(k))
-            assert triple_bits(got) == triple_bits(frozen_oscillator_eta(omega0, omega)), (omega0, omega)
+            expected = frozen_oscillator_eta(omega0, omega)
+            assert [complex_bits(z) for z in got] == [complex_bits(z) for z in expected], (omega0, omega)
 
 
 @pytest.mark.parametrize(

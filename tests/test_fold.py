@@ -1,14 +1,26 @@
-"""The single fold behind evolve() and compose_many(), checked bit for bit.
+"""The fold's bits against the per-pair API and the first arithmetic.
 
 evolve() and compose_many() run one fold over raw coordinate tuples instead
-of calling the public per-pair API.  They must still give exactly the bits
-that step_element and compose_pair give, and fail at the same element with
-the same message.
+of calling the public per-pair API.  Each contract below is pinned here and
+in no other file:
+
+- evolve() gives bit for bit the repeated step_element and compose_pair,
+  trajectory included, chunked and unchunked: on a drive per algebra on
+  both disentangling branches and on the oscillator preset, at endpoint and
+  midpoint samples;
+- compose_many() gives bit for bit the repeated compose_pair, phases
+  included;
+- where |nu| <= 1, disentangle keeps the bits of its first guarded
+  arithmetic (seed_guarded_disentangle), whose series is the plain sum and
+  whose early pass of the w test changes no outcome.
+
+The first pair product, like every bit helper and draw, is defined once, in
+frozen.py: test_compose.py pins compose_pair to it on every pair of a
+table, and this file a running chain with phases.
 """
 
 import cmath
 import math
-import struct
 from cmath import isfinite
 
 import numpy as np
@@ -27,6 +39,7 @@ from bchkit import (
     disentangle,
     evolve,
     identity_element,
+    oscillator_schedule,
     step_element,
 )
 from bchkit.compose import (
@@ -36,17 +49,8 @@ from bchkit.compose import (
     _series,
     _triangular,
 )
+from frozen import complex_bits, element_bits, frozen_pair_product, random_element, random_params
 from reference import CENSUS_BOUND, worst_relative_error
-
-
-def bits(g: GroupElement) -> tuple:
-    """Exact bit patterns of every coordinate, signed zeros included."""
-    parts = (g.big_plus, g.log_c, g.big_minus, g.phase)
-    return (g.algebra,) + tuple(struct.pack("<dd", z.real, z.imag) for z in parts)
-
-
-def complex_bits(z: complex) -> bytes:
-    return struct.pack("<dd", z.real, z.imag)
 
 
 # Smooth drives that stay clear of every chart singularity on [0, t_final].
@@ -61,17 +65,30 @@ DRIVES = {
 BRANCHES = {"coarse": (1.5, 48), "fine": (0.03, 300)}
 
 
+def drive_rows():
+    """(schedule, steps, series): each drive on each branch, then the oscillator preset.
+
+    ``series`` is True where every slice's |nu| is below the series threshold.
+    """
+    rows = [
+        pytest.param(HamiltonianSchedule(algebra, drive, t_final), steps, branch == "fine", id=f"{algebra.value}-{branch}")
+        for algebra, drive in DRIVES.items()
+        for branch, (t_final, steps) in sorted(BRANCHES.items())
+    ]
+    # omega(t) = 1 + 0.2 sin t over t = 4 in 50 steps, every slice above the threshold
+    oscillator = oscillator_schedule(1.0, lambda t: 1.0 + 0.2 * math.sin(t), 4.0)
+    return rows + [pytest.param(oscillator, 50, False, id="oscillator")]
+
+
 def sample_times(schedule, steps, midpoint):
     tau = schedule.t_final / steps
     return [j * tau - 0.5 * tau if midpoint else j * tau for j in range(1, steps + 1)], tau
 
 
 @pytest.mark.parametrize("midpoint", [False, True], ids=["endpoint", "midpoint"])
-@pytest.mark.parametrize("branch", sorted(BRANCHES))
-@pytest.mark.parametrize("algebra", list(AlgebraKind), ids=lambda a: a.value)
-def test_evolve_is_the_per_pair_fold(algebra, branch, midpoint):
-    t_final, steps = BRANCHES[branch]
-    schedule = HamiltonianSchedule(algebra, DRIVES[algebra], t_final)
+@pytest.mark.parametrize("schedule, steps, series", drive_rows())
+def test_evolve_is_the_per_pair_fold(schedule, steps, series, midpoint):
+    algebra = schedule.algebra
     times, tau = sample_times(schedule, steps, midpoint)
 
     elements = []
@@ -79,18 +96,20 @@ def test_evolve_is_the_per_pair_fold(algebra, branch, midpoint):
         eta_plus, eta_c, eta_minus = (complex(v) for v in schedule.eta(t))
         lam = ExponentParams(-1j * tau * eta_plus, -1j * tau * eta_c, -1j * tau * eta_minus)
         result = disentangle(algebra, lam)
-        assert (abs(result.nu) < _SERIES_NU_THRESHOLD) == (branch == "fine")
-        assert bits(result.element) == bits(step_element(algebra, schedule.eta(t), tau))
+        assert (abs(result.nu) < _SERIES_NU_THRESHOLD) == series
+        assert element_bits(result.element) == element_bits(step_element(algebra, schedule.eta(t), tau))
         elements.append(result.element)
 
     stride = 7
     evolved = evolve(schedule, steps, checkpoint_every=stride, midpoint=midpoint)
-    assert bits(evolved.element) == bits(compose_many(elements))
+    assert element_bits(evolved.element) == element_bits(compose_many(elements))
+    plain = evolve(schedule, steps, midpoint=midpoint)  # one fold, no checkpoints
+    assert plain.trajectory is None and element_bits(plain.element) == element_bits(evolved.element)
 
     acc = elements[0]
     for g in elements[1:]:
         acc = compose_pair(g, acc)
-    assert bits(evolved.element) == bits(acc)
+    assert element_bits(evolved.element) == element_bits(acc)
 
     rows = [(0, identity_element(algebra))] + [
         (j, compose_many(elements[:j])) for j in range(1, steps + 1) if j % stride == 0 or j == steps
@@ -98,7 +117,7 @@ def test_evolve_is_the_per_pair_fold(algebra, branch, midpoint):
     assert len(evolved.trajectory) == len(rows)
     for (t, g), (j, expected) in zip(evolved.trajectory, rows):
         assert complex_bits(t) == complex_bits(j * tau if j else 0.0)
-        assert bits(g) == bits(expected)
+        assert element_bits(g) == element_bits(expected)
     assert evolved.trajectory[-1][1] == evolved.element
 
 
@@ -143,23 +162,18 @@ def test_evolve_rejects_non_finite_slices():
         evolve(schedule, 3)
 
 
-def random_params(rng, scale):
-    parts = rng.uniform(-scale, scale, 6)
-    return ExponentParams(complex(*parts[0:2]), complex(*parts[2:4]), complex(*parts[4:6]))
-
-
 @pytest.mark.parametrize("algebra", list(AlgebraKind), ids=lambda a: a.value)
 def test_compose_many_is_the_per_pair_fold_with_phases(algebra):
     rng = np.random.default_rng(41)
     elements = []
     for _ in range(40):
-        g = disentangle(algebra, random_params(rng, 0.5)).element
+        g = random_element(rng, algebra)
         elements.append(GroupElement(algebra, g.big_plus, g.log_c, g.big_minus, complex(*rng.uniform(-1, 1, 2))))
     acc = elements[0]
     for g in elements[1:]:
         acc = compose_pair(g, acc)
-    assert bits(compose_many(elements)) == bits(acc)
-    assert bits(compose_many(tuple(elements[:2]))) == bits(compose_pair(elements[1], elements[0]))
+    assert element_bits(compose_many(elements)) == element_bits(acc)
+    assert element_bits(compose_many(tuple(elements[:2]))) == element_bits(compose_pair(elements[1], elements[0]))
 
 
 def test_compose_many_single_element_is_checked_then_returned():
@@ -196,45 +210,11 @@ def test_compose_many_names_the_singular_element():
     )
 
 
-def seed_disentangle(algebra, lam):
-    """disentangle's arithmetic as first written, through the plain series."""
-    eps, delta = algebra.epsilon, algebra.delta
-    half_c = 0.5 * delta * lam.lambda_c
-    nu = cmath.sqrt(half_c * half_c - delta * eps * lam.lambda_plus * lam.lambda_minus)
-    if abs(nu) < _SERIES_NU_THRESHOLD:
-        cosh_nu, sinhc_nu = seed_cosh_sinhc_series(nu)
-    else:
-        cosh_nu, sinhc_nu = cmath.cosh(nu), cmath.sinh(nu) / nu
-    w = cosh_nu - half_c * sinhc_nu
-    ratio = sinhc_nu / w
-    return GroupElement(
-        algebra,
-        big_plus=lam.lambda_plus * ratio,
-        log_c=-(2.0 / delta) * cmath.log(w),
-        big_minus=lam.lambda_minus * ratio,
-    )
-
-
-def seed_compose_pair(g2, g1):
-    """compose_pair's arithmetic as first written (no guards)."""
-    eps, delta = g1.algebra.epsilon, g1.algebra.delta
-    d = 1.0 - eps * delta * g1.big_plus * g2.big_minus
-    pow_c1 = cmath.exp(delta * g1.log_c)
-    pow_c2 = cmath.exp(delta * g2.log_c)
-    return GroupElement(
-        g1.algebra,
-        big_plus=g2.big_plus + g1.big_plus * pow_c2 / d,
-        log_c=g1.log_c + g2.log_c - (2.0 / delta) * cmath.log(d),
-        big_minus=g1.big_minus + g2.big_minus * pow_c1 / d,
-        phase=g1.phase + g2.phase,
-    )
-
-
 @pytest.mark.parametrize("scale", [1e-5, 0.5, 2.0])
 @pytest.mark.parametrize("algebra", list(AlgebraKind), ids=lambda a: a.value)
 def test_kernels_keep_the_first_arithmetic_bit_for_bit(algebra, scale):
-    # a frozen copy of the per-pair arithmetic: the shared kernels may not
-    # reorder a single operation, or CLI output and old results would change; an
+    # frozen copies of the disentangling and pair arithmetic: the shared kernels may
+    # not reorder a single operation, or CLI output and old results would change; an
     # exponent with |nu| > 1 is taken on the exp(-nu) scale instead, and checked
     # against the extended-precision reference
     rng = np.random.default_rng(47)
@@ -244,16 +224,17 @@ def test_kernels_keep_the_first_arithmetic_bit_for_bit(algebra, scale):
         lam = random_params(rng, scale)
         result = disentangle(algebra, lam)
         g = result.element
+        coords = (lam.lambda_plus, lam.lambda_c, lam.lambda_minus)
+        got = (g.big_plus, g.log_c, g.big_minus)
         if abs(result.nu) <= 1.0:
-            assert bits(g) == bits(seed_disentangle(algebra, lam))
+            expected = seed_guarded_disentangle(algebra._kernel, *coords)[:3]
+            assert [complex_bits(z) for z in got] == [complex_bits(z) for z in expected], coords
         else:
             beyond_one += 1
-            coords = (lam.lambda_plus, lam.lambda_c, lam.lambda_minus)
-            got = (g.big_plus, g.log_c, g.big_minus)
             assert worst_relative_error(algebra.value, *coords, got) <= CENSUS_BOUND, coords
         g = GroupElement(algebra, g.big_plus, g.log_c, g.big_minus, complex(*rng.uniform(-1, 1, 2)))
-        acc, ref = compose_pair(g, acc), seed_compose_pair(g, ref)
-        assert bits(acc) == bits(ref)
+        acc, ref = compose_pair(g, acc), frozen_pair_product(g, ref)
+        assert element_bits(acc) == element_bits(ref)
     if scale == 2.0:
         assert 0 < beyond_one < 60
 

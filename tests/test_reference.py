@@ -3,7 +3,6 @@ _triangular against its first arithmetic on the same draws."""
 
 import cmath
 import math
-import struct
 import sys
 from cmath import isfinite
 
@@ -12,6 +11,7 @@ import pytest
 
 from bchkit import AlgebraKind, ExponentParams, NonFiniteInput, disentangle
 from bchkit.compose import _SERIES_NU_THRESHOLD, _principal, _series, _triangular
+from frozen import complex_bits
 from reference import CENSUS_BOUND, gauss_coordinates, relative_error, worst_relative_error
 
 # Relative bound on every coordinate of a triangular exponent's disentangling.
@@ -89,7 +89,7 @@ def seed_triangular(half_c, lp, lm, minus_two_over_delta):
 def outcome(function, *args):
     """Bit patterns of a kernel's result, or the message of the NonFiniteInput it raised."""
     try:
-        return [struct.pack("<dd", z.real, z.imag) for z in function(*args)]
+        return [complex_bits(z) for z in function(*args)]
     except NonFiniteInput as exc:
         return str(exc)
 

@@ -1,7 +1,5 @@
 import cmath
-import copy
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -25,6 +23,7 @@ from bchkit import (
     squeeze_element,
 )
 from bchkit.squeeze import _wrap_angle
+from frozen import clones
 
 
 def random_squeeze(rng, r_max=3.0):
@@ -57,12 +56,6 @@ def test_squeeze_params_normalize_negative_magnitude():
 
 def test_rotation_params_wrap():
     assert RotationParams(2 * math.pi + 0.25).angle == pytest.approx(0.25)
-
-
-def clones(value):
-    """Copies of ``value`` made by every pickle protocol, copy.copy and copy.deepcopy."""
-    pickled = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-    return pickled + [copy.copy(value), copy.deepcopy(value)]
 
 
 def test_squeeze_value_types_keep_their_normalization_through_pickle_and_copy():
