@@ -484,8 +484,9 @@ def main(argv=None) -> int:
             time=exc.time,
         )
     except (OSError, OverflowError, ValueError) as exc:
-        # every domain error type in this package subclasses ValueError;
-        # OverflowError: a value left double range in a kernel's cmath call
+        # every error type of this package but SingularDecomposition, caught
+        # above, subclasses ValueError; OverflowError: a value left double
+        # range in a kernel's cmath call
         return _fail(EXIT_INPUT, str(exc))
 
 

@@ -178,9 +178,13 @@ def mat_exp(m) -> Mat2:
     which makes the branch of the square root irrelevant; a short even series
     covers the region where sinh(s)/s would lose digits.
     """
-    m = Mat2.of(m)
-    a, b, c, d = m.a, m.b, m.c, m.d
-    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
+    try:
+        m = Mat2.of(m)
+        a, b, c, d = m.a, m.b, m.c, m.d
+        finite = cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)
+    except OverflowError:  # an integer entry beyond double range
+        finite = False
+    if not finite:
         raise NonFiniteInput("matrix entries must be finite")
     half_trace = 0.5 * (a + d)
     a0, d0 = a - half_trace, d - half_trace
@@ -200,20 +204,30 @@ def mat_exp(m) -> Mat2:
 def element_matrix(g: GroupElement) -> Mat2:
     """Matrix of a normal-ordered element, scalar prefactor included."""
     gens = generators_for(g.algebra)
-    ordered = (
-        mat_exp(g.big_plus * gens.m_plus)
-        @ mat_exp(g.log_c * gens.m_c)
-        @ mat_exp(g.big_minus * gens.m_minus)
-    )
-    return cmath.exp(g.phase) * ordered
+    try:
+        ordered = (
+            mat_exp(g.big_plus * gens.m_plus)
+            @ mat_exp(g.log_c * gens.m_c)
+            @ mat_exp(g.big_minus * gens.m_minus)
+        )
+        return cmath.exp(g.phase) * ordered
+    except OverflowError:
+        # an integer coordinate beyond double range; a finite element whose
+        # matrix entries leave double range keeps the OverflowError
+        if g.is_finite():
+            raise
+        raise NonFiniteInput("group element coordinates must be finite") from None
 
 
 def exponent_matrix(algebra: AlgebraKind, lam: ExponentParams) -> Mat2:
     """Matrix of the single exponential with the given coordinates."""
     gens = generators_for(algebra)
-    combined = (
-        lam.lambda_plus * gens.m_plus
-        + lam.lambda_c * gens.m_c
-        + lam.lambda_minus * gens.m_minus
-    )
+    try:
+        combined = (
+            lam.lambda_plus * gens.m_plus
+            + lam.lambda_c * gens.m_c
+            + lam.lambda_minus * gens.m_minus
+        )
+    except OverflowError:  # an integer coordinate beyond double range
+        raise NonFiniteInput("exponent coordinates must be finite") from None
     return mat_exp(combined)

@@ -21,9 +21,9 @@ from bchkit import (
     exponent_matrix,
     identity_element,
 )
-from bchkit.compose import _disentangle_raw, _series
+from bchkit.compose import _series
 from frozen import complex_bits, element_bits, frozen_pair_product, random_element, random_params
-from reference import CENSUS_BOUND, worst_relative_error
+from reference import CENSUS_BOUND, gauss_coordinates, relative_error, worst_relative_error
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ def test_disentangle_triangular_exponent_keeps_its_normal_ordered_form():
     # cosh(nu) - sinh(nu) in double precision loses that to cancellation
     for lc in (10, 20, 25, 30, 60):
         g = disentangle(AlgebraKind.SU11, ExponentParams(1, lc, 0)).element
-        assert g.log_c == pytest.approx(lc, rel=1e-14)
+        assert g.log_c == lc
         assert g.big_plus == pytest.approx(math.expm1(lc) / lc, rel=1e-14)
         assert g.big_minus == 0
 
@@ -182,6 +182,12 @@ def test_disentangle_triangular_exponent_beyond_exp_range():
             g = result.element
             assert (g.big_plus, g.log_c, g.big_minus) == (0, lc, 0)
             assert result.nu == lc / 2
+    # so(2,1): delta = i, so nu = 750i, nothing overflows, and log_c is lc modulo its period 4 pi
+    result = disentangle(AlgebraKind.SO21, ExponentParams(0, 1500, 0))
+    g = result.element
+    assert (g.big_plus, g.big_minus, result.nu) == (0, 0, 750j)
+    _, log_c, _, period = gauss_coordinates("so21", 0, 1500, 0)
+    assert relative_error(g.log_c, log_c, period) <= 1e-15
     # L+ = l+ (e^800 - 1)/800 is finite although e^800 is not; reference to 50 digits
     with decimal.localcontext() as context:
         context.prec = 50
@@ -203,6 +209,7 @@ def test_disentangle_general_exponent_beyond_cosh_range():
         g = result.element
         assert (g.big_plus, g.big_minus, result.nu) == (1, lm / 800, 800)
         assert g.log_c == pytest.approx(-2 * log_w, rel=1e-15)
+        assert g.big_c() == 0  # exp(log_c) underflows
     # w cancels to -x sinhc(nu)/(nu + lc/2) on the exp(-nu) scale: L+- = -(nu + lc/2)/l-+
     # and log|w| = log(x) + nu - log(2 nu (nu + lc/2)), nu = lc/2 = 1000
     g = disentangle(AlgebraKind.SU11, ExponentParams(1e-100, 2000, 1e-100)).element
@@ -223,29 +230,6 @@ def test_disentangle_takes_an_exponent_whose_x_underflows_beyond_cosh_range():
     g = disentangle(AlgebraKind.SU11, lam).element
     coords = (lam.lambda_plus, lam.lambda_c, lam.lambda_minus)
     assert worst_relative_error("su11", *coords, (g.big_plus, g.log_c, g.big_minus)) <= CENSUS_BOUND
-
-
-@pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda a: a.value)
-def test_scaled_route_is_the_plain_one_where_both_are_in_range(kind):
-    # every |nu| > 1 exponent is taken on the exp(-nu) scale, w = exp(nu)*w_s; it must match
-    # the extended-precision reference, also where cosh(nu) - (lc/2) sinh(nu)/nu cancels
-    rng = np.random.default_rng(67)
-    kernel = kind._kernel
-    compared = 0
-    # lambda_c and lambda_plus-minus of one size, where w does not cancel, or a tiny
-    # lambda_plus*lambda_minus under |Re lambda_c| >= 300, where that form of w cancels past
-    # every digit
-    for scale, small in [(3, 3), (30, 30), (300, 300), (600, 1e-30)] * 50:
-        parts = rng.uniform(-1, 1, 6)
-        lp, lm = small * complex(*parts[0:2]), small * complex(*parts[4:6])
-        lc = scale * complex(math.copysign(0.5 + abs(parts[2]) / 2, parts[2]), parts[3])
-        try:
-            got = _disentangle_raw(kernel, lp, lc, lm)
-        except (SingularDecomposition, NonFiniteInput):
-            continue
-        assert worst_relative_error(kind.value, lp, lc, lm, got[:3]) <= CENSUS_BOUND, (lp, lc, lm)
-        compared += 1
-    assert compared >= 190
 
 
 def test_cosh_sinhc_is_even():
@@ -565,7 +549,7 @@ TINY_SEED_ALPHA = 0.10001014232054735
     # NonFiniteInput where the fold returns the seed plus 0.1, that is the seed
     [
         (1e-309 + 0j, 700, 0.1 + 0j, TINY_SEED_ALPHA),
-        (5e-324 + 5e-324j, 0, 0.1 + 0j, 0.1),
+        (5e-324 + 5e-324j, 0, 0.1 + 0j, 0.1 + 5e-324j),
         (1.5e308 + 1.5e308j, 0, 0j, 1.5e308 + 1.5e308j),
     ],
     ids=["1e-309", "complex-subnormal", "modulus-beyond-double-range"],
@@ -575,9 +559,8 @@ def test_continued_fraction_takes_a_value_whose_reciprocal_leaves_double_range(k
     log_c = power / complex(kind.delta)  # exp(delta*log_c) = exp(power)
     elements = [GroupElement(kind, seed, 0j, 0j), GroupElement(kind, 0.1 + 0j, log_c, big_minus)]
     got = alpha_continued_fraction(elements)
-    assert abs(got - alpha) <= 1e-16 * max(abs(alpha.real), abs(alpha.imag))  # |alpha| overflows on the last row
-    # there the term takes the fold's step, so the two routes agree to the bit
-    assert complex_bits(got) == complex_bits(compose_many(elements).big_plus)
+    # the subnormal imaginary part too; on the last row the term takes the fold's step
+    assert complex_bits(got) == complex_bits(alpha) == complex_bits(compose_many(elements).big_plus)
 
 
 @pytest.mark.parametrize(
@@ -592,6 +575,19 @@ def test_continued_fraction_takes_an_overflowing_power_by_logs(seed, alpha):
     elements = [GroupElement(kind, seed, 0j, 0j), GroupElement(kind, 0.1 + 0j, 710 + 0j, 0.1 + 0j)]
     assert compose_many(elements).big_plus == alpha
     assert abs(alpha_continued_fraction(elements) - alpha) <= 1e-15 * alpha
+
+
+def test_continued_fraction_follows_the_fold_back_from_an_overflowing_power():
+    # a third element brings the product of the row above down by exp(-200): the two
+    # routes agree to the rounding of exponents near 710 taken through exp, 1.32e-14
+    kind = AlgebraKind.SU11
+    elements = [
+        GroupElement(kind, 1e-300 + 0j, 0j, 0j),
+        GroupElement(kind, 0.1 + 0j, 710 + 0j, 0.1 + 0j),
+        GroupElement(kind, 0j, -200 + 0j, 0j),
+    ]
+    alpha = compose_many(elements).big_plus
+    assert 0 < abs(alpha_continued_fraction(elements) - alpha) <= 2e-14 * abs(alpha)
 
 
 @pytest.mark.parametrize("kind, big_minus", [(AlgebraKind.SU11, 2.0**1023), (AlgebraKind.SU2, -(2.0**1023))])

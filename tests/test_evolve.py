@@ -271,6 +271,15 @@ def test_chunked_error_names_the_step_of_the_per_element_route(kind, step, strid
     assert exc.__cause__.step == step
 
 
+@pytest.mark.parametrize("steps", [2, 3, 4, 8])
+def test_evolve_carries_a_cartan_coordinate_beyond_double_range(steps):
+    # eta_c = 1000i gives log_c = 1000, whose exp() is no double; from 4 steps on the running
+    # log_c passes 709.8 inside the fold, where exp(delta*log_c) scales exact 0 coordinates
+    schedule = HamiltonianSchedule(AlgebraKind.SU11, lambda t: (0j, 1000j, 0j), 1.0)
+    g = evolve(schedule, steps).element
+    assert (g.big_plus, g.log_c, g.big_minus) == (0, 1000, 0)
+
+
 def test_checkpoint_stride_must_be_an_integer():
     schedule = _constant_schedule(AlgebraKind.SU11, (0, 1.0, 0))
     with pytest.raises(ValueError, match=r"^checkpoint stride must be an integer, got 2\.0$"):

@@ -100,6 +100,21 @@ def test_mat_exp_rejects_non_finite():
         mat_exp(np.array([[math.inf, 0], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mat_exp([[10**400, 0], [0, 0]]), "matrix entries"),
+        (lambda: element_matrix(GroupElement(AlgebraKind.SU11, 10**400, 0, 0)), "group element coordinates"),
+        (lambda: exponent_matrix(AlgebraKind.SU11, ExponentParams(10**400, 0, 0)), "exponent coordinates"),
+    ],
+    ids=["mat_exp", "element_matrix", "exponent_matrix"],
+)
+def test_oracle_rejects_an_integer_beyond_double_range(call, message):
+    # its conversion to float would raise a bare OverflowError
+    with pytest.raises(NonFiniteInput, match=f"^{message} must be finite$"):
+        call()
+
+
 def test_element_matrix_identity():
     for kind in AlgebraKind:
         np.testing.assert_allclose(element_matrix(identity_element(kind)), np.eye(2))

@@ -9,7 +9,7 @@ from cmath import isfinite
 import numpy as np
 import pytest
 
-from bchkit import AlgebraKind, ExponentParams, NonFiniteInput, disentangle
+from bchkit import AlgebraKind, ExponentParams, NonFiniteInput, SingularDecomposition, disentangle
 from bchkit.compose import _SERIES_NU_THRESHOLD, _principal, _series, _triangular
 from frozen import complex_bits
 from reference import CENSUS_BOUND, gauss_coordinates, relative_error, worst_relative_error
@@ -105,9 +105,17 @@ def test_triangular_g_keeps_its_bits(kind):
         assert outcome(_triangular, *args) == outcome(seed_triangular, *args), (lp, lc, lm)
 
 
-def census_draw(rng, region):
-    """One exponent (lp, lc, lm) with |lambda| from 1 to 1e3; near the triangular set,
-    |lp|, |lm| <= 1 and one of them scaled by 10^-k, k = 0 to 30."""
+def census_draw(rng, region, index):
+    """Exponent (lp, lc, lm) number ``index`` of a census region: |lambda| from 1 to 1e3;
+    near the triangular set, |lp|, |lm| <= 1 and one of them scaled by 10^-k, k = 0 to 30;
+    beyond |nu| = 1, |Re lambda_c| from half a scale of 3 to 600 to all of it, and
+    lambda_plus-minus of that size or, under 600, of 1e-30, where the form
+    cosh(nu) - (lc/2) sinh(nu)/nu of w cancels past every digit."""
+    if region == "nu_beyond_one":
+        scale, small = [(3, 3), (30, 30), (300, 300), (600, 1e-30)][index % 4]
+        parts = rng.uniform(-1, 1, 6)
+        lc = scale * complex(math.copysign(0.5 + abs(parts[2]) / 2, parts[2]), parts[3])
+        return small * complex(*parts[0:2]), lc, small * complex(*parts[4:6])
     size = 10.0 ** rng.uniform(0, 3)
     if region == "general":
         return tuple(size * unit(rng) for _ in range(3))
@@ -117,17 +125,47 @@ def census_draw(rng, region):
     return (lp * tiny, lc, lm) if rng.integers(0, 2) else (lp, lc, lm * tiny)
 
 
-@pytest.mark.parametrize("region", ["general", "near_triangular"])
+# region: (seed, draws, how many of them must have a normal-ordered form in double range)
+CENSUS_REGIONS = {"general": (31, 40, 40), "near_triangular": (31, 40, 40), "nu_beyond_one": (67, 200, 190)}
+
+
+@pytest.mark.parametrize("region", list(CENSUS_REGIONS))
 @pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda a: a.value)
 def test_census_matches_the_reference(kind, region):
     # near the triangular set, x = delta*eps*lp*lm is small next to (delta*lc/2)^2 and
-    # cosh(nu) - (delta*lc/2) sinh(nu)/nu cancels down to about exp(-nu)
-    rng = np.random.default_rng(31)
-    worst, where = 0.0, None
-    for _ in range(40):
-        lp, lc, lm = census_draw(rng, region)
-        g = disentangle(kind, ExponentParams(lp, lc, lm)).element
+    # cosh(nu) - (delta*lc/2) sinh(nu)/nu cancels down to about exp(-nu); the nu_beyond_one
+    # draws take w on the exp(-nu) scale, all but 2 on su(2) and 3 on so(2,1) with |nu| > 1
+    seed, count, least = CENSUS_REGIONS[region]
+    rng = np.random.default_rng(seed)
+    worst, where, compared = 0.0, None, 0
+    for index in range(count):
+        lp, lc, lm = census_draw(rng, region, index)
+        try:
+            g = disentangle(kind, ExponentParams(lp, lc, lm)).element
+        except (SingularDecomposition, NonFiniteInput):
+            continue
         error = worst_relative_error(kind.value, lp, lc, lm, (g.big_plus, g.log_c, g.big_minus))
         if error > worst:
             worst, where = error, (lp, lc, lm)
+        compared += 1
+    assert compared >= least
     assert worst <= CENSUS_BOUND, (worst, where)
+
+
+# su(1,1) exponents fixed by hand: w cancelling down to about exp(-nu), where the form
+# cosh(nu) - (lc/2) sinh(nu)/nu of w loses 6.5e-6 of L+, and a |nu| of about 780
+CENSUS_ROWS = {
+    "near_triangular": (1, 25, 1e-20),
+    "large_nu": (
+        0.15522507714800948 - 0.03746370018883782j,
+        1054.6045162172938 + 1154.7775871381216j,
+        0.04263016461507618 + 0.2077347678254593j,
+    ),
+}
+
+
+@pytest.mark.parametrize("row", list(CENSUS_ROWS))
+def test_census_rows_match_the_reference(row):
+    lam = CENSUS_ROWS[row]
+    g = disentangle(AlgebraKind.SU11, ExponentParams(*lam)).element
+    assert worst_relative_error("su11", *lam, (g.big_plus, g.log_c, g.big_minus)) <= CENSUS_BOUND

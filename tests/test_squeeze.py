@@ -294,6 +294,14 @@ def test_factorization_rejects_off_orbit_elements():
         factor_squeeze_rotation(warped)
 
 
+@pytest.mark.parametrize("r", [30, 800])
+def test_factorization_names_a_squeeze_whose_magnitude_rounds_to_one(r):
+    # |L+| = tanh r rounds to 1, which no real r gives back, also where cosh r overflows
+    product = compose_squeezes(SqueezeParams(0.0, 0.0), SqueezeParams(r, 0.0))
+    with pytest.raises(NotFactorizable, match=r"^no real squeeze magnitude for \|L\+\| = 1$"):
+        factor_squeeze_rotation(product)
+
+
 @pytest.mark.parametrize("log_c", [700, 710, 1e5], ids=lambda x: f"log_c={x:g}")
 def test_factorization_rejects_a_cartan_coordinate_beyond_double_range(log_c):
     # |Lambda_c| = exp(log_c) is far above sech^2 r <= 1; from about 709.8 it is no double
