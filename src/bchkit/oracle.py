@@ -190,13 +190,16 @@ def mat_exp(m) -> Mat2:
     a0, d0 = a - half_trace, d - half_trace
     s_sq = b * c - a0 * d0
     s = cmath.sqrt(s_sq)
-    if abs(s) < _SERIES_S_THRESHOLD:
-        cosh_s = sum(s_sq**k / math.factorial(2 * k) for k in range(6))
-        sinhc_s = sum(s_sq**k / math.factorial(2 * k + 1) for k in range(6))
-    else:
-        cosh_s = cmath.cosh(s)
-        sinhc_s = cmath.sinh(s) / s
-    e = cmath.exp(half_trace)
+    try:
+        if abs(s) < _SERIES_S_THRESHOLD:
+            cosh_s = sum(s_sq**k / math.factorial(2 * k) for k in range(6))
+            sinhc_s = sum(s_sq**k / math.factorial(2 * k + 1) for k in range(6))
+        else:
+            cosh_s = cmath.cosh(s)
+            sinhc_s = cmath.sinh(s) / s
+        e = cmath.exp(half_trace)
+    except OverflowError:  # finite entries whose exponential leaves double range
+        raise NonFiniteInput("matrix exponential leaves double range") from None
     es = e * sinhc_s
     return Mat2(e * (cosh_s + sinhc_s * a0), es * b, es * c, e * (cosh_s + sinhc_s * d0))
 
@@ -212,10 +215,10 @@ def element_matrix(g: GroupElement) -> Mat2:
         )
         return cmath.exp(g.phase) * ordered
     except OverflowError:
-        # an integer coordinate beyond double range; a finite element whose
-        # matrix entries leave double range keeps the OverflowError
+        # an integer coordinate beyond double range, or a finite phase whose
+        # exp() leaves double range
         if g.is_finite():
-            raise
+            raise NonFiniteInput("group element matrix leaves double range") from None
         raise NonFiniteInput("group element coordinates must be finite") from None
 
 

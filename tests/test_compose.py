@@ -1,6 +1,7 @@
 import cmath
 import decimal
 import math
+import random
 
 import numpy as np
 import pytest
@@ -72,6 +73,10 @@ def test_disentangle_matches_matrix_oracle():
             g = disentangle(kind, lam).element
             gap = np.max(np.abs(element_matrix(g) - exponent_matrix(kind, lam)))
             assert gap <= 1e-12
+    # an su(2) exponent whose parts are mostly negative
+    lam = ExponentParams(-0.3 + 0.1j, 0.5, -0.2 - 0.4j)
+    g = disentangle(AlgebraKind.SU2, lam).element
+    assert np.max(np.abs(element_matrix(g) - exponent_matrix(AlgebraKind.SU2, lam))) <= 1e-12
 
 
 def test_disentangle_rejects_non_finite():
@@ -373,15 +378,16 @@ def test_compose_pair_singular_denominator():
     # compose_pair is compose_many of two: it names the step and keeps the fold's message as the cause
     g1 = GroupElement(AlgebraKind.SU11, 1.0 + 0j, 0j, 0j)
     g2 = GroupElement(AlgebraKind.SU11, 0j, 0j, 1.0 + 0j)
-    with pytest.raises(SingularDecomposition) as excinfo:
-        compose_pair(g2, g1)
-    exc = excinfo.value
-    assert exc.denominator_abs == 0.0
-    assert str(exc) == "composition is singular at element 2 of 2"
-    assert exc.step == 2 and exc.time is None
-    assert str(exc.__cause__) == (
-        "no normal-ordered form: composition denominator |d| = 0.000e+00 is singular"
-    )
+    for compose in (lambda: compose_pair(g2, g1), lambda: compose_many([g1, g2])):
+        with pytest.raises(SingularDecomposition) as excinfo:
+            compose()
+        exc = excinfo.value
+        assert exc.denominator_abs == 0.0
+        assert str(exc) == "composition is singular at element 2 of 2"
+        assert exc.step == 2 and exc.time is None
+        assert str(exc.__cause__) == (
+            "no normal-ordered form: composition denominator |d| = 0.000e+00 is singular"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +457,10 @@ def test_overflowing_phase_sum_raises_at_its_element():
 def test_compose_many_of_identities():
     for kind in AlgebraKind:
         ident = identity_element(kind)
-        combined = compose_many([ident] * 6)
-        assert combined.big_plus == 0 and combined.big_minus == 0
-        assert combined.big_c() == 1
+        for count in (3, 6):
+            combined = compose_many([ident] * count)
+            assert combined.big_plus == 0 and combined.big_minus == 0
+            assert combined.big_c() == 1
 
 
 def test_compose_many_matches_matrix_product():
@@ -526,6 +533,14 @@ def test_continued_fraction_matches_fold_for_long_products():
             elements = [random_element(rng, kind, 0.4) for _ in range(8)]
             expected = compose_many(elements).big_plus
             assert abs(alpha_continued_fraction(elements) - expected) <= 1e-10
+    # five su(1,1) elements disentangled from exponents of six random.Random(101) parts each
+    draw = random.Random(101)
+    parts = [[draw.uniform(-0.5, 0.5) for _ in range(6)] for _ in range(5)]
+    elements = [
+        disentangle(AlgebraKind.SU11, ExponentParams(complex(*p[0:2]), complex(*p[2:4]), complex(*p[4:6]))).element
+        for p in parts
+    ]
+    assert abs(alpha_continued_fraction(elements) - compose_many(elements).big_plus) <= 1e-10
 
 
 def test_continued_fraction_survives_identity_seed():

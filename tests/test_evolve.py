@@ -76,12 +76,17 @@ def test_constant_coefficients_are_step_count_independent():
         single = evolve(schedule, 1)
         split = evolve(schedule, 64)
         assert _gap(single.element, split.element) <= 1e-11
+    # the oscillator with omega0 = 1 held at omega = 1.3
+    schedule = oscillator_schedule(1.0, lambda t: 1.3, 3.0)
+    single, split = evolve(schedule, 1), evolve(schedule, 100)
+    assert (single.steps, split.steps) == (1, 100)
+    assert _gap(single.element, split.element) <= 1e-11
 
 
 def test_cartan_schedule_gives_pure_phase():
-    omega, t_final = 1.3, 2.0
-    schedule = HamiltonianSchedule(AlgebraKind.SU2, lambda t: (0, omega, 0), t_final)
-    for steps in (1, 7, 128):
+    t_final = 2.0
+    for omega, steps in ((1.3, 1), (1.3, 7), (1.3, 128), (0.9, 64)):
+        schedule = HamiltonianSchedule(AlgebraKind.SU2, lambda t: (0, omega, 0), t_final)
         result = evolve(schedule, steps)
         assert abs(result.element.big_c() - cmath.exp(-1j * omega * t_final)) <= 1e-12
         assert result.element.big_plus == 0 and result.element.big_minus == 0
@@ -372,10 +377,9 @@ def test_sudden_jump_squeezing_magnitude():
     lam = ExponentParams(
         -1j * quarter * eta[0], -1j * quarter * eta[1], -1j * quarter * eta[2]
     )
-    gap = np.max(
-        np.abs(element_matrix(result.element) - exponent_matrix(AlgebraKind.SU11, lam))
-    )
-    assert gap <= 1e-12
+    for steps in (1, 16):
+        g = evolve(schedule, steps).element
+        assert np.max(np.abs(element_matrix(g) - exponent_matrix(AlgebraKind.SU11, lam))) <= 1e-12
 
 
 def frozen_oscillator_eta(omega0, omega):

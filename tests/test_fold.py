@@ -154,6 +154,15 @@ def test_evolve_reports_a_singular_slice_with_its_step():
     assert excinfo.value.step == 1
     assert excinfo.value.time == 1.0
     assert str(excinfo.value.__cause__).startswith("no normal-ordered form: disentangling denominator")
+    # nor does the slice of step 7 of 10, the first of the third chunk of 3, where eta
+    # reaches eta_plus = eta_minus = 2 pi i at t = 1.75, so that tau*eta = pi/2 i
+    kick = (2j * math.pi, 0j, 2j * math.pi)
+    schedule = HamiltonianSchedule(AlgebraKind.SU11, lambda t: kick if t >= 1.75 else (0j, 0j, 0j), 2.5)
+    for stride in (None, 3):
+        with pytest.raises(SingularDecomposition) as excinfo:
+            evolve(schedule, 10, checkpoint_every=stride)
+        assert (excinfo.value.step, excinfo.value.time) == (7, 1.75)
+        assert excinfo.value.denominator_abs <= 1e-12
 
 
 def test_evolve_rejects_non_finite_slices():
@@ -180,8 +189,11 @@ def test_compose_many_single_element_is_checked_then_returned():
     bad = GroupElement(AlgebraKind.SU2, complex(math.inf, 0), 0j, 0j)
     with pytest.raises(NonFiniteInput, match="group element coordinates must be finite"):
         compose_many([bad])
-    finite = GroupElement(AlgebraKind.SU2, 0.3 + 0.1j, 0.2j, -0.4 + 0j)
-    assert compose_many([finite]) is finite
+    su2 = GroupElement(AlgebraKind.SU2, 0.3 + 0.1j, 0.2j, -0.4 + 0j)
+    su11 = GroupElement(AlgebraKind.SU11, 0.2 + 0.1j, cmath.log(1.1), -0.1 + 0.05j)  # Lambda_c = 1.1
+    assert su11.big_c() == pytest.approx(1.1)
+    for finite in (su2, su11):
+        assert compose_many([finite]) is finite
 
 
 def test_compose_many_checks_algebra_then_finiteness_in_order():

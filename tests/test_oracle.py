@@ -115,6 +115,22 @@ def test_oracle_rejects_an_integer_beyond_double_range(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mat_exp([[2000, 0], [0, 0]]), "matrix exponential"),
+        (lambda: element_matrix(GroupElement(AlgebraKind.SU11, 0, 2000, 0)), "matrix exponential"),
+        (lambda: exponent_matrix(AlgebraKind.SU11, ExponentParams(0, 2000, 0)), "matrix exponential"),
+        (lambda: element_matrix(GroupElement(AlgebraKind.SU11, 0, 0, 0, 800)), "group element matrix"),
+    ],
+    ids=["mat_exp", "element_matrix", "exponent_matrix", "element_matrix-phase"],
+)
+def test_oracle_rejects_a_finite_input_whose_matrix_leaves_double_range(call, message):
+    # cosh(1000), or exp(800) of the phase, would raise a bare OverflowError
+    with pytest.raises(NonFiniteInput, match=f"^{message} leaves double range$"):
+        call()
+
+
 def test_element_matrix_identity():
     for kind in AlgebraKind:
         np.testing.assert_allclose(element_matrix(identity_element(kind)), np.eye(2))

@@ -223,6 +223,10 @@ def test_factorization_round_trip():
         assert abs(redone.big_c() - g.big_c()) <= 1e-10
         assert abs(redone.big_minus - g.big_minus) <= 1e-10
         assert abs(cmath.exp(redone.phase) - cmath.exp(g.phase)) <= 1e-10
+    # a product of moderate magnitudes factors to a residual near roundoff, with |L+| = |L-|
+    g = compose_squeezes(SqueezeParams(0.5, -1.1), SqueezeParams(0.7, 0.3))
+    assert factor_squeeze_rotation(g).residual <= 1e-10
+    assert abs(abs(g.big_plus) - abs(g.big_minus)) <= 1e-12
 
 
 def test_factorization_closed_form_angles():
@@ -243,12 +247,13 @@ def test_factorization_closed_form_angles():
 
 
 def test_factorization_of_equal_phase_product_has_no_rotation():
-    factored = factor_squeeze_rotation(
-        compose_squeezes(SqueezeParams(0.4, 0.2), SqueezeParams(1.1, 0.2))
-    )
-    assert abs(factored.rotation.angle) <= 1e-12
-    assert factored.squeeze.r == pytest.approx(1.5)
-    assert factored.squeeze.phi == pytest.approx(0.2)
+    # (z2, z1, the product's squeeze); a trivial first squeeze shares any phase
+    for z2, z1, r, phi in (((0.4, 0.2), (1.1, 0.2), 1.5, 0.2), ((0.9, -0.4), (0.0, 0.0), 0.9, -0.4)):
+        factored = factor_squeeze_rotation(compose_squeezes(SqueezeParams(*z2), SqueezeParams(*z1)))
+        assert abs(factored.rotation.angle) <= 1e-12
+        assert factored.squeeze.r == pytest.approx(r)
+        assert factored.squeeze.phi == pytest.approx(phi)
+        assert factored.residual <= 1e-10
 
 
 def test_factorization_of_pure_rotation():
