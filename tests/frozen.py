@@ -43,8 +43,12 @@ def frozen_pair_product(g2: GroupElement, g1: GroupElement) -> GroupElement:
 
 
 def random_params(rng, scale=0.5) -> ExponentParams:
-    """An exponent whose six real parts are one ``rng.uniform(-scale, scale, 6)`` draw (a numpy generator)."""
-    parts = rng.uniform(-scale, scale, 6)
+    """An exponent whose six real parts are six ``rng.uniform(-scale, scale)`` draws.
+
+    ``rng`` is a numpy Generator or a ``random.Random``: numpy's six scalar
+    draws are bit for bit its one vector of six.
+    """
+    parts = [rng.uniform(-scale, scale) for _ in range(6)]
     return ExponentParams(complex(*parts[0:2]), complex(*parts[2:4]), complex(*parts[4:6]))
 
 

@@ -13,16 +13,14 @@ from bchkit import (
     HamiltonianSchedule,
     RotationParams,
     SqueezeParams,
-    SqueezeRotationFactorization,
     compose_pair,
     compose_squeezes,
-    disentangle,
     factor_squeeze_rotation,
     identity_element,
     make_algebra,
 )
 from bchkit.algebra import _Frozen
-from frozen import clones
+from frozen import clones, random_element
 
 
 def test_structure_constants():
@@ -63,13 +61,7 @@ def test_identity_is_neutral_on_both_sides():
     for kind in AlgebraKind:
         ident = identity_element(kind)
         for _ in range(20):
-            parts = rng.uniform(-0.5, 0.5, 6)
-            lam = ExponentParams(
-                complex(parts[0], parts[1]),
-                complex(parts[2], parts[3]),
-                complex(parts[4], parts[5]),
-            )
-            g = disentangle(kind, lam).element
+            g = random_element(rng, kind)
             for product in (compose_pair(ident, g), compose_pair(g, ident)):
                 assert abs(product.big_plus - g.big_plus) <= 1e-14
                 assert abs(product.big_c() - g.big_c()) <= 1e-14
@@ -133,7 +125,7 @@ def _sample(cls):
         # any picklable callable serves as eta here: pickle stores a function by name
         HamiltonianSchedule(AlgebraKind.SU2, abs, 1.5),
         EvolutionResult(g, 4, 0.25, ((0.0, identity_element(AlgebraKind.SO21)), (1.0, g))),
-        SqueezeParams(-0.7, 0.3),
+        SqueezeParams(-0.5, 0.0),  # phi lands on the pi tie
         RotationParams(2 * math.pi + 0.25),
         factor_squeeze_rotation(squeezes),
     ]
@@ -165,6 +157,7 @@ def test_value_types_survive_pickle_and_copy(cls):
     for clone in clones(value):
         assert type(clone) is cls
         assert clone == value and hash(clone) == hash(value)
+        assert repr(clone) == repr(value)
 
 
 def test_value_types_keyword_construction_and_defaults():

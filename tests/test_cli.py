@@ -36,7 +36,7 @@ from bchkit import (
 )
 import bchkit
 from bchkit.cli import _render, load_schedule, main
-from frozen import complex_bits
+from frozen import complex_bits, random_element, random_params
 
 # json.dumps writes this as a 401-digit integer, far beyond double range
 HUGE = int("9" * 401)
@@ -71,12 +71,6 @@ def test_run_cli_checks_every_body():
 def pair(z):
     z = complex(z)
     return [z.real, z.imag]
-
-
-def random_exponent(rng, scale):
-    """An exponent whose six real parts are uniform on [-scale, scale]."""
-    parts = [rng.uniform(-scale, scale) for _ in range(6)]
-    return ExponentParams(complex(*parts[0:2]), complex(*parts[2:4]), complex(*parts[4:6]))
 
 
 def element_entry(g):
@@ -201,7 +195,7 @@ def oscillator_with(profile, t_final=1.0):
 ZERO = [0, 0]
 CF = "--continued-fraction"
 BIG_A = (318310 + 0.5) * math.pi
-RANDOM = random_exponent(random.Random(97), 0.5)
+RANDOM = random_params(random.Random(97))
 # exp(800) overflows inside the step but scales the second element's exact 0 L-
 POWER_OF_ZERO = [entry(ZERO, [800, 0], ZERO), entry([0.1, 0], [-200, 0], ZERO)]
 # eta_c = 1000i: log_c = 1000, whose exp() is no double
@@ -224,9 +218,7 @@ KICK_AT_STEP_7 = {
 }
 IDENTITY_ENTRY = {"Lambda_plus": ZERO, "Lambda_c": [1, 0], "Lambda_minus": ZERO}
 FRACTION_DRAW = random.Random(101)
-FRACTION_ENTRIES = [
-    element_entry(disentangle(AlgebraKind.SU11, random_exponent(FRACTION_DRAW, 0.5)).element) for _ in range(5)
-]
+FRACTION_ENTRIES = [element_entry(random_element(FRACTION_DRAW, AlgebraKind.SU11)) for _ in range(5)]
 
 # Ordinary inputs of every command, then inputs at the edges of double range; the library
 # tests pin the numbers of each
@@ -343,6 +335,10 @@ def test_bad_pair_syntax_exits_2(capsys):
             main(["squeeze-compose", "--z1", z1, "--z2", "0.4,0"])
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.endswith(f"argument --z1: r,phi must be finite but got {z1!r}\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["squeeze-compose", "--z1", "-0.5,0", "--z2", "0.4,0"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith("argument --z1: squeeze magnitude must be >= 0, got -0.5\n")
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +384,6 @@ def test_compose_restores_garbage_collection(tmp_path, capsys):
             assert gc.isenabled() is enabled
     finally:
         gc.enable()
-
-
-# ---------------------------------------------------------------------------
-# squeeze-compose
-
-def test_squeeze_compose_rejects_negative_magnitude(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["squeeze-compose", "--z1", "-0.5,0", "--z2", "0.4,0"])
-    assert excinfo.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -691,9 +678,7 @@ ODD_POSITIONS = {"first": 0, "middle": FILE_LENGTH // 2, "last": FILE_LENGTH - 1
 def float_entries(algebra):
     """FILE_LENGTH element file entries with "log_c" and float pairs only."""
     rng = random.Random(211)
-    return tuple(
-        element_entry(disentangle(algebra, random_exponent(rng, 0.4)).element) for _ in range(FILE_LENGTH)
-    )
+    return tuple(element_entry(random_element(rng, algebra, 0.4)) for _ in range(FILE_LENGTH))
 
 
 def with_odd_entry(algebra, make_odd, position):

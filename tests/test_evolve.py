@@ -18,7 +18,6 @@ from bchkit import (
     exponent_matrix,
     ExponentParams,
     generators_for,
-    identity_element,
     mat_exp,
     oscillator_schedule,
     step_element,
@@ -141,14 +140,6 @@ def test_default_checkpoint_stride():
     assert default_checkpoint_stride(4096) == 40
 
 
-def test_first_order_self_convergence():
-    schedule = oscillator_schedule(1.0, lambda t: 1.0 * (1.0 + 0.3 * math.sin(t)), 5.0)
-    finals = {n: evolve(schedule, n).element for n in (64, 128, 256, 512)}
-    gaps = [_gap(finals[n], finals[2 * n]) for n in (64, 128, 256)]
-    for wide, tight in zip(gaps, gaps[1:]):
-        assert 1.7 <= wide / tight <= 2.3
-
-
 def test_midpoint_sampling_is_second_order():
     # documented extension: midpoint coefficients halve the error twice per
     # doubling instead of once
@@ -210,24 +201,6 @@ def _table_schedule(algebra, table):
 def _drive_table(algebra, seed):
     rng = np.random.default_rng(seed)
     return [tuple(complex(*rng.uniform(-1, 1, 2)) for _ in range(3)) for _ in range(CHUNK_STEPS)]
-
-
-@pytest.mark.parametrize("stride", STRIDES)
-@pytest.mark.parametrize("algebra", list(AlgebraKind), ids=lambda a: a.value)
-def test_chunked_trajectory_is_compose_many_over_prefixes(algebra, stride):
-    table = _drive_table(algebra, 61)
-    elements = [step_element(algebra, eta, CHUNK_TAU) for eta in table]
-    result = evolve(_table_schedule(algebra, table), CHUNK_STEPS, checkpoint_every=stride)
-    assert result.tau == CHUNK_TAU
-    assert element_bits(result.element) == element_bits(compose_many(elements))
-    if stride is None:
-        assert result.trajectory is None
-        return
-    rows = [0] + [j for j in range(1, CHUNK_STEPS + 1) if j % stride == 0 or j == CHUNK_STEPS]
-    assert [t for t, _ in result.trajectory] == [j * CHUNK_TAU if j else 0.0 for j in rows]
-    assert result.trajectory[0][1] == identity_element(algebra)
-    for (_, g), j in zip(result.trajectory[1:], rows[1:]):
-        assert element_bits(g) == element_bits(compose_many(elements[:j]))
 
 
 def _singular_at(kind, step):

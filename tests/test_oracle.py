@@ -19,6 +19,7 @@ from bchkit import (
     mat_exp,
     rotation_element,
 )
+from frozen import random_params
 from reference import exponential
 
 # Bound on exponent_matrix's entrywise error against the mpmath matrix, relative to
@@ -171,13 +172,7 @@ def test_parameter_map_is_injective_near_identity():
     rng = np.random.default_rng(41)
     for kind in AlgebraKind:
         for _ in range(50):
-            parts = rng.uniform(-0.6, 0.6, 12)
-            lam_a = ExponentParams(
-                complex(parts[0], parts[1]), complex(parts[2], parts[3]), complex(parts[4], parts[5])
-            )
-            lam_b = ExponentParams(
-                complex(parts[6], parts[7]), complex(parts[8], parts[9]), complex(parts[10], parts[11])
-            )
+            lam_a, lam_b = random_params(rng, 0.6), random_params(rng, 0.6)
             gap = np.max(np.abs(exponent_matrix(kind, lam_a) - exponent_matrix(kind, lam_b)))
             assert gap > 1e-8
 
