@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import cmath
 import enum
+from cmath import isfinite
+
+from .errors import NonFiniteInput
 
 __all__ = [
     "AlgebraKind",
@@ -74,16 +77,35 @@ def make_algebra(kind: str | AlgebraKind) -> AlgebraKind:
     raise ValueError(f"unknown algebra {shown}; expected one of {names}")
 
 
-def _finite(*values) -> bool:
-    """Whether every value is a finite double; an integer beyond double range is not.
+def _as_complex(name: str, x, at=None) -> complex:
+    """``x`` as a complex number, as it enters the package; a complex ``x`` as it is.
 
-    The kernels' hot paths (the fold and the checks where tuples enter it)
-    keep their own inline tests; every other finiteness question asks this.
+    NaN and inf pass: they are checked where they are used.
     """
-    try:
-        return all(map(cmath.isfinite, values))
-    except OverflowError:
-        return False
+    return x if x.__class__ is complex else _to_number(complex, "a number", name, x, at)
+
+
+def _as_float(name: str, x, at=None) -> float:
+    """``x`` as a float, as _as_complex makes a complex number."""
+    return x if x.__class__ is float else _to_number(float, "a real number", name, x, at)
+
+
+def _to_number(kind, noun: str, name: str, x, at):
+    """``kind(x)``, or an error that names the field, as ``name(at)`` where ``at`` is given.
+
+    A ``str``, which ``kind()`` would parse, or any other value that is not
+    ``noun`` raises TypeError; an integer beyond double range, NonFiniteInput.
+    """
+    shown = name if at is None else f"{name}({at:.6g})"
+    if not isinstance(x, str):
+        try:
+            return kind(x)
+        except OverflowError:
+            size = f"an integer of {int(x).bit_length()} bits"
+            raise NonFiniteInput(f"{shown} must be within double range, got {size}") from None
+        except TypeError:
+            pass
+    raise TypeError(f"{shown} must be {noun}, got {x.__class__.__name__}")
 
 
 def _setters(cls) -> tuple:
@@ -136,13 +158,18 @@ class ExponentParams(_Frozen):
     __slots__ = ("lambda_plus", "lambda_c", "lambda_minus")
 
     def __init__(self, lambda_plus: complex, lambda_c: complex, lambda_minus: complex):
+        # one class test where every field is complex already, as on every path of the package
+        if not lambda_plus.__class__ is lambda_c.__class__ is lambda_minus.__class__ is complex:
+            lambda_plus, lambda_c, lambda_minus = map(
+                _as_complex, self.__slots__, (lambda_plus, lambda_c, lambda_minus)
+            )
         _set_lambda_plus(self, lambda_plus)
         _set_lambda_c(self, lambda_c)
         _set_lambda_minus(self, lambda_minus)
 
     def is_finite(self) -> bool:
-        """Whether every coordinate is a finite double; an integer beyond double range is not."""
-        return _finite(self.lambda_plus, self.lambda_c, self.lambda_minus)
+        """Whether every coordinate is finite."""
+        return isfinite(self.lambda_plus) and isfinite(self.lambda_c) and isfinite(self.lambda_minus)
 
 
 _set_lambda_plus, _set_lambda_c, _set_lambda_minus = _setters(ExponentParams)
@@ -167,6 +194,11 @@ class GroupElement(_Frozen):
         big_minus: complex,
         phase: complex = 0j,
     ):
+        # one class test where every field is complex already, as on every path of the package
+        if not big_plus.__class__ is log_c.__class__ is big_minus.__class__ is phase.__class__ is complex:
+            big_plus, log_c, big_minus, phase = map(
+                _as_complex, self.__slots__[1:], (big_plus, log_c, big_minus, phase)
+            )
         _set_algebra(self, algebra)
         _set_big_plus(self, big_plus)
         _set_log_c(self, log_c)
@@ -177,8 +209,11 @@ class GroupElement(_Frozen):
         return cmath.exp(self.log_c)
 
     def is_finite(self) -> bool:
-        """Whether every coordinate and the phase is a finite double; an integer beyond double range is not."""
-        return _finite(self.big_plus, self.log_c, self.big_minus, self.phase)
+        """Whether every coordinate and the phase is finite."""
+        return (
+            isfinite(self.big_plus) and isfinite(self.log_c)
+            and isfinite(self.big_minus) and isfinite(self.phase)
+        )
 
 
 _set_algebra, _set_big_plus, _set_log_c, _set_big_minus, _set_phase = _setters(GroupElement)

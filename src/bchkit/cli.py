@@ -18,7 +18,7 @@ import sys
 from bisect import bisect_right
 from cmath import isfinite
 
-from .algebra import AlgebraKind, ExponentParams, _finite, make_algebra
+from .algebra import AlgebraKind, ExponentParams, make_algebra
 from .compose import _compose_coords, _continued_fraction, disentangle
 from .errors import NonFiniteInput, SingularDecomposition
 from .evolve import (
@@ -81,6 +81,14 @@ def _require(condition, message: str) -> None:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(*values) -> bool:
+    """Whether every JSON number is a finite double; an integer beyond double range is not."""
+    try:
+        return all(map(isfinite, values))
+    except OverflowError:
+        return False
 
 
 def _number_field(obj: dict, key: str, label: str = "schedule") -> float:

@@ -102,11 +102,8 @@ def _disentangle_raw(kernel, lp, lc, lm):
     route or in _triangular, and log_c is the log of a finite, nonzero w),
     so a fold takes its coordinates unchecked.
     """
-    try:
-        if not (isfinite(lp) and isfinite(lc) and isfinite(lm)):
-            raise NonFiniteInput("exponent coordinates must be finite")
-    except OverflowError:  # an integer beyond double range
-        raise _beyond_range(("lambda_plus", "lambda_c", "lambda_minus"), (lp, lc, lm)) from None
+    if not (isfinite(lp) and isfinite(lc) and isfinite(lm)):
+        raise NonFiniteInput("exponent coordinates must be finite")
     _, half_delta, delta_eps, _, minus_two_over_delta = kernel
     half_c = half_delta * lc
     x = delta_eps * lp * lm
@@ -187,20 +184,6 @@ def _beyond_one(nu, a_nu, half_c, x):
         _check_w(w_s, TOL_SINGULAR * (a_c + abs(h_s)) + tol_w, "|w exp(-nu)|")
     log_w = nu + cmath.log(w_s)
     return s / w_s, complex(log_w.real, _principal(log_w.imag))
-
-
-def _beyond_range(names, values) -> NonFiniteInput:
-    """NonFiniteInput naming the first of ``values`` that is an integer beyond double range.
-
-    If none is (a sum of them left the range), it says the coordinates must be finite.
-    """
-    for name, value in zip(names, values):
-        try:
-            complex(value)
-        except OverflowError:
-            bits = int(value).bit_length()
-            return NonFiniteInput(f"{name} must be within double range, got an integer of {bits} bits")
-    return NonFiniteInput("group element coordinates must be finite")
 
 
 def _triangular(half_c, lp, lm, minus_two_over_delta):
@@ -405,21 +388,16 @@ def _checked_coords(
     Every element sequence enters the kernels here, the fold's and the
     continued fraction's, so each element is checked as it is reached: its
     algebra, then its coordinates and the running phase sum, which raise
-    NonFiniteInput there if not finite (naming an integer beyond double
-    range), before any later pair is formed.
+    NonFiniteInput there if not finite, before any later pair is formed.
     """
     phase = None
     for g in elements:
         if g.algebra is not algebra:
             raise AlgebraMismatch(f"cannot compose {g.algebra.value} with {algebra.value}")
         big_plus, log_c, big_minus = g.big_plus, g.log_c, g.big_minus
-        try:
-            phase = g.phase if phase is None else phase + g.phase
-            if not (isfinite(phase) and isfinite(big_plus) and isfinite(log_c) and isfinite(big_minus)):
-                raise NonFiniteInput("group element coordinates must be finite")
-        except OverflowError:  # an integer beyond double range, or a sum of them
-            names = ("big_plus", "log_c", "big_minus", "phase")
-            raise _beyond_range(names, (big_plus, log_c, big_minus, g.phase)) from None
+        phase = g.phase if phase is None else phase + g.phase
+        if not (isfinite(phase) and isfinite(big_plus) and isfinite(log_c) and isfinite(big_minus)):
+            raise NonFiniteInput("group element coordinates must be finite")
         yield big_plus, log_c, big_minus
     total.append(phase)
 

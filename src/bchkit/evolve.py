@@ -15,8 +15,8 @@ from itertools import islice
 from operator import index
 from typing import Callable, Optional
 
-from .algebra import AlgebraKind, GroupElement, _Frozen, _setters, identity_element
-from .compose import _beyond_range, _disentangle_raw, _fold
+from .algebra import AlgebraKind, GroupElement, _as_complex, _as_float, _Frozen, _setters, identity_element
+from .compose import _disentangle_raw, _fold
 from .errors import InvalidFrequency, SingularDecomposition
 
 __all__ = [
@@ -69,22 +69,13 @@ _set_element, _set_steps, _set_tau, _set_trajectory = _setters(EvolutionResult)
 
 def step_element(algebra: AlgebraKind, eta_j, tau: float) -> GroupElement:
     """Normal-ordered element of exp(-i tau H_j): evolve's slice, on a one-step constant schedule."""
-    try:
-        -1j * tau  # the slice's first product, where an integer beyond double range overflows
-    except OverflowError:
-        raise _beyond_range(("tau",), (tau,)) from None
     schedule = HamiltonianSchedule(algebra, lambda t: eta_j, tau)
     return GroupElement(algebra, *next(_slices(schedule, 1, tau, False)))
 
 
 def _check_t_final(t_final) -> None:
-    """Raise unless t_final is positive and finite as a double (a huge integer is not)."""
-    try:
-        ok = 0 < float(t_final) < math.inf
-    except OverflowError:  # its digits may pass str()'s limit, so give its size
-        size = f"{'a negative' if t_final < 0 else 'an'} integer of {int(t_final).bit_length()} bits"
-        raise ValueError(f"t_final must be positive and finite, got {size}") from None
-    if not ok:
+    """Raise unless t_final is positive and finite."""
+    if not 0 < _as_float("t_final", t_final) < math.inf:
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
 
 
@@ -139,7 +130,7 @@ def evolve(
         stride = _check_count("checkpoint stride", checkpoint_every)
         trajectory = [(0.0, identity_element(algebra))]
 
-    tau = schedule.t_final / steps
+    tau = float(schedule.t_final / steps)  # a float, whatever number t_final was
     slices = _slices(schedule, steps, tau, midpoint)
     acc, done = None, 0  # the product of the first ``done`` slices
     try:
@@ -168,23 +159,24 @@ def _slices(schedule: HamiltonianSchedule, steps: int, tau: float, midpoint: boo
 
     The tuples are finite, as _disentangle_raw returns them; a singular
     slice raises its SingularDecomposition with ``step`` set to its 1-based j.
+    Each eta value becomes a complex number through _as_complex, after one
+    inline class test that passes three complex values without a call.
     """
     eta, kernel = schedule.eta, schedule.algebra._kernel
+    tau = _as_float("tau", tau)
     minus_i_tau = -1j * tau
     shift = 0.5 * tau if midpoint else 0.0  # j*tau - 0.0 is j*tau, bit for bit
     for j in range(1, steps + 1):
-        eta_plus, eta_c, eta_minus = eta(j * tau - shift)
+        t = j * tau - shift
+        eta_plus, eta_c, eta_minus = values = eta(t)
+        if not eta_plus.__class__ is eta_c.__class__ is eta_minus.__class__ is complex:
+            eta_plus, eta_c, eta_minus = map(
+                _as_complex, ("eta_plus", "eta_c", "eta_minus"), values, (t, t, t)
+            )
         try:
             big_plus, log_c, big_minus, _ = _disentangle_raw(
-                kernel,
-                minus_i_tau * (eta_plus if eta_plus.__class__ is complex else complex(eta_plus)),
-                minus_i_tau * (eta_c if eta_c.__class__ is complex else complex(eta_c)),
-                minus_i_tau * (eta_minus if eta_minus.__class__ is complex else complex(eta_minus)),
+                kernel, minus_i_tau * eta_plus, minus_i_tau * eta_c, minus_i_tau * eta_minus
             )
-        except OverflowError:  # complex() of an integer beyond double range
-            t = f"({j * tau - shift:.6g})"
-            names = ("eta_plus" + t, "eta_c" + t, "eta_minus" + t)
-            raise _beyond_range(names, (eta_plus, eta_c, eta_minus)) from None
         except SingularDecomposition as exc:
             exc.step = j
             raise
@@ -207,10 +199,7 @@ def oscillator_schedule(
     At omega = omega0 the coupling terms vanish and H reduces to
     2 omega0 Tc, the static oscillator.
     """
-    try:
-        omega0 = float(omega0)
-    except OverflowError:  # an integer beyond double range
-        raise InvalidFrequency("reference frequency is beyond double range") from None
+    omega0 = _as_float("omega0", omega0)
     if not (math.isfinite(omega0) and omega0 > 0):
         raise InvalidFrequency(f"reference frequency must be positive, got {omega0}")
     _check_t_final(t_final)
@@ -218,10 +207,8 @@ def oscillator_schedule(
 
     def eta(t: float):
         omega = omega_of_t(t)
-        try:
-            omega = float(omega)
-        except OverflowError:  # an integer beyond double range
-            raise InvalidFrequency(f"omega({t:.6g}) is beyond double range") from None
+        if omega.__class__ is not float:
+            omega = _as_float("omega", omega, t)
         if not 0.0 < omega < inf:  # a NaN fails too
             raise InvalidFrequency(f"omega({t:.6g}) = {omega} is not positive")
         omega_sq = omega * omega

@@ -207,30 +207,24 @@ def mat_exp(m) -> Mat2:
 def element_matrix(g: GroupElement) -> Mat2:
     """Matrix of a normal-ordered element, scalar prefactor included."""
     gens = generators_for(g.algebra)
+    ordered = (
+        mat_exp(g.big_plus * gens.m_plus)
+        @ mat_exp(g.log_c * gens.m_c)
+        @ mat_exp(g.big_minus * gens.m_minus)
+    )
+    if not cmath.isfinite(g.phase):
+        raise NonFiniteInput("group element coordinates must be finite")
     try:
-        ordered = (
-            mat_exp(g.big_plus * gens.m_plus)
-            @ mat_exp(g.log_c * gens.m_c)
-            @ mat_exp(g.big_minus * gens.m_minus)
-        )
         return cmath.exp(g.phase) * ordered
-    except OverflowError:
-        # an integer coordinate beyond double range, or a finite phase whose
-        # exp() leaves double range
-        if g.is_finite():
-            raise NonFiniteInput("group element matrix leaves double range") from None
-        raise NonFiniteInput("group element coordinates must be finite") from None
+    except OverflowError:  # a finite phase whose exp() leaves double range
+        raise NonFiniteInput("group element matrix leaves double range") from None
 
 
 def exponent_matrix(algebra: AlgebraKind, lam: ExponentParams) -> Mat2:
     """Matrix of the single exponential with the given coordinates."""
     gens = generators_for(algebra)
-    try:
-        combined = (
-            lam.lambda_plus * gens.m_plus
-            + lam.lambda_c * gens.m_c
-            + lam.lambda_minus * gens.m_minus
-        )
-    except OverflowError:  # an integer coordinate beyond double range
-        raise NonFiniteInput("exponent coordinates must be finite") from None
-    return mat_exp(combined)
+    return mat_exp(
+        lam.lambda_plus * gens.m_plus
+        + lam.lambda_c * gens.m_c
+        + lam.lambda_minus * gens.m_minus
+    )

@@ -14,7 +14,9 @@ from __future__ import annotations
 import cmath
 import math
 
-from .algebra import AlgebraKind, GroupElement, _Frozen, _setters, identity_element
+from .algebra import (
+    AlgebraKind, GroupElement, _as_complex, _as_float, _Frozen, _setters, identity_element,
+)
 from .compose import compose_pair
 from .errors import NonFiniteInput, NotFactorizable
 
@@ -50,12 +52,8 @@ class SqueezeParams(_Frozen):
     __slots__ = ("r", "phi")
 
     def __init__(self, r: float, phi: float = 0.0):
-        try:
-            r, phi = float(r), float(phi)
-            ok = math.isfinite(r) and math.isfinite(phi)
-        except OverflowError:  # an integer beyond double range
-            ok = False
-        if not ok:
+        r, phi = _as_float("r", r), _as_float("phi", phi)
+        if not (math.isfinite(r) and math.isfinite(phi)):
             raise NonFiniteInput("squeeze parameters must be finite")
         if r < 0:
             # z = r e^{i phi} is what matters; fold the sign into the phase
@@ -77,12 +75,8 @@ class RotationParams(_Frozen):
     __slots__ = ("angle",)
 
     def __init__(self, angle: float):
-        try:
-            angle = float(angle)
-            ok = math.isfinite(angle)
-        except OverflowError:  # an integer beyond double range
-            ok = False
-        if not ok:
+        angle = _as_float("angle", angle)
+        if not math.isfinite(angle):
             raise NonFiniteInput("rotation angle must be finite")
         _set_angle(self, _wrap_angle(angle))
 
@@ -112,7 +106,7 @@ class SqueezeRotationFactorization(_Frozen):
     ):
         _set_squeeze(self, squeeze)
         _set_rotation(self, rotation)
-        _set_phase_shift(self, phase_shift)
+        _set_phase_shift(self, _as_complex("phase_shift", phase_shift))
         _set_residual(self, residual)
 
     def recompose(self) -> GroupElement:
@@ -144,7 +138,7 @@ def squeeze_element(p: SqueezeParams) -> GroupElement:
     return GroupElement(
         AlgebraKind.SU11,
         big_plus=-phase_factor * tanh_r,
-        log_c=-2.0 * log_cosh_r,
+        log_c=complex(-2.0 * log_cosh_r),
         big_minus=tanh_r * phase_factor.conjugate(),
     )
 

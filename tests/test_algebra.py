@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,16 +12,21 @@ from bchkit import (
     ExponentParams,
     GroupElement,
     HamiltonianSchedule,
+    NonFiniteInput,
     RotationParams,
     SqueezeParams,
+    SqueezeRotationFactorization,
     compose_pair,
     compose_squeezes,
+    evolve,
     factor_squeeze_rotation,
     identity_element,
     make_algebra,
+    oscillator_schedule,
+    step_element,
 )
 from bchkit.algebra import _Frozen
-from frozen import clones, random_element
+from frozen import clones, element_bits, random_element
 
 
 def test_structure_constants():
@@ -80,16 +86,58 @@ def test_finiteness_helpers():
     assert not ExponentParams(0, complex(0, math.inf), 0).is_finite()
     g = GroupElement(AlgebraKind.SU11, 0j, 0j, 0j, phase=complex(math.nan, 0))
     assert not g.is_finite()
-    # an integer beyond double range is not finite as a double; cmath.isfinite would raise
-    assert ExponentParams(1, 0, 1).is_finite()
-    for k in range(3):
-        lam = [1, 0, 1]
-        lam[k] = 10**400
-        assert not ExponentParams(*lam).is_finite()
-    for k in range(4):
-        coords = [0, 0, 0, 0]
-        coords[k] = -(10**400)
-        assert not GroupElement(AlgebraKind.SU11, *coords).is_finite()
+
+
+def _in_field(cls, name, *head):
+    """entry(x) for field ``name`` of ``cls``: the value stored from x, every later field 0.5j."""
+    fields = cls.__slots__[len(head):]
+    return lambda x: getattr(cls(*head, **{f: x if f == name else 0.5j for f in fields}), name)
+
+
+def _in_eta(k):
+    """entry(x) for eta value ``k`` of step_element at tau = 0.5: the bits of the slice."""
+    return lambda x: element_bits(
+        step_element(AlgebraKind.SO21, tuple(x if i == k else 0.5j for i in range(3)), 0.5)
+    )
+
+
+def _evolved(schedule):
+    return element_bits(evolve(schedule, 2).element)
+
+
+# (the field as errors name it, the kind it becomes, entry(x): what the package makes of x there)
+BOUNDARY = [
+    *[(name, complex, _in_field(ExponentParams, name)) for name in ExponentParams.__slots__],
+    *[(name, complex, _in_field(GroupElement, name, AlgebraKind.SU11)) for name in GroupElement.__slots__[1:]],
+    ("r", float, lambda x: SqueezeParams(x, 0.5).r),
+    ("phi", float, lambda x: SqueezeParams(0.5, x).phi),
+    ("angle", float, lambda x: RotationParams(x).angle),
+    (
+        "phase_shift",
+        complex,
+        lambda x: SqueezeRotationFactorization(SqueezeParams(0.5), RotationParams(0.5), x).phase_shift,
+    ),
+    ("tau", float, lambda x: element_bits(step_element(AlgebraKind.SU11, (0.5j, 1j, 0.5j), x))),
+    ("t_final", float, lambda x: _evolved(HamiltonianSchedule(AlgebraKind.SU2, lambda t: (0.5j, 1j, 0.5j), x))),
+    ("omega0", float, lambda x: _evolved(oscillator_schedule(x, lambda t: 1.5, 1.0))),
+    ("omega(0.25)", float, lambda x: oscillator_schedule(1.0, lambda t: x, 1.0).eta(0.25)),
+    *[(f"{name}(0.5)", complex, _in_eta(k)) for k, name in enumerate(("eta_plus", "eta_c", "eta_minus"))],
+]
+
+
+@pytest.mark.parametrize("name, kind, entry", BOUNDARY, ids=[row[0] for row in BOUNDARY])
+def test_numbers_enter_at_one_boundary(name, kind, entry):
+    # every number becomes a complex or a float where it enters, so no kernel sees an integer
+    field = re.escape(name)
+    for huge, bits in ((10**400, 1329), (-(10**5000), 16610)):
+        with pytest.raises(NonFiniteInput, match=rf"^{field} must be within double range, got an integer of {bits} bits$"):
+            entry(huge)
+    noun = "a number" if kind is complex else "a real number"
+    with pytest.raises(TypeError, match=rf"^{field} must be {noun}, got str$"):
+        entry("1")
+    for value in (1, True, np.float64(0.5)):
+        got, want = entry(value), entry(kind(value))
+        assert got == want and type(got) is type(want)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +220,8 @@ def test_value_types_keyword_construction_and_defaults():
 def test_value_type_repr():
     g = GroupElement(AlgebraKind.SU2, 0.1j, 0.2, -0.3)
     assert repr(g) == (
-        "GroupElement(algebra=<AlgebraKind.SU2: 'su2'>, big_plus=0.1j, log_c=0.2, "
-        "big_minus=-0.3, phase=0j)"
+        "GroupElement(algebra=<AlgebraKind.SU2: 'su2'>, big_plus=0.1j, log_c=(0.2+0j), "
+        "big_minus=(-0.3+0j), phase=0j)"
     )
-    assert repr(ExponentParams(1, 2j, 3.5)) == "ExponentParams(lambda_plus=1, lambda_c=2j, lambda_minus=3.5)"
+    assert repr(ExponentParams(1, 2j, 3.5)) == "ExponentParams(lambda_plus=(1+0j), lambda_c=2j, lambda_minus=(3.5+0j))"
     assert repr(DisentangleResult(g, 0.5)) == f"DisentangleResult(element={g!r}, nu=0.5)"

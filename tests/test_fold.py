@@ -9,6 +9,8 @@ in no other file:
   leaves a shorter last chunk and at one exact chunk: on a drive per
   algebra on both disentangling branches and on the oscillator preset, at
   endpoint and midpoint samples;
+- compose_many gives the same bits whether an element's fields were given
+  as complex numbers or as the floats and ints they equal;
 - where |nu| <= 1, disentangle keeps the bits of its first guarded
   arithmetic (seed_guarded_disentangle), whose series is the plain sum and
   whose early pass of the w test changes no outcome.
@@ -60,6 +62,9 @@ DRIVES = {
     AlgebraKind.SO21: lambda t: (0.2 * math.cos(t), 0.5 + 0.1j * t, -0.3 * math.sin(t)),
 }
 
+# Real coordinates (big_plus, log_c, big_minus, phase), given as floats and ints.
+REAL_HEAD = [(0.25, 1, -0.5, 0), (1, -0.125, 0.5, 0.75)]
+
 # (t_final, steps) per branch: every slice has |nu| above the series
 # threshold on the coarse grid and below it on the fine one.
 BRANCHES = {"coarse": (1.5, 48), "fine": (0.03, 300)}
@@ -106,6 +111,11 @@ def test_evolve_is_the_per_pair_fold(schedule, steps, series, midpoint):
     plain = evolve(schedule, steps, midpoint=midpoint)  # one fold, no checkpoints
     assert plain.trajectory is None and plain.tau == tau
     assert element_bits(plain.element) == element_bits(compose_many(elements)) == element_bits(acc)
+
+    # ahead of the slices, elements with float- and int-typed fields fold as the complex-typed ones
+    typed = [GroupElement(algebra, *c) for c in REAL_HEAD] + elements
+    exact = [GroupElement(algebra, *map(complex, c)) for c in REAL_HEAD] + elements
+    assert element_bits(compose_many(typed)) == element_bits(compose_many(exact))
 
     # no step count is a multiple of 7, so that stride leaves a shorter last chunk;
     # a stride of ``steps`` folds one exact chunk

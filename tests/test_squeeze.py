@@ -304,9 +304,9 @@ def test_factorization_rejects_a_cartan_coordinate_beyond_double_range(log_c):
 
 @pytest.mark.parametrize("field", ["big_plus", "phase"])
 def test_factorization_rejects_an_integer_beyond_double_range(field):
-    # is_finite() would raise a bare OverflowError instead of saying False
+    # refused, by name, where the element is built
     coords = {"big_plus": 0.5, "log_c": 0j, "big_minus": 0.5, "phase": 0j, field: 10**400}
-    with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+    with pytest.raises(NonFiniteInput, match=f"^{field} must be within double range, got an integer of 1329 bits$"):
         factor_squeeze_rotation(GroupElement(AlgebraKind.SU11, **coords))
 
 
