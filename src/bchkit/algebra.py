@@ -80,7 +80,7 @@ def make_algebra(kind: str | AlgebraKind) -> AlgebraKind:
 def _as_complex(name: str, x, at=None) -> complex:
     """``x`` as a complex number, as it enters the package; a complex ``x`` as it is.
 
-    NaN and inf pass: they are checked where they are used.
+    NaN and inf pass: a value type whose fields must be finite refuses them where it is built.
     """
     return x if x.__class__ is complex else _to_number(complex, "a number", name, x, at)
 
@@ -153,7 +153,10 @@ class _Frozen:
 
 
 class ExponentParams(_Frozen):
-    """Coordinates of a single-exponential group element (all complex, finite)."""
+    """Coordinates of a single-exponential group element (all complex; see _disentangle_raw).
+
+    NaN and inf pass: the kernel checks them, as evolve's slices reach it without ExponentParams.
+    """
 
     __slots__ = ("lambda_plus", "lambda_c", "lambda_minus")
 
@@ -181,7 +184,8 @@ class GroupElement(_Frozen):
     ``log_c`` holds ln of the Cartan coordinate; the coordinate itself is
     recovered via :meth:`big_c` and is never stored directly.  ``phase`` is a
     scalar prefactor exponent (the element represents exp(phase) times the
-    ordered product); it stays 0 except for rotation operators.
+    ordered product); it stays 0 except for rotation operators.  A NaN or
+    infinite field raises NonFiniteInput here, so no reader checks one again.
     """
 
     __slots__ = ("algebra", "big_plus", "log_c", "big_minus", "phase")
@@ -199,6 +203,8 @@ class GroupElement(_Frozen):
             big_plus, log_c, big_minus, phase = map(
                 _as_complex, self.__slots__[1:], (big_plus, log_c, big_minus, phase)
             )
+        if not (isfinite(big_plus) and isfinite(log_c) and isfinite(big_minus) and isfinite(phase)):
+            raise NonFiniteInput("group element coordinates must be finite")
         _set_algebra(self, algebra)
         _set_big_plus(self, big_plus)
         _set_log_c(self, log_c)
@@ -207,13 +213,6 @@ class GroupElement(_Frozen):
 
     def big_c(self) -> complex:
         return cmath.exp(self.log_c)
-
-    def is_finite(self) -> bool:
-        """Whether every coordinate and the phase is finite."""
-        return (
-            isfinite(self.big_plus) and isfinite(self.log_c)
-            and isfinite(self.big_minus) and isfinite(self.phase)
-        )
 
 
 _set_algebra, _set_big_plus, _set_log_c, _set_big_minus, _set_phase = _setters(GroupElement)

@@ -18,8 +18,8 @@ returns its product and takes the product so far as a seed, so evolve's
 checkpoints fold chunk by chunk.  Tuples are checked where they enter it,
 so it checks only what it makes, and a singular error carries the step of
 the whole run.  Every element sequence enters both kernels through one
-generator, which checks each element and sums the phases (a central
-factor, so they only ever add) outside the kernels.  The public functions
+generator, which checks each element's algebra (GroupElement is finite) and
+sums the phases (a central factor) outside the kernels.  The public functions
 wrap the same kernels, so every route gives the same bits.
 """
 
@@ -98,7 +98,8 @@ def _series(nu: complex) -> tuple[complex, complex]:
 def _disentangle_raw(kernel, lp, lc, lm):
     """(big_plus, log_c, big_minus, nu) of exp(lp T+ + lc Tc + lm T-); see disentangle.
 
-    All four are finite (L+ and L- are checked once, after either general
+    Its input is checked here, not in ExponentParams: evolve's slices arrive as raw products.
+    All four outputs are finite (L+ and L- are checked once, after either general
     route or in _triangular, and log_c is the log of a finite, nonzero w),
     so a fold takes its coordinates unchecked.
     """
@@ -387,18 +388,17 @@ def _checked_coords(
 
     Every element sequence enters the kernels here, the fold's and the
     continued fraction's, so each element is checked as it is reached: its
-    algebra, then its coordinates and the running phase sum, which raise
-    NonFiniteInput there if not finite, before any later pair is formed.
+    algebra, then the running phase sum (each GroupElement is finite, their
+    sum may not be), before any later pair is formed.
     """
     phase = None
     for g in elements:
         if g.algebra is not algebra:
             raise AlgebraMismatch(f"cannot compose {g.algebra.value} with {algebra.value}")
-        big_plus, log_c, big_minus = g.big_plus, g.log_c, g.big_minus
         phase = g.phase if phase is None else phase + g.phase
-        if not (isfinite(phase) and isfinite(big_plus) and isfinite(log_c) and isfinite(big_minus)):
+        if not isfinite(phase):
             raise NonFiniteInput("group element coordinates must be finite")
-        yield big_plus, log_c, big_minus
+        yield g.big_plus, g.log_c, g.big_minus
     total.append(phase)
 
 
@@ -422,9 +422,9 @@ def compose_many(elements: Sequence[GroupElement]) -> GroupElement:
     that repeated compose_pair calls would, each new element acting after
     the accumulated product; this left fold is the recurrence that seeds on
     the first element's coordinates.  A singular step is reported with its
-    1-based position and the fold's message as ``__cause__``, and a step that
-    leaves double range raises NonFiniteInput.  A single element is checked
-    like every other and returned as it is.
+    1-based position and the fold's message as ``__cause__``, and a step or a
+    phase sum that leaves double range raises NonFiniteInput.  A single
+    element is checked like every other and returned as it is.
     """
     count = len(elements)
     if count == 0:
@@ -441,7 +441,7 @@ def alpha_continued_fraction(elements: Sequence[GroupElement]) -> complex:
     coordinate).  Its arithmetic is independent of the fold in compose_many,
     which is the point: agreement between the two is a nontrivial consistency
     check.  Its input check is the fold's: elements are read as compose_many
-    reads them, so the same input raises the same error at the same element.
+    reads them (algebra, phase sum), so an input raises the same error at the same element.
 
     A zero running value is a removable case (its reciprocal only appears in
     a denominator that then blows up, killing the whole fraction term), so it

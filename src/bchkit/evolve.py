@@ -83,13 +83,9 @@ def _check_count(name: str, value) -> int:
     """``value`` as a plain int; raise unless it is an integer from 1 to double range."""
     try:
         count = index(value)
-        ok = float(count) >= 1
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    except OverflowError:
-        bits = count.bit_length()
-        raise ValueError(f"{name} must be within double range, got {bits} bits") from None
-    if not ok:
+    if not _as_float(name, count) >= 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     return count
 

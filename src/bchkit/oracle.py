@@ -212,8 +212,6 @@ def element_matrix(g: GroupElement) -> Mat2:
         @ mat_exp(g.log_c * gens.m_c)
         @ mat_exp(g.big_minus * gens.m_minus)
     )
-    if not cmath.isfinite(g.phase):
-        raise NonFiniteInput("group element coordinates must be finite")
     try:
         return cmath.exp(g.phase) * ordered
     except OverflowError:  # a finite phase whose exp() leaves double range

@@ -176,8 +176,6 @@ def factor_squeeze_rotation(g: GroupElement) -> SqueezeRotationFactorization:
     """
     if g.algebra is not AlgebraKind.SU11:
         raise NotFactorizable("only su(1,1) elements factor as squeeze times rotation")
-    if not g.is_finite():
-        raise NonFiniteInput("group element coordinates must be finite")
     mag_plus, mag_minus = abs(g.big_plus), abs(g.big_minus)
     if abs(mag_plus - mag_minus) > _TOL_MAGNITUDE * max(1.0, mag_plus, mag_minus):
         raise NotFactorizable(

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -84,8 +85,6 @@ def test_finiteness_helpers():
     assert ExponentParams(0.1, 0.2j, -0.3).is_finite()
     assert not ExponentParams(math.nan, 0, 0).is_finite()
     assert not ExponentParams(0, complex(0, math.inf), 0).is_finite()
-    g = GroupElement(AlgebraKind.SU11, 0j, 0j, 0j, phase=complex(math.nan, 0))
-    assert not g.is_finite()
 
 
 def _in_field(cls, name, *head):
@@ -138,6 +137,28 @@ def test_numbers_enter_at_one_boundary(name, kind, entry):
     for value in (1, True, np.float64(0.5)):
         got, want = entry(value), entry(kind(value))
         assert got == want and type(got) is type(want)
+
+
+GROUP_FIELDS = GroupElement.__slots__[1:]
+
+
+@pytest.mark.parametrize("by", ["position", "keyword"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("name", GROUP_FIELDS)
+def test_group_element_refuses_a_non_finite_field(name, bad, by):
+    # refused where it is built, so nothing that reads an element checks it again;
+    # as a float it takes the conversion, as a complex (the package's own) it does not
+    for value in (bad, complex(0.5, bad), complex(bad, 0.5)):
+        values = [value if field == name else 0.5j for field in GROUP_FIELDS]
+        with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+            if by == "position":
+                GroupElement(AlgebraKind.SU11, *values)
+            else:
+                GroupElement(AlgebraKind.SU11, **dict(zip(GROUP_FIELDS, values)))
+    # the largest finite values still build
+    for value in (sys.float_info.max, complex(-sys.float_info.max, sys.float_info.max)):
+        values = [value if field == name else 0.5j for field in GROUP_FIELDS]
+        assert getattr(GroupElement(AlgebraKind.SU11, *values), name) == value
 
 
 # ---------------------------------------------------------------------------

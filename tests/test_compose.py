@@ -404,23 +404,25 @@ def test_phases_add_left_to_right_bit_for_bit():
 
 
 def test_non_finite_phase_raises_at_its_element_before_a_later_singular_pair():
+    # two finite phases whose sum is not: the sum raises at the second, and a
+    # singular pair ahead of it raises first
     kind = AlgebraKind.SU11
     ident = identity_element(kind)
-    nan_phase = GroupElement(kind, 0j, 0j, 0j, complex(0, math.nan))
+    big = GroupElement(kind, 0j, 0j, 0j, complex(0, 1e308))
     raiser = GroupElement(kind, 1.0 + 0j, 0j, 0j)
     lowerer = GroupElement(kind, 0j, 0j, 1.0 + 0j)
     with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
-        compose_many([ident, nan_phase, raiser, lowerer])
-    with pytest.raises(SingularDecomposition, match="at element 3 of 4"):
-        compose_many([ident, raiser, lowerer, nan_phase])
+        compose_many([ident, big, big, raiser, lowerer])
+    with pytest.raises(SingularDecomposition, match="at element 3 of 5"):
+        compose_many([ident, raiser, lowerer, big, big])
     with pytest.raises(NonFiniteInput):
-        compose_pair(nan_phase, ident)
+        compose_pair(big, big)
 
 
 def test_single_element_with_nan_phase_raises():
-    bad = GroupElement(AlgebraKind.SU2, 0j, 0j, 0j, complex(math.nan, 0))
+    # refused where it is built: no element compose_many could be handed has a NaN phase
     with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
-        compose_many([bad])
+        compose_many([GroupElement(AlgebraKind.SU2, 0j, 0j, 0j, complex(math.nan, 0))])
 
 
 def test_overflowing_phase_sum_raises_at_its_element():
@@ -477,13 +479,14 @@ def test_continued_fraction_never_returns_non_finite():
     su11 = AlgebraKind.SU11
     h = GroupElement(su11, 0.1 + 0j, 0j, 0.1 + 0j)
     cases = [
-        [GroupElement(AlgebraKind.SU2, complex(math.nan, 0), 0j, 0j)],  # was (nan+0j)
-        [GroupElement(su11, 1e300 + 0j, 700 + 0j, 0j)] * 2,  # was (inf+0j)
-        [h, GroupElement(su11, 0.1 + 0j, 800 + 0j, 0.1 + 0j), h],  # exp(800): was OverflowError
+        # was (nan+0j); a NaN coordinate is now refused where the element is built
+        lambda: [GroupElement(AlgebraKind.SU2, complex(math.nan, 0), 0j, 0j)],
+        lambda: [GroupElement(su11, 1e300 + 0j, 700 + 0j, 0j)] * 2,  # was (inf+0j)
+        lambda: [h, GroupElement(su11, 0.1 + 0j, 800 + 0j, 0.1 + 0j), h],  # exp(800): was OverflowError
     ]
     for elements in cases:
         with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
-            alpha_continued_fraction(elements)
+            alpha_continued_fraction(elements())
 
 
 @pytest.mark.parametrize(
@@ -608,7 +611,13 @@ def test_continued_fraction_rejects_mixed_algebras():
 
 
 def parity_rows():
-    """(id, elements) on which the continued fraction must raise as compose_many does."""
+    """(id, build) where build() gives the elements on which the continued fraction must
+    raise as compose_many does.
+
+    Each row is built inside the call, as a caller builds it: an element with a
+    NaN or inf coordinate or phase is refused where it is built, so on those rows
+    both routes' callers see the constructor's error.
+    """
     su11 = AlgebraKind.SU11
     ident = identity_element(su11)
     h = GroupElement(su11, 0.1 + 0j, 0j, 0.1 + 0j)
@@ -617,32 +626,35 @@ def parity_rows():
         for index, name in enumerate(("big_plus", "log_c", "big_minus")):
             coords = [0.1, 0, 0.1]
             coords[index] = bad_value
-            bad = GroupElement(su11, *coords)
-            rows.append((f"{name}={bad_value}-first", [bad, h]))
-            rows.append((f"{name}={bad_value}-after-identity", [ident, bad]))
-            rows.append((f"{name}={bad_value}-mid", [h, h, bad, h]))
+            for where, place in (
+                ("first", lambda bad: [bad, h]),
+                ("after-identity", lambda bad: [ident, bad]),
+                ("mid", lambda bad: [h, h, bad, h]),
+            ):
+                build = lambda coords=coords, place=place: place(GroupElement(su11, *coords))
+                rows.append((f"{name}={bad_value}-{where}", build))
     big_phase = GroupElement(su11, 0j, 0j, 0j, 1e308 + 0j)
     rows += [
-        ("nan-phase", [h, GroupElement(su11, 0.1 + 0j, 0j, 0.1 + 0j, complex(math.nan, 0))]),
-        ("overflowing-phase-sum", [h, big_phase, big_phase, h]),
+        ("nan-phase", lambda: [h, GroupElement(su11, 0.1 + 0j, 0j, 0.1 + 0j, complex(math.nan, 0))]),
+        ("overflowing-phase-sum", lambda: [h, big_phase, big_phase, h]),
         # both parts are finite, |big_plus| is not: the fraction takes the term the fold's
         # way, and both overflow in the same intermediate of the term's complex division
-        ("value-beyond-double-range", [GroupElement(su11, 1.5e308 + 1.5e308j, 0j, 0j), h]),
-        ("mixed-algebras", [ident, h, identity_element(AlgebraKind.SO21)]),
-        ("empty", []),
+        ("value-beyond-double-range", lambda: [GroupElement(su11, 1.5e308 + 1.5e308j, 0j, 0j), h]),
+        ("mixed-algebras", lambda: [ident, h, identity_element(AlgebraKind.SO21)]),
+        ("empty", lambda: []),
     ]
     return rows
 
 
-def raised(evaluate, elements):
+def raised(evaluate, build):
     with pytest.raises(Exception) as excinfo:
-        evaluate(elements)
+        evaluate(build())
     return type(excinfo.value), str(excinfo.value)
 
 
-@pytest.mark.parametrize("elements", [pytest.param(e, id=i) for i, e in parity_rows()])
-def test_continued_fraction_rejects_what_the_fold_rejects(elements):
-    assert raised(alpha_continued_fraction, elements) == raised(compose_many, elements)
+@pytest.mark.parametrize("build", [pytest.param(b, id=i) for i, b in parity_rows()])
+def test_continued_fraction_rejects_what_the_fold_rejects(build):
+    assert raised(alpha_continued_fraction, build) == raised(compose_many, build)
 
 
 def frozen_alpha_continued_fraction(elements):

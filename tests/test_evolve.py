@@ -98,8 +98,10 @@ def test_evolve_validates_arguments():
         evolve(schedule, 0)
     with pytest.raises(ValueError, match=r"^steps must be an integer, got 2\.0$"):
         evolve(schedule, 2.0)
-    with pytest.raises(ValueError, match="^steps must be within double range"):
+    with pytest.raises(NonFiniteInput, match="^steps must be within double range, got an integer of 1329 bits$"):
         evolve(schedule, 10**400)
+    with pytest.raises(NonFiniteInput, match="^checkpoint stride must be within double range, got an integer of 1329 bits$"):
+        evolve(schedule, 10, checkpoint_every=-(10**400))
     # a numpy count runs as the plain int it stands for, and a numpy t_final as the
     # float it stands for, down to the type of tau and of every checkpoint time
     wide, plain = evolve(schedule, np.int64(64)), evolve(schedule, 64)

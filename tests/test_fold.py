@@ -183,9 +183,9 @@ def test_evolve_rejects_non_finite_slices():
 
 
 def test_compose_many_single_element_is_checked_then_returned():
-    bad = GroupElement(AlgebraKind.SU2, complex(math.inf, 0), 0j, 0j)
+    # an element with an infinite coordinate is refused where it is built, before compose_many
     with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
-        compose_many([bad])
+        compose_many([GroupElement(AlgebraKind.SU2, complex(math.inf, 0), 0j, 0j)])
     su2 = GroupElement(AlgebraKind.SU2, 0.3 + 0.1j, 0.2j, -0.4 + 0j)
     su11 = GroupElement(AlgebraKind.SU11, 0.2 + 0.1j, cmath.log(1.1), -0.1 + 0.05j)  # Lambda_c = 1.1
     assert su11.big_c() == pytest.approx(1.1)
@@ -194,14 +194,15 @@ def test_compose_many_single_element_is_checked_then_returned():
 
 
 def test_compose_many_checks_algebra_then_finiteness_in_order():
+    # the later fault is a phase sum that overflows at the second of two 1e308 phases
     su11, su2 = identity_element(AlgebraKind.SU11), identity_element(AlgebraKind.SU2)
-    bad = GroupElement(AlgebraKind.SU11, complex(math.nan, 0), 0j, 0j)
+    big = GroupElement(AlgebraKind.SU11, 0j, 0j, 0j, 1e308 + 0j)
     with pytest.raises(AlgebraMismatch, match="cannot compose su2 with su11"):
-        compose_many([su11, su11, su2, bad])
+        compose_many([su11, su11, su2, big, big])
     with pytest.raises(NonFiniteInput, match="group element coordinates must be finite"):
-        compose_many([su11, bad, su2])
+        compose_many([su11, big, big, su2])
     with pytest.raises(NonFiniteInput):
-        compose_many([bad, su11])
+        compose_many([big, big, su11])
 
 
 @pytest.mark.parametrize("scale", [1e-5, 0.5, 2.0])

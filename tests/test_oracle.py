@@ -115,7 +115,8 @@ def test_mat_exp_rejects_non_finite():
             lambda: exponent_matrix(AlgebraKind.SU11, ExponentParams(10**400, 0, 0)),
             "lambda_plus must be within double range, got an integer of 1329 bits",
         ),
-        # exp() of a phase that is not finite would carry NaN into every entry
+        # a phase that is not finite is refused where the element is built, so exp()
+        # never carries NaN into the entries
         (
             lambda: element_matrix(GroupElement(AlgebraKind.SU11, 0j, 0j, 0j, complex(math.nan, 0))),
             "group element coordinates must be finite",

@@ -104,6 +104,9 @@ def test_squeeze_element_beyond_cosh_range():
         assert g.big_plus == -cmath.exp(0.3j) and g.big_minus == cmath.exp(-0.3j)
     below, above = (squeeze_element(SqueezeParams(r)).log_c for r in (710.47, 710.5))
     assert above - below == pytest.approx(-0.06, rel=1e-9)
+    # from r of about 9e307, log_c = -2 (r - ln 2) itself leaves double range
+    with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+        squeeze_element(SqueezeParams(1e308))
 
 
 def test_squeeze_fingerprint():
@@ -128,6 +131,18 @@ def test_rotation_element_coordinates():
     assert quarter.big_plus == 0 and quarter.big_minus == 0
     assert quarter.big_c() == pytest.approx(-1.0)
     assert quarter.phase == -0.25j * math.pi
+    # the angle is wrapped where RotationParams is built, so 2j * angle stays in range
+    wrapped = RotationParams(1e308).angle
+    far = rotation_element(RotationParams(1e308))
+    assert (far.log_c, far.phase) == (2j * wrapped, -0.5j * wrapped)
+
+
+def test_recompose_refuses_a_non_finite_phase_shift():
+    # phase_shift is stored as given; the element recompose builds from it refuses it
+    for shift in (complex(math.nan, 0), complex(0, math.inf)):
+        factored = SqueezeRotationFactorization(SqueezeParams(0.5), RotationParams(0.5), shift)
+        with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+            factored.recompose()
 
 
 def test_rotations_compose_additively():
