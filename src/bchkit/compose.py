@@ -176,12 +176,15 @@ def _beyond_one(nu, a_nu, half_c, x):
         nu_h = nu + half_c
         t = x * s / nu_h
         w_s, a_t = m - t, abs(t)
-        tol_w = tol_nu2 / a_nu * (a_m + a_t / a_nu + (abs(x) * a_c / a_nu + a_t) / abs(nu_h))
+        # dw_s/dnu = -2m - x (m - s)/(nu nu_h) + t/nu_h; a_xm >= a_m/2, and is 1/|nu| once m underflows
+        a_xm = min(a_c, 2.0 * (a_m + a_s))
+        tol_w = tol_nu2 / a_nu * (a_m + a_t / a_nu + (abs(x) * a_xm / a_nu + a_t) / abs(nu_h))
         _check_w(w_s, TOL_SINGULAR * (a_m + a_t) + tol_w, "|w exp(-nu)|")
     else:
         h_s = half_c * s
         w_s = 0.5 * (1.0 + m) - h_s
-        tol_w = tol_nu2 * (a_s + ah / (a_nu * a_nu) * (a_c + a_s))
+        # dw_s/dnu = -m - half_c (m - s)/nu (dm/dnu = -2m, ds/dnu = (m - s)/nu): no factor grows as m -> 0
+        tol_w = tol_nu2 * (min(a_s, a_m / a_nu) + ah / (a_nu * a_nu) * (a_m + a_s))
         _check_w(w_s, TOL_SINGULAR * (a_c + abs(h_s)) + tol_w, "|w exp(-nu)|")
     log_w = nu + cmath.log(w_s)
     return s / w_s, complex(log_w.real, _principal(log_w.imag))

@@ -36,15 +36,19 @@ class HamiltonianSchedule(_Frozen):
 
     ``eta`` maps a time to the (eta_plus, eta_c, eta_minus) triple; it must be
     evaluable everywhere on the interval and free of hidden state, since the
-    evolution loop samples it at times the caller never sees.
+    evolution loop samples it at times the caller never sees.  ``t_final``
+    becomes a float here, or raises ValueError unless positive and finite.
     """
 
     __slots__ = ("algebra", "eta", "t_final")
 
     def __init__(self, algebra: AlgebraKind, eta: Callable[[float], EtaTriple], t_final: float):
+        value = _as_float("t_final", t_final)
+        if not 0 < value < math.inf:  # a NaN fails too
+            raise ValueError(f"t_final must be positive and finite, got {t_final}")
         _set_algebra(self, algebra)
         _set_eta(self, eta)
-        _set_t_final(self, t_final)
+        _set_t_final(self, value)
 
 
 _set_algebra, _set_eta, _set_t_final = _setters(HamiltonianSchedule)
@@ -68,15 +72,8 @@ _set_element, _set_steps, _set_tau, _set_trajectory = _setters(EvolutionResult)
 
 
 def step_element(algebra: AlgebraKind, eta_j, tau: float) -> GroupElement:
-    """Normal-ordered element of exp(-i tau H_j): evolve's slice, on a one-step constant schedule."""
-    schedule = HamiltonianSchedule(algebra, lambda t: eta_j, tau)
-    return GroupElement(algebra, *next(_slices(schedule, 1, tau, False)))
-
-
-def _check_t_final(t_final) -> None:
-    """Raise unless t_final is positive and finite."""
-    if not 0 < _as_float("t_final", t_final) < math.inf:
-        raise ValueError(f"t_final must be positive and finite, got {t_final}")
+    """Normal-ordered exp(-i tau H_j) for any real tau: evolve's slice, from the same generator."""
+    return GroupElement(algebra, *next(_slices(algebra, lambda t: eta_j, 1, _as_float("tau", tau), False)))
 
 
 def _check_count(name: str, value) -> int:
@@ -119,15 +116,14 @@ def evolve(
     formula and is off by default.
     """
     steps = _check_count("steps", steps)
-    _check_t_final(schedule.t_final)
     algebra = schedule.algebra
     stride, trajectory = steps, None
     if checkpoint_every is not None:
         stride = _check_count("checkpoint stride", checkpoint_every)
         trajectory = [(0.0, identity_element(algebra))]
 
-    tau = float(schedule.t_final / steps)  # a float, whatever number t_final was
-    slices = _slices(schedule, steps, tau, midpoint)
+    tau = schedule.t_final / steps
+    slices = _slices(algebra, schedule.eta, steps, tau, midpoint)
     acc, done = None, 0  # the product of the first ``done`` slices
     try:
         while steps - done > stride:
@@ -150,16 +146,15 @@ def evolve(
     return EvolutionResult(element=element, steps=steps, tau=tau, trajectory=trajectory)
 
 
-def _slices(schedule: HamiltonianSchedule, steps: int, tau: float, midpoint: bool):
-    """Coordinate tuples of the N slices, earliest first, each disentangled as it is reached.
+def _slices(algebra: AlgebraKind, eta, steps: int, tau: float, midpoint: bool):
+    """Coordinate tuples of the N slices of float width tau, earliest first, disentangled as reached.
 
     The tuples are finite, as _disentangle_raw returns them; a singular
     slice raises its SingularDecomposition with ``step`` set to its 1-based j.
     Each eta value becomes a complex number through _as_complex, after one
     inline class test that passes three complex values without a call.
     """
-    eta, kernel = schedule.eta, schedule.algebra._kernel
-    tau = _as_float("tau", tau)
+    kernel = algebra._kernel
     minus_i_tau = -1j * tau
     shift = 0.5 * tau if midpoint else 0.0  # j*tau - 0.0 is j*tau, bit for bit
     for j in range(1, steps + 1):
@@ -198,7 +193,6 @@ def oscillator_schedule(
     omega0 = _as_float("omega0", omega0)
     if not (math.isfinite(omega0) and omega0 > 0):
         raise InvalidFrequency(f"reference frequency must be positive, got {omega0}")
-    _check_t_final(t_final)
     omega0_sq, two_omega0, inf = omega0 * omega0, 2.0 * omega0, math.inf
 
     def eta(t: float):
@@ -211,4 +205,4 @@ def oscillator_schedule(
         coupling = complex((omega_sq - omega0_sq) / two_omega0)
         return (coupling, complex((omega_sq + omega0_sq) / omega0), coupling)
 
-    return HamiltonianSchedule(AlgebraKind.SU11, eta, float(t_final))
+    return HamiltonianSchedule(AlgebraKind.SU11, eta, t_final)

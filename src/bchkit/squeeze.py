@@ -104,9 +104,12 @@ class SqueezeRotationFactorization(_Frozen):
         phase_shift: complex = 0j,
         residual: float | None = None,
     ):
+        phase_shift = _as_complex("phase_shift", phase_shift)
+        if not cmath.isfinite(phase_shift):
+            raise NonFiniteInput("phase shift must be finite")
         _set_squeeze(self, squeeze)
         _set_rotation(self, rotation)
-        _set_phase_shift(self, _as_complex("phase_shift", phase_shift))
+        _set_phase_shift(self, phase_shift)
         _set_residual(self, residual)
 
     def recompose(self) -> GroupElement:

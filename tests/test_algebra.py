@@ -117,7 +117,7 @@ BOUNDARY = [
         lambda x: SqueezeRotationFactorization(SqueezeParams(0.5), RotationParams(0.5), x).phase_shift,
     ),
     ("tau", float, lambda x: element_bits(step_element(AlgebraKind.SU11, (0.5j, 1j, 0.5j), x))),
-    ("t_final", float, lambda x: _evolved(HamiltonianSchedule(AlgebraKind.SU2, lambda t: (0.5j, 1j, 0.5j), x))),
+    ("t_final", float, lambda x: HamiltonianSchedule(AlgebraKind.SU2, abs, x).t_final),
     ("omega0", float, lambda x: _evolved(oscillator_schedule(x, lambda t: 1.5, 1.0))),
     ("omega(0.25)", float, lambda x: oscillator_schedule(1.0, lambda t: x, 1.0).eta(0.25)),
     *[(f"{name}(0.5)", complex, _in_eta(k)) for k, name in enumerate(("eta_plus", "eta_c", "eta_minus"))],
@@ -128,7 +128,7 @@ BOUNDARY = [
 def test_numbers_enter_at_one_boundary(name, kind, entry):
     # every number becomes a complex or a float where it enters, so no kernel sees an integer
     field = re.escape(name)
-    for huge, bits in ((10**400, 1329), (-(10**5000), 16610)):
+    for huge, bits in ((10**400, 1329), (-(10**400), 1329), (-(10**5000), 16610)):
         with pytest.raises(NonFiniteInput, match=rf"^{field} must be within double range, got an integer of {bits} bits$"):
             entry(huge)
     noun = "a number" if kind is complex else "a real number"
@@ -161,6 +161,19 @@ def test_group_element_refuses_a_non_finite_field(name, bad, by):
         assert getattr(GroupElement(AlgebraKind.SU11, *values), name) == value
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_factorization_refuses_a_non_finite_phase_shift(bad):
+    # refused where it is built, as GroupElement refuses its phase, so recompose never meets it
+    squeeze, rotation = SqueezeParams(0.5), RotationParams(0.5)
+    for value in (bad, complex(0.5, bad), complex(bad, 0.5)):
+        with pytest.raises(NonFiniteInput, match="^phase shift must be finite$"):
+            SqueezeRotationFactorization(squeeze, rotation, value)
+        with pytest.raises(NonFiniteInput, match="^phase shift must be finite$"):
+            SqueezeRotationFactorization(squeeze, rotation, phase_shift=value)
+    largest = complex(-sys.float_info.max, sys.float_info.max)
+    assert SqueezeRotationFactorization(squeeze, rotation, largest).phase_shift == largest
+
+
 # ---------------------------------------------------------------------------
 # value types: frozen, compared and hashed by field values, picklable
 
@@ -177,7 +190,8 @@ def test_value_types_compare_and_hash_by_fields():
     assert hash(lam) == hash(ExponentParams(0.1, 0.2j, -0.3))
     assert lam != ExponentParams(0.1, 0.2j, 0.3)
     # equal field values in another class, or in a plain tuple, are not equal
-    assert lam != HamiltonianSchedule(0.1, 0.2j, -0.3)
+    twin, schedule = ExponentParams(0.1, 0.2j, 0.3), HamiltonianSchedule(0.1, 0.2j, 0.3)
+    assert twin._values() == schedule._values() and twin != schedule
     assert lam != (0.1, 0.2j, -0.3)
     assert DisentangleResult(g, 0.5) == DisentangleResult(same, 0.5)
     assert DisentangleResult(g, 0.5) != DisentangleResult(g, -0.5)

@@ -257,6 +257,8 @@ ROWS = [
     # at the edges of double range
     # cosh(nu) = cosh(800) overflows on the general route
     disentangle_row("disentangle-beyond-cosh-range", "su11", 800, 0, -800),
+    # exp(-2 nu) underflows at nu = 3e12, where w exp(-nu) = 1/2 is far from singular
+    disentangle_row("disentangle-far-beyond-cosh-range", "su2", 3e12, 0, 3e12),
     # w = 1 exactly, next to a coordinate of 1e13
     disentangle_row("disentangle-huge-coordinate", "su11", 1e13, 0, 0),
     disentangle_row("disentangle-triangular-25", "su11", 1, 25, 0),

@@ -138,11 +138,10 @@ def test_rotation_element_coordinates():
 
 
 def test_recompose_refuses_a_non_finite_phase_shift():
-    # phase_shift is stored as given; the element recompose builds from it refuses it
+    # the factorization refuses it where it is built, so recompose never adds it to a phase
     for shift in (complex(math.nan, 0), complex(0, math.inf)):
-        factored = SqueezeRotationFactorization(SqueezeParams(0.5), RotationParams(0.5), shift)
-        with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
-            factored.recompose()
+        with pytest.raises(NonFiniteInput, match="^phase shift must be finite$"):
+            SqueezeRotationFactorization(SqueezeParams(0.5), RotationParams(0.5), shift)
 
 
 def test_rotations_compose_additively():
@@ -315,14 +314,6 @@ def test_factorization_rejects_a_cartan_coordinate_beyond_double_range(log_c):
     g = GroupElement(AlgebraKind.SU11, 0.5 + 0j, complex(log_c, 0.5), 0.5 + 0j)
     with pytest.raises(NotFactorizable):
         factor_squeeze_rotation(g)
-
-
-@pytest.mark.parametrize("field", ["big_plus", "phase"])
-def test_factorization_rejects_an_integer_beyond_double_range(field):
-    # refused, by name, where the element is built
-    coords = {"big_plus": 0.5, "log_c": 0j, "big_minus": 0.5, "phase": 0j, field: 10**400}
-    with pytest.raises(NonFiniteInput, match=f"^{field} must be within double range, got an integer of 1329 bits$"):
-        factor_squeeze_rotation(GroupElement(AlgebraKind.SU11, **coords))
 
 
 @pytest.mark.parametrize(
