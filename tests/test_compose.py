@@ -84,6 +84,15 @@ def test_disentangle_rejects_non_finite():
         disentangle(AlgebraKind.SU2, ExponentParams(math.nan, 0, 0))
 
 
+@pytest.mark.parametrize("index, name", [(0, "lambda_plus"), (1, "lambda_c"), (2, "lambda_minus")])
+def test_disentangle_names_an_integer_beyond_double_range(index, name):
+    # refused by name where the exponent is built, not with a bare OverflowError
+    lam = [1, 0, 1]
+    lam[index] = 10**400
+    with pytest.raises(NonFiniteInput, match=f"^{name} must be within double range, got an integer of 1329 bits$"):
+        disentangle(AlgebraKind.SU11, ExponentParams(*lam))
+
+
 def test_disentangle_singular_input_raises():
     # su(1,1) with lambda = (x, 0, x) has w = cos(x); x = pi/2 kills it
     x = math.pi / 2

@@ -178,6 +178,22 @@ def test_step_element_takes_any_tau_as_disentangle_does(algebra, tau):
     assert element_bits(got) == element_bits(expected)
 
 
+@pytest.mark.parametrize("tau", [10**400, -(10**400)], ids=["positive", "negative"])
+def test_step_element_names_a_tau_beyond_double_range(tau):
+    # -1j * tau would overflow with a bare OverflowError that names nothing
+    with pytest.raises(NonFiniteInput, match=r"^tau must be within double range, got an integer of 1329 bits$"):
+        step_element(AlgebraKind.SU11, (1, 0, 1), tau)
+
+
+@pytest.mark.parametrize("index, name", [(0, "eta_plus"), (1, "eta_c"), (2, "eta_minus")])
+def test_step_element_names_an_eta_beyond_double_range(index, name):
+    # complex() of the integer would raise a bare OverflowError that names nothing
+    eta = [1, 0, 1]
+    eta[index] = -(10**400)
+    with pytest.raises(NonFiniteInput, match=rf"^{name}\(0\.5\) must be within double range, got an integer of 1329 bits$"):
+        step_element(AlgebraKind.SU11, tuple(eta), 0.5)
+
+
 def test_evolve_names_an_eta_beyond_double_range():
     schedule = HamiltonianSchedule(AlgebraKind.SU2, lambda t: (0.1, 10**400 if t > 0.5 else 0.2, 0.1), 1.0)
     with pytest.raises(NonFiniteInput, match=r"^eta_c\(0\.75\) must be within double range, got an integer of 1329 bits$"):
