@@ -212,7 +212,11 @@ class GroupElement(_Frozen):
         _set_phase(self, phase)
 
     def big_c(self) -> complex:
-        return cmath.exp(self.log_c)
+        """exp(log_c), the Cartan coordinate; NonFiniteInput where it leaves double range."""
+        try:
+            return cmath.exp(self.log_c)
+        except OverflowError:
+            raise NonFiniteInput("Cartan coordinate exp(log_c) overflows double precision") from None
 
 
 _set_algebra, _set_big_plus, _set_log_c, _set_big_minus, _set_phase = _setters(GroupElement)

@@ -18,7 +18,7 @@ import sys
 from bisect import bisect_right
 from cmath import isfinite
 
-from .algebra import AlgebraKind, ExponentParams, make_algebra
+from .algebra import AlgebraKind, ExponentParams, GroupElement, make_algebra
 from .compose import _compose_coords, _continued_fraction, disentangle
 from .errors import NonFiniteInput, SingularDecomposition
 from .evolve import (
@@ -140,17 +140,9 @@ def _parse_squeeze_pair(text: str):
 # ---------------------------------------------------------------------------
 # commands
 
-def _big_c(log_c: complex) -> complex:
-    """exp(log_c), the Cartan coordinate every command prints; NonFiniteInput where it overflows."""
-    try:
-        return cmath.exp(log_c)
-    except OverflowError:
-        raise NonFiniteInput("Cartan coordinate exp(log_c) overflows double precision") from None
-
-
-def _element_fields(big_plus: complex, log_c: complex, big_minus: complex) -> dict:
+def _element_fields(g: GroupElement) -> dict:
     """The "alpha", "beta", "gamma" and "log_c" fields that compose and evolve print first."""
-    return {"alpha": big_plus, "beta": _big_c(log_c), "gamma": big_minus, "log_c": log_c}
+    return {"alpha": g.big_plus, "beta": g.big_c(), "gamma": g.big_minus, "log_c": g.log_c}
 
 
 def cmd_disentangle(args) -> int:
@@ -160,7 +152,7 @@ def cmd_disentangle(args) -> int:
     _emit(
         {
             "Lambda_plus": element.big_plus,
-            "Lambda_c": _big_c(element.log_c),
+            "Lambda_c": element.big_c(),
             "log_c": element.log_c,
             "nu": result.nu,
             "Lambda_minus": element.big_minus,
@@ -231,7 +223,7 @@ def _load_coords(path: str) -> list:
 def cmd_compose(args) -> int:
     algebra = make_algebra(args.algebra)
     coords = _load_coords(args.elements)
-    payload = _element_fields(*_compose_coords(algebra, coords, len(coords)))
+    payload = _element_fields(GroupElement(algebra, *_compose_coords(algebra, coords, len(coords))))
     if args.continued_fraction:
         alpha_cf = _continued_fraction(algebra, coords)
         payload["alpha_continued_fraction"] = alpha_cf
@@ -248,7 +240,7 @@ def cmd_squeeze_compose(args) -> int:
     _emit(
         {
             "alpha": product.big_plus,
-            "beta": _big_c(product.log_c),
+            "beta": product.big_c(),
             "gamma": product.big_minus,
             "factorization": {
                 "r": factored.squeeze.r,
@@ -377,7 +369,7 @@ def load_schedule(path: str) -> HamiltonianSchedule:
 def _write_trajectory_csv(path: str, trajectory) -> None:
     lines = ["t,alpha_re,alpha_im,beta_re,beta_im,gamma_re,gamma_im"]
     for t, g in trajectory:
-        beta = _big_c(g.log_c)
+        beta = g.big_c()
         row = (
             t,
             g.big_plus.real,
@@ -406,8 +398,7 @@ def cmd_evolve(args) -> int:
     result = evolve(schedule, args.steps, checkpoint_every=stride, midpoint=args.midpoint)
     if args.csv is not None:
         _write_trajectory_csv(args.csv, result.trajectory)
-    element = result.element
-    payload = _element_fields(element.big_plus, element.log_c, element.big_minus)
+    payload = _element_fields(result.element)
     payload["steps"] = result.steps
     payload["tau"] = result.tau
     _emit(payload)

@@ -242,6 +242,33 @@ def _term_by_logs(factor, exponent, log_d):
         raise NonFiniteInput("group element coordinates must be finite") from None
 
 
+def _scaled_term(factor: complex, power: complex, d: complex) -> complex:
+    """factor * power / d for finite operands and d != 0, bit for bit where that is finite.
+
+    The product, and CPython's complex division by Smith's method (CACM 5,
+    435, 1962), can leave double range in an intermediate, such as
+    a.real + a.imag*(b.imag/b.real), where the term does not.  There each
+    operand is first scaled by a power of two to parts below 1 (Baudin &
+    Smith, arXiv:1210.4539), which is exact, and the term scaled back; a term
+    beyond double range is returned as inf.
+    """
+    term = factor * power / d
+    if isfinite(term):
+        return term
+    (f, ef), (p, ep), (q, eq) = map(_normalized, (factor, power, d))
+    term = f * p / q
+    try:
+        return complex(math.ldexp(term.real, ef + ep - eq), math.ldexp(term.imag, ef + ep - eq))
+    except OverflowError:
+        return complex(math.inf, math.inf)
+
+
+def _normalized(z: complex) -> tuple:
+    """(z / 2**e, e) with the larger part of z / 2**e in [0.5, 1); (0, 0) for z = 0."""
+    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), e
+
+
 def _fold(algebra: AlgebraKind, coords: Iterable[tuple], acc=None, done=0) -> tuple:
     """Left fold of coordinate tuples, earliest first; returns the product.
 
@@ -256,7 +283,9 @@ def _fold(algebra: AlgebraKind, coords: Iterable[tuple], acc=None, done=0) -> tu
     1-based step of the run.  A step whose |d| leaves double range raises
     NonFiniteInput; where its exp(delta*log_c) does, its terms are taken by
     logs (_term_by_logs), so a power that multiplies an exact 0 coordinate
-    is no error.  Nothing it returns is non-finite.
+    is no error.  Where its product is not finite, the step forms its terms
+    again by _scaled_term, since a term's product or complex division can
+    overflow in an intermediate only.  Nothing it returns is non-finite.
     Tuples are (big_plus, log_c, big_minus); phases are the callers' to add.
     """
     delta, _, delta_eps, two_over_delta, _ = algebra._kernel
@@ -285,13 +314,19 @@ def _fold(algebra: AlgebraKind, coords: Iterable[tuple], acc=None, done=0) -> tu
             p1 = p2 + _term_by_logs(p1, delta * lc2, log_d)
             m1 = m1 + _term_by_logs(m2, delta * lc1, log_d)
             lc1 = lc1 + lc2 - two_over_delta * log_d
-        else:
-            p1 = p2 + p1 * pow_c2 / d
-            # kept as a subtraction: adding (-two_over_delta) * log(d) can flip a signed zero
-            lc1 = lc1 + lc2 - two_over_delta * log(d)
-            m1 = m1 + m2 * pow_c1 / d
-        if not (isfinite(p1) and isfinite(lc1) and isfinite(m1)):
-            raise NonFiniteInput("group element coordinates must be finite")
+            if not (isfinite(p1) and isfinite(lc1) and isfinite(m1)):
+                raise NonFiniteInput("group element coordinates must be finite")
+            continue
+        p = p2 + p1 * pow_c2 / d
+        # kept as a subtraction: adding (-two_over_delta) * log(d) can flip a signed zero
+        lc1 = lc1 + lc2 - two_over_delta * log(d)
+        m = m1 + m2 * pow_c1 / d
+        if not (isfinite(p) and isfinite(lc1) and isfinite(m)):
+            # a term may have left double range in an intermediate only
+            p, m = p2 + _scaled_term(p1, pow_c2, d), m1 + _scaled_term(m2, pow_c1, d)
+            if not (isfinite(p) and isfinite(lc1) and isfinite(m)):
+                raise NonFiniteInput("group element coordinates must be finite")
+        p1, m1 = p, m
     return p1, lc1, m1
 
 
@@ -329,7 +364,7 @@ def _continued_fraction(algebra: AlgebraKind, coords: Iterable[tuple]) -> comple
             partial = 1.0 - delta_eps * value * big_minus
             if partial != 0:
                 try:
-                    value = big_plus + value * exp(delta * log_c) / partial
+                    value = big_plus + _scaled_term(value, exp(delta * log_c), partial)
                 except OverflowError:  # the term by logs, as the fold takes it
                     value = big_plus + _term_by_logs(value, delta * log_c, cmath.log(partial))
                 continue

@@ -172,8 +172,10 @@ def factor_squeeze_rotation(g: GroupElement) -> SqueezeRotationFactorization:
     The squeeze part is read off the raising coordinate (e^{i phi} tanh r =
     -L+).  The rotation angle is fixed by the Cartan coordinate only up to
     half a turn, because adding pi to it changes nothing but the scalar
-    prefactor; the candidate whose leftover scalar is closer to unity wins,
-    which reproduces the closed-form angle for squeeze products and the exact
+    prefactor; the candidate whose leftover scalar exp(phase_shift) is closer
+    to unity wins.  Both shifts share their real part, so that is the larger
+    cos(Im phase_shift), at any finite phase; a tie keeps the first.  This
+    reproduces the closed-form angle for squeeze products and the exact
     angle for pure rotations.  Raises NotFactorizable for elements outside
     the squeeze-rotation orbit.
     """
@@ -193,27 +195,26 @@ def factor_squeeze_rotation(g: GroupElement) -> SqueezeRotationFactorization:
     squeeze = SqueezeParams(r, phi)
 
     # exp(2i angle) = Lambda_c cosh^2 r when g factors; the half-angle leaves
-    # two candidates a half turn apart.
+    # two rotations a half turn apart.
     try:
         doubled = g.big_c() * math.cosh(r) ** 2
-    except OverflowError:  # |Lambda_c| = exp(Re log_c) leaves double range, far above sech^2 r <= 1
+    except NonFiniteInput:  # |Lambda_c| = exp(Re log_c) leaves double range, far above sech^2 r <= 1
         raise NotFactorizable(
             f"no squeeze-rotation form: Lambda_c = exp({g.log_c:.6g}) leaves double range"
         ) from None
     half = 0.5 * cmath.phase(doubled)
-    candidates = []
-    for angle in (half, half + math.pi):
-        rotation = RotationParams(angle)
-        shift = g.phase + 0.5j * rotation.angle
-        candidates.append((abs(cmath.exp(shift) - 1.0), rotation, shift))
-    _, rotation, shift = min(candidates, key=lambda c: c[0])
+    rotation = max(
+        (RotationParams(half), RotationParams(half + math.pi)),
+        key=lambda rot: math.cos(g.phase.imag + 0.5 * rot.angle),
+    )
+    shift = g.phase + 0.5j * rotation.angle
 
     redone = SqueezeRotationFactorization(squeeze, rotation, phase_shift=shift).recompose()
     residual = max(
         abs(redone.big_plus - g.big_plus),
         abs(redone.big_c() - g.big_c()),
         abs(redone.big_minus - g.big_minus),
-        abs(cmath.exp(redone.phase) - cmath.exp(g.phase)),
+        abs(cmath.exp(redone.phase - g.phase) - 1.0),
     )
     if residual > _TOL_RESIDUAL:
         raise NotFactorizable(

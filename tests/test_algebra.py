@@ -79,6 +79,15 @@ def test_identity_is_neutral_on_both_sides():
 def test_big_c_is_exp_of_log_c():
     g = GroupElement(AlgebraKind.SO21, 0.1j, 0.3 - 0.2j, -0.4)
     assert g.big_c() == cmath.exp(0.3 - 0.2j)
+    # just below the largest double, 1.8e308 = exp(709.78)
+    assert GroupElement(AlgebraKind.SU11, 0, 709.7, 0).big_c() == cmath.exp(709.7)
+
+
+@pytest.mark.parametrize("log_c", [800, 709.8 + 3j], ids=lambda z: f"log_c={z}")
+def test_big_c_names_a_cartan_coordinate_beyond_double_range(log_c):
+    g = GroupElement(AlgebraKind.SU11, 0, log_c, 0)
+    with pytest.raises(NonFiniteInput, match=r"^Cartan coordinate exp\(log_c\) overflows double precision$"):
+        g.big_c()
 
 
 def test_finiteness_helpers():

@@ -340,16 +340,28 @@ def test_overflowing_product_raises_instead_of_returning_non_finite():
             compose_many([first, second])
 
 
-@pytest.mark.xfail(raises=NonFiniteInput, strict=True, reason="the fold's complex division overflows in an intermediate")
 def test_fold_takes_a_product_whose_division_intermediate_overflows():
     # p1 * pow_c2 / d forms a.real + a.imag*r on the way, about 2e308, though the
-    # product is in range; the continued fraction never forms it, and mpmath at
-    # 40 digits confirms its -9.9
+    # product is in range, so the step forms the term again with its operands scaled;
+    # the continued fraction never forms it, and mpmath at 40 digits confirms its -9.9
     su11 = AlgebraKind.SU11
     elements = [GroupElement(su11, 1e308 + 1e308j, 0j, 0j), GroupElement(su11, 0.1 + 0j, 0j, 0.1 + 0j)]
     alpha = alpha_continued_fraction(elements)
     assert abs(alpha - (-9.9 + 0j)) <= 1e-15 * 9.9
     assert abs(compose_many(elements).big_plus - alpha) <= 1e-15 * abs(alpha)
+
+
+def test_fold_takes_a_product_whose_numerator_overflows():
+    # p1 * pow_c2 = 1e300 exp(700) leaves double range, the term p1 * pow_c2 / d with
+    # d = 1 - 1e300 does not, so the step forms it again with its operands scaled;
+    # mpmath at 40 digits gives each coordinate, and the continued fraction agrees
+    su11 = AlgebraKind.SU11
+    elements = [GroupElement(su11, 1e300 + 0j, 0j, 0j), GroupElement(su11, 0.1 + 0j, 700 + 0j, 1 + 0j)]
+    g = compose_many(elements)
+    expected = (-1.0142320547350045e304, complex(-681.5510557964274, -2 * math.pi), -1e-300)
+    for got, want in zip((g.big_plus, g.log_c, g.big_minus), expected):
+        assert abs(got - want) <= 1e-15 * abs(want)
+    assert abs(alpha_continued_fraction(elements) - g.big_plus) <= 1e-15 * abs(g.big_plus)
 
 
 def test_huge_coordinates_are_not_singular():
@@ -620,8 +632,8 @@ def parity_rows():
 
     Every row reaches both routes: an element with a NaN or inf coordinate or
     phase is refused where it is built (test_algebra.py pins that per field),
-    so what is left to compare is a sum of finite phases that overflows, a
-    term that leaves double range, mixed algebras and an empty sequence.
+    so what is left to compare is a sum of finite phases that overflows,
+    mixed algebras and an empty sequence.
     """
     su11 = AlgebraKind.SU11
     ident = identity_element(su11)
@@ -629,9 +641,6 @@ def parity_rows():
     big_phase = GroupElement(su11, 0j, 0j, 0j, 1e308 + 0j)
     return [
         ("overflowing-phase-sum", lambda: [h, big_phase, big_phase, h]),
-        # both parts are finite, |big_plus| is not: the fraction takes the term the fold's
-        # way, and both overflow in the same intermediate of the term's complex division
-        ("value-beyond-double-range", lambda: [GroupElement(su11, 1.5e308 + 1.5e308j, 0j, 0j), h]),
         ("mixed-algebras", lambda: [ident, h, identity_element(AlgebraKind.SO21)]),
         ("empty", lambda: []),
     ]
@@ -646,6 +655,18 @@ def raised(evaluate, build):
 @pytest.mark.parametrize("build", [pytest.param(b, id=i) for i, b in parity_rows()])
 def test_continued_fraction_rejects_what_the_fold_rejects(build):
     assert raised(alpha_continued_fraction, build) == raised(compose_many, build)
+
+
+def test_continued_fraction_takes_a_value_beyond_double_range_as_the_fold_does():
+    # both parts are finite, |big_plus| is not: the fraction takes the term the fold's way,
+    # and both divide past the intermediate of the complex division that overflows, to the
+    # double nearest mpmath's -9.89999999999999943934 at 40 digits
+    su11 = AlgebraKind.SU11
+    elements = [GroupElement(su11, 1.5e308 + 1.5e308j, 0j, 0j), GroupElement(su11, 0.1 + 0j, 0j, 0.1 + 0j)]
+    expected = complex_bits(-9.899999999999999 + 0j)
+    assert complex_bits(alpha_continued_fraction(elements)) == expected
+    assert complex_bits(compose_many(elements).big_plus) == expected
+    assert complex_bits(compose_pair(*elements[::-1]).big_plus) == expected
 
 
 def frozen_alpha_continued_fraction(elements):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from bchkit import (
     squeeze_element,
 )
 from bchkit.squeeze import _wrap_angle
+from frozen import complex_bits
 
 
 def random_squeeze(rng, r_max=3.0):
@@ -262,6 +264,57 @@ def test_factorization_of_pure_rotation():
         assert factored.squeeze.r == 0.0
         assert factored.rotation.angle == pytest.approx(angle)
         assert abs(factored.phase_shift) <= 1e-12
+
+
+@pytest.mark.parametrize("phase", [800, -800, 709.8 + 1j, 5e307], ids=lambda z: f"phase={z}")
+def test_factorization_takes_any_finite_phase(phase):
+    # exp(phase) is no double from Re phase 709.78 on, and the factorization takes none
+    squeeze = squeeze_element(SqueezeParams(0.5, 0.3))
+    g = GroupElement(AlgebraKind.SU11, squeeze.big_plus, squeeze.log_c, squeeze.big_minus, phase)
+    factored = factor_squeeze_rotation(g)
+    assert factored.residual <= 1e-15
+    assert factored.recompose() == g
+    # a product of two squeezes rebuilds its coordinates to roundoff, its phase exactly
+    product = compose_squeezes(SqueezeParams(0.9, 0.2), SqueezeParams(0.6, 0.4))
+    g = GroupElement(AlgebraKind.SU11, product.big_plus, product.log_c, product.big_minus, phase)
+    factored = factor_squeeze_rotation(g)
+    assert factored.residual <= 1e-15
+    assert factored.recompose().phase == g.phase
+
+
+def frozen_rotation_choice(g):
+    """factor_squeeze_rotation's (rotation, phase_shift) as first written: of the two
+    rotations a half turn apart, the one whose exp(phase_shift) is nearer 1."""
+    r = math.atanh(abs(g.big_plus))
+    half = 0.5 * cmath.phase(g.big_c() * math.cosh(r) ** 2)
+    candidates = []
+    for angle in (half, half + math.pi):
+        rotation = RotationParams(angle)
+        shift = g.phase + 0.5j * rotation.angle
+        candidates.append((abs(cmath.exp(shift) - 1.0), rotation, shift))
+    _, rotation, shift = min(candidates, key=lambda c: c[0])
+    return rotation, shift
+
+
+def test_rotation_choice_is_bit_for_bit_the_first_formula():
+    # squeeze products, rotations, and squeeze-rotation products with a phase; beyond
+    # |Re phase| of about 20 the two |exp(shift) - 1| differ by less than their rounding,
+    # so the first formula picks by roundoff there, and the cosine by the exact order
+    rng = random.Random(89)
+    for i in range(3000):
+        z = SqueezeParams(rng.uniform(0, 3), rng.uniform(-math.pi, math.pi))
+        rotation = RotationParams(rng.uniform(-10, 10))
+        if i % 3 == 0:
+            g = compose_squeezes(z, SqueezeParams(rng.uniform(0, 3), rng.uniform(-math.pi, math.pi)))
+        elif i % 3 == 1:
+            g = rotation_element(rotation)
+        else:
+            product = compose_pair(squeeze_element(z), rotation_element(rotation))
+            phase = product.phase + complex(rng.uniform(-20, 20), rng.uniform(-50, 50))
+            g = GroupElement(AlgebraKind.SU11, product.big_plus, product.log_c, product.big_minus, phase)
+        factored = factor_squeeze_rotation(g)
+        rotation, shift = frozen_rotation_choice(g)
+        assert factored.rotation == rotation and complex_bits(factored.phase_shift) == complex_bits(shift)
 
 
 def test_product_satisfies_closing_identity():
