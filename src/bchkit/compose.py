@@ -228,39 +228,40 @@ def _triangular(half_c, lp, lm, minus_two_over_delta):
     return big_plus, minus_two_over_delta * log_w, big_minus, nu
 
 
-def _term_by_logs(factor, exponent, log_d):
-    """A fold step's factor*exp(exponent)/d where exp(exponent) left double range.
+# CPython's complex division (Smith, CACM 5, 435, 1962) forms b.real + b.imag*(b.imag/b.real)
+# or its mirror, at most twice the larger part of b: it cannot overflow while both parts of b
+# are below this bound, and beyond it the quotient can come back as a silent 0.
+_D_EDGE = 2.0**1022
 
-    0 where the factor is exactly 0, else exp(log(factor) + exponent - log(d));
-    NonFiniteInput only where that term itself leaves double range.
+
+def _term(factor: complex, exponent: complex, d: complex) -> complex:
+    """factor * exp(exponent) / d for finite operands and d != 0: an edge term of a fold step.
+
+    Python's bits where that is finite and both parts of d are below _D_EDGE;
+    else each operand is scaled by a power of two to parts below 1 first
+    (Baudin & Smith, arXiv:1210.4539), which is exact.  Only where
+    exp(exponent) leaves double range is the term taken by logs, 0 for an
+    exact-zero factor.  NonFiniteInput where the term leaves double range.
     """
-    if factor == 0:
-        return 0j
     try:
-        return cmath.exp(cmath.log(factor) + exponent - log_d)
+        power = cmath.exp(exponent)
     except OverflowError:
-        raise NonFiniteInput("group element coordinates must be finite") from None
-
-
-def _scaled_term(factor: complex, power: complex, d: complex) -> complex:
-    """factor * power / d for finite operands and d != 0, bit for bit where that is finite.
-
-    The product, and CPython's complex division by Smith's method (CACM 5,
-    435, 1962), can leave double range in an intermediate, such as
-    a.real + a.imag*(b.imag/b.real), where the term does not.  There each
-    operand is first scaled by a power of two to parts below 1 (Baudin &
-    Smith, arXiv:1210.4539), which is exact, and the term scaled back; a term
-    beyond double range is returned as inf.
-    """
-    term = factor * power / d
-    if isfinite(term):
-        return term
+        if factor == 0:
+            return 0j
+        try:
+            return cmath.exp(cmath.log(factor) + exponent - cmath.log(d))
+        except OverflowError:
+            raise NonFiniteInput("group element coordinates must be finite") from None
+    if max(abs(d.real), abs(d.imag)) < _D_EDGE:
+        term = factor * power / d
+        if isfinite(term):
+            return term
     (f, ef), (p, ep), (q, eq) = map(_normalized, (factor, power, d))
     term = f * p / q
     try:
         return complex(math.ldexp(term.real, ef + ep - eq), math.ldexp(term.imag, ef + ep - eq))
     except OverflowError:
-        return complex(math.inf, math.inf)
+        raise NonFiniteInput("group element coordinates must be finite") from None
 
 
 def _normalized(z: complex) -> tuple:
@@ -280,12 +281,14 @@ def _fold(algebra: AlgebraKind, coords: Iterable[tuple], acc=None, done=0) -> tu
     where it enters), so it checks only what it makes: each step's
     denominator d against TOL_SINGULAR, and each product for finiteness.  A
     singular step raises SingularDecomposition carrying in ``step`` its
-    1-based step of the run.  A step whose |d| leaves double range raises
-    NonFiniteInput; where its exp(delta*log_c) does, its terms are taken by
-    logs (_term_by_logs), so a power that multiplies an exact 0 coordinate
-    is no error.  Where its product is not finite, the step forms its terms
-    again by _scaled_term, since a term's product or complex division can
-    overflow in an intermediate only.  Nothing it returns is non-finite.
+    1-based step of the run.  One magnitude test picks the step's form: with
+    |d| below _D_EDGE, its plain terms; past it, or where a power or a plain
+    term leaves double range, its one edge route, each term by _term, so a
+    power that scales an exact 0 coordinate is no error.  Where d itself is
+    not finite, each term is divided through by its coordinate,
+    p2 + exp(delta*log_c2)/(1/p1 - delta*eps*m2), and log d taken apart: that
+    step is the continued fraction's own form, so there the cross-check is
+    not independent.  Nothing it returns is non-finite.
     Tuples are (big_plus, log_c, big_minus); phases are the callers' to add.
     """
     delta, _, delta_eps, two_over_delta, _ = algebra._kernel
@@ -297,36 +300,36 @@ def _fold(algebra: AlgebraKind, coords: Iterable[tuple], acc=None, done=0) -> tu
     for index, (p2, lc2, m2) in coords:
         d = 1.0 - delta_eps * p1 * m2
         try:
-            if abs(d) <= TOL_SINGULAR:
+            a_d = abs(d)
+        except OverflowError:  # both parts finite, the modulus not
+            a_d = math.inf
+        if not TOL_SINGULAR < a_d < _D_EDGE:
+            if a_d <= TOL_SINGULAR:
                 raise SingularDecomposition(
-                    f"no normal-ordered form: composition denominator |d| = {abs(d):.3e} "
-                    "is singular",
-                    denominator_abs=abs(d),
+                    f"no normal-ordered form: composition denominator |d| = {a_d:.3e} is singular",
+                    denominator_abs=a_d,
                     step=index,
                 )
-        except OverflowError:  # |d| left double range
-            raise NonFiniteInput("group element coordinates must be finite") from None
-        try:
-            pow_c1 = exp(delta * lc1)
-            pow_c2 = exp(delta * lc2)
-        except OverflowError:  # the term a power scales may still be in range
-            log_d = log(d)
-            p1 = p2 + _term_by_logs(p1, delta * lc2, log_d)
-            m1 = m1 + _term_by_logs(m2, delta * lc1, log_d)
-            lc1 = lc1 + lc2 - two_over_delta * log_d
-            if not (isfinite(p1) and isfinite(lc1) and isfinite(m1)):
-                raise NonFiniteInput("group element coordinates must be finite")
-            continue
-        p = p2 + p1 * pow_c2 / d
+            p = m = math.inf  # the edge block below forms both terms
+        else:
+            try:
+                p = p2 + p1 * exp(delta * lc2) / d
+                m = m1 + m2 * exp(delta * lc1) / d
+            except OverflowError:  # a power left double range, the term it scales may not
+                p = m = math.inf
         # kept as a subtraction: adding (-two_over_delta) * log(d) can flip a signed zero
-        lc1 = lc1 + lc2 - two_over_delta * log(d)
-        m = m1 + m2 * pow_c1 / d
-        if not (isfinite(p) and isfinite(lc1) and isfinite(m)):
-            # a term may have left double range in an intermediate only
-            p, m = p2 + _scaled_term(p1, pow_c2, d), m1 + _scaled_term(m2, pow_c1, d)
-            if not (isfinite(p) and isfinite(lc1) and isfinite(m)):
+        lc = lc1 + lc2 - two_over_delta * log(d)
+        if not (isfinite(p) and isfinite(lc) and isfinite(m)):
+            if isfinite(d):  # the edge route: a term may be in range where its plain form is not
+                p, m = p2 + _term(p1, delta * lc2, d), m1 + _term(m2, delta * lc1, d)
+            else:  # p1*m2 left double range: each term divided through by its coordinate
+                p = p2 + _term(1.0, delta * lc2, 1.0 / p1 - delta_eps * m2)
+                m = m1 + _term(1.0, delta * lc1, 1.0 / m2 - delta_eps * p1)
+                log_d = log(-delta_eps) + log(p1) + log(m2) + log(1.0 - (1.0 / p1) * (1.0 / m2) / delta_eps)
+                lc = lc1 + lc2 - two_over_delta * complex(log_d.real, _principal(log_d.imag))
+            if not (isfinite(p) and isfinite(lc) and isfinite(m)):
                 raise NonFiniteInput("group element coordinates must be finite")
-        p1, m1 = p, m
+        p1, lc1, m1 = p, lc, m
     return p1, lc1, m1
 
 
@@ -360,21 +363,19 @@ def _continued_fraction(algebra: AlgebraKind, coords: Iterable[tuple]) -> comple
             if value == 0:
                 value = big_plus
                 continue
-            # the term multiplied through by value: the fold's step p2 + p1 * pow_c2 / d
+            # the term multiplied through by value: the fold's edge step
             partial = 1.0 - delta_eps * value * big_minus
             if partial != 0:
-                try:
-                    value = big_plus + _scaled_term(value, exp(delta * log_c), partial)
-                except OverflowError:  # the term by logs, as the fold takes it
-                    value = big_plus + _term_by_logs(value, delta * log_c, cmath.log(partial))
+                value = big_plus + _term(value, delta * log_c, partial)
                 continue
         else:
             partial = delta_eps * big_minus - 1.0 / value
             if partial != 0:
                 try:
-                    value = big_plus - exp(delta * log_c) / partial
-                except OverflowError:  # the term by logs, as the fold takes it
-                    value = big_plus - _term_by_logs(1.0, delta * log_c, cmath.log(partial))
+                    # a 0 quotient may be Smith's division past _D_EDGE: there, the fold's term
+                    value = big_plus - (exp(delta * log_c) / partial or _term(1.0, delta * log_c, partial))
+                except OverflowError:  # the power left double range: the fold's term
+                    value = big_plus - _term(1.0, delta * log_c, partial)
                 continue
         raise SingularDecomposition(
             "continued fraction hit a zero partial denominator",
@@ -487,12 +488,11 @@ def alpha_continued_fraction(elements: Sequence[GroupElement]) -> complex:
     be evaluated in double, one below the smallest normal double or one
     whose parts are finite but whose modulus is not, is removable too: that
     term takes the fold's form, the term multiplied through by the value.
-    On that branch the term is the fold's own arithmetic, so there the
-    cross-check is not independent.  An exactly zero partial denominator,
-    in either form, is not removable and raises, and a value that leaves
-    double range raises NonFiniteInput.  Where a term's power
-    exp(delta*log_c) leaves double range, that term is taken by logs, as the
-    fold takes it.
+    That term, and one whose power exp(delta*log_c) leaves double range, is
+    the fold's edge term, so there the cross-check is not independent; nor
+    where the fold's d is not finite, whose step is then this term's own form.
+    An exactly zero partial denominator, in either form, is not removable and
+    raises, and a value or term that leaves double range raises NonFiniteInput.
     """
     if len(elements) == 0:
         raise EmptySequence("need at least one element")

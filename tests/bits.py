@@ -149,6 +149,16 @@ def compose_battery(h, rng) -> None:
         "mixed-algebras": lambda: [ident, h_el, identity_element(AlgebraKind.SO21)],
         "empty": lambda: [],
         "integer-beyond-double-range": lambda: [h_el, GroupElement(SU11, 0, -(10**400), 0)],
+        # the fold step's edge routes: a power exp(800) beside a plain nonzero term, |d| past
+        # 2**1022 with finite parts, |d| beyond the largest double, d itself not finite, and
+        # the continued fraction's partial denominator past 2**1022
+        "power-beside-a-term": lambda: [GroupElement(SU11, 0.5, 800, 0), GroupElement(SU11, 0.1, 0, 1e-300)],
+        "d-beyond-smith-bound": lambda: [GroupElement(SU11, 1e300, 0.5j, 0.2), GroupElement(SU11, 0.1, 2, 1e8)],
+        "d-modulus-beyond": lambda: [GroupElement(SU11, 1.5e300, 0, 0), GroupElement(SU11, 0, 0, 1e8 + 1e8j)],
+        "d-not-finite": lambda: [GroupElement(SU11, 1e200 + 1e200j, 0.1j, 0.2), GroupElement(SU11, 0.3, -0.2, 1e200j)],
+        "fraction-beyond-smith-bound": lambda: [
+            GroupElement(SU11, 1, 0, 0), GroupElement(SU11, 0, 100, 1.7e308 + 1.7e308j)
+        ],
     }
     # a non-finite field, reached after finite, non-singular elements only
     for value in (math.nan, math.inf, -math.inf):

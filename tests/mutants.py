@@ -1,0 +1,138 @@
+"""Mutant table: small faults planted in the kernels, each of which some test must catch.
+
+Run from anywhere, with no argument or with the indices of the rows to run:
+
+    python tests/mutants.py [index ...]
+
+Each row names a file under ``src/``, the exact text to replace (it must occur
+once), the text to put there, what that breaks, and the test files that must
+catch it.  For each row the runner copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, plants the fault in the copy and
+runs ``pytest -x`` there on the row's test files, reporting the first test
+that fails; a row whose tests still pass has survived.  At most two copies
+run at once.  The exit status is 0 only if every row is killed.  The runner
+uses the standard library only, and the name has no ``test_`` prefix, so
+pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COMPOSE = "src/bchkit/compose.py"
+
+# (file, exact old text, new text, what it breaks, test files that must catch it)
+MUTANTS = [
+    (
+        COMPOSE, "        if factor == 0:\n", "        if False:\n",
+        "a power beyond double range that scales an exact-zero coordinate raises",
+        ["tests/test_compose.py"],
+    ),
+    (
+        COMPOSE, "exponent - cmath.log(d))", "exponent + cmath.log(d))",
+        "a term taken by logs multiplies by d instead of dividing",
+        ["tests/test_compose.py"],
+    ),
+    (
+        COMPOSE, "    if max(abs(d.real), abs(d.imag)) < _D_EDGE:\n", "    if True:\n",
+        "a term divides by a d past Smith's bound in doubles and comes back as 0",
+        ["tests/test_compose.py"],
+    ),
+    (
+        COMPOSE,
+        "ef + ep - eq), math.ldexp(term.imag, ef + ep - eq)",
+        "ef - ep - eq), math.ldexp(term.imag, ef - ep - eq)",
+        "a scaled term is scaled back by the wrong power of two",
+        ["tests/test_compose.py"],
+    ),
+    (
+        COMPOSE, "        if not TOL_SINGULAR < a_d < _D_EDGE:\n", "        if not TOL_SINGULAR < a_d:\n",
+        "a fold step whose |d| is past 2**1022 takes the plain division, which returns 0",
+        ["tests/test_compose.py"],
+    ),
+    (
+        COMPOSE, "two_over_delta * complex(log_d.real, _principal(log_d.imag))", "two_over_delta * log_d",
+        "a d that is not finite appends a log off the principal branch to log_c",
+        ["tests/test_compose.py"],
+    ),
+    (
+        COMPOSE, "1.0 / p1 - delta_eps * m2", "1.0 / p1 + delta_eps * m2",
+        "the reciprocal form of L+ divides by d/L1+ with the wrong sign",
+        ["tests/test_compose.py"],
+    ),
+    (
+        COMPOSE, "_W_CLEAR = 1e-10\n", "_W_CLEAR = 1e-20\n",
+        "the disentangling's fast path takes a w within roundoff of 0 without its test",
+        ["tests/test_compose.py", "tests/test_fold.py"],
+    ),
+    (
+        COMPOSE, "_SERIES_NU_THRESHOLD = 1e-4\n", "_SERIES_NU_THRESHOLD = 1e-2\n",
+        "the cosh and sinhc series is summed where its dropped terms reach a bit",
+        ["tests/test_fold.py", "tests/test_compose.py"],
+    ),
+    (
+        COMPOSE, "cmath.log(g) + 2.0 * half_c)", "cmath.log(g) - 2.0 * half_c)",
+        "a triangular coordinate taken by logs is off by exp(4 half_c)",
+        ["tests/test_compose.py", "tests/test_reference.py"],
+    ),
+    (
+        COMPOSE, "beyond = abs(value) < tiny", "beyond = abs(value) < 0.0",
+        "the continued fraction takes 1/value where it leaves double range",
+        ["tests/test_compose.py"],
+    ),
+    (
+        COMPOSE, "/ partial or _term(1.0, delta * log_c, partial))", "/ partial)",
+        "the continued fraction divides by a partial denominator past Smith's bound in doubles",
+        ["tests/test_compose.py"],
+    ),
+    (
+        COMPOSE, "            beyond = True\n", "            beyond = False\n",
+        "the continued fraction takes 1/value where the modulus of value overflows",
+        ["tests/test_compose.py"],
+    ),
+]
+
+
+def run(row) -> tuple:
+    """('killed', first failing test), ('survived', '') or an error for one row, in a fresh copy of the tree."""
+    path, old, new, _, tests = row
+    with tempfile.TemporaryDirectory(prefix="bchkit-mutant-") as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tree / name, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
+        target = tree / path
+        text = target.read_text()
+        if text.count(old) != 1:
+            return f"error: the old text occurs {text.count(old)} times", ""
+        target.write_text(text.replace(old, new))
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=tree, capture_output=True, text=True,
+        )
+    failed = [line.split()[1] for line in result.stdout.splitlines() if line.startswith("FAILED ")]
+    outcome = {0: "survived", 1: "killed"}.get(result.returncode, f"error: pytest exit {result.returncode}")
+    return outcome, failed[0] if failed else ""
+
+
+def main(argv) -> int:
+    indices = [int(arg) for arg in argv] or range(len(MUTANTS))
+    rows = [MUTANTS[i] for i in indices]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        outcomes = list(pool.map(run, rows))
+    for index, row, (outcome, failed) in zip(indices, rows, outcomes):
+        print(f"{index:2d} {outcome:8s} {row[0]}: {row[3]}" + (f"\n   by {failed}" if failed else ""))
+    killed = [outcome for outcome, _ in outcomes].count("killed")
+    print(f"{killed} of {len(rows)} killed")
+    return 0 if killed == len(rows) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

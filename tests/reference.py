@@ -1,4 +1,4 @@
-"""Extended-precision reference for the disentangling, independent of bchkit's kernels.
+"""Extended-precision references for the disentangling and for products, independent of bchkit's kernels.
 
 The Gauss coordinates of exp(lp M+ + lc Mc + lm M-) are read back from the
 2x2 matrix of that exponential, formed by ``mpmath.expm``.  With
@@ -17,6 +17,9 @@ g22 is the disentangling denominator.  With s^2 = -det M, the entries of
 exp(M) are of size exp(|Re s|) while g22 can be as small as exp(-|Re s|), so
 reading g22 back loses about 2|Re s|/ln 10 digits to cancellation; the working
 precision is that many digits above ``DIGITS``.
+
+A product of elements is the product of their matrices in that form, later
+element on the left, read back by the same formulas (``product_coordinates``).
 """
 
 import math
@@ -101,6 +104,57 @@ def gauss_coordinates(name, lp, lc, lm):
         log_c = -(2 / b) * mpmath.log(g22)
         period = 4 * mpmath.pi * _I / b
         return big_plus, log_c, big_minus, period
+
+
+def _element_matrix(name, coords, magnitudes=False):
+    """The 2x2 matrix of the element with Gauss coordinates ``coords`` = (L+, C, L-), as nested lists.
+
+    With ``magnitudes``, each entry is instead the sum of the moduli of its terms,
+    the scale against which a product of such matrices loses digits to cancellation.
+    """
+    a, b, a_minus, _, _ = _tables()[name]
+    big_plus, big_c, big_minus = (mpmath.mpc(z) for z in coords)
+    p = mpmath.exp(b * big_c / 2)
+    corner = a * a_minus * big_plus * big_minus / p
+    if magnitudes:
+        return [[abs(p) + abs(corner), abs(a * big_plus / p)], [abs(a_minus * big_minus / p), abs(1 / p)]]
+    return [[p + corner, a * big_plus / p], [a_minus * big_minus / p, 1 / p]]
+
+
+def _product(name, elements, magnitudes=False):
+    """The matrix product of _element_matrix over ``elements``, earliest first, so later on the left."""
+    product = [[1, 0], [0, 1]]
+    for coords in elements:
+        m = _element_matrix(name, coords, magnitudes)
+        product = [[sum(m[i][k] * product[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+    return product
+
+
+def product_coordinates(name, coords):
+    """(L+, log_c, L-, period) of the product of the elements ``coords`` on algebra ``name``.
+
+    ``coords`` is a sequence of (L+, log_c, L-) triples, earliest first, each
+    taken exactly as given; the product is the matrix product of the elements'
+    closed-form matrices, later element on the left, read back as
+    gauss_coordinates reads exp(M).  log_c is the principal branch, defined
+    modulo ``period``.  An entry read back is the sum of terms that can cancel;
+    the working precision is ``DIGITS`` plus the digits its largest cancellation
+    takes, about -log10|d| for a pair whose denominator d is small.
+    """
+    a, b, a_minus, _, _ = _tables()[name]
+    with mpmath.workdps(DIGITS):
+        g, scale = _product(name, coords), _product(name, coords, magnitudes=True)
+        lost = [
+            float(mpmath.log10(scale[i][j] / abs(g[i][j])))
+            for i, j in ((0, 1), (1, 0), (1, 1))
+            if g[i][j] != 0
+        ]
+    with mpmath.workdps(DIGITS + math.ceil(max(lost, default=0.0)) + 5):
+        g = _product(name, coords)
+        big_plus = g[0][1] / (a * g[1][1])
+        big_minus = g[1][0] / (a_minus * g[1][1])
+        log_c = -(2 / b) * mpmath.log(g[1][1])
+        return big_plus, log_c, big_minus, 4 * mpmath.pi * _I / b
 
 
 def relative_error(got, expected, period=None):

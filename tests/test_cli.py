@@ -213,6 +213,17 @@ KICK = dict(QUIET, t=1.75, eta_plus=[0, 2 * math.pi], eta_minus=[0, 2 * math.pi]
 KICK_AT_STEP_7 = {
     "format": 1, "algebra": "su11", "t_final": 2.5, "samples": [dict(QUIET, t=0), dict(QUIET, t=1.5), KICK],
 }
+# |d| is above half the largest double, where Smith's denominator overflows
+SMITH_PAIR = [
+    entry([-6.911499537148892e262, -4.2824235975023426e262], [0.6068014566628955, -0.2631619903046233],
+          [3.9674193721644396e23, -2.6645798166502327e23]),
+    entry([-8.640622430809308e-181, 3.259397406621332e-181], [-25.447963758613422, -32.87611304502988],
+          [2.854701438310627e45, 3.342754478235407e45]),
+]
+# d = 1 - L1+ L2- has finite parts and a modulus beyond double range
+D_MODULUS_BEYOND = [entry([1.5e300, 0], ZERO, ZERO), entry(ZERO, ZERO, [1e8, 1e8])]
+# the continued fraction's partial denominator is 1.7e308(1+i) - 1
+FRACTION_SMITH = [entry([1, 0], ZERO, ZERO), entry(ZERO, [100, 0], [1.7e308, 1.7e308])]
 IDENTITY_ENTRY = {"Lambda_plus": ZERO, "Lambda_c": [1, 0], "Lambda_minus": ZERO}
 FRACTION_DRAW = random.Random(101)
 FRACTION_ENTRIES = [element_entry(random_element(FRACTION_DRAW, AlgebraKind.SU11)) for _ in range(5)]
@@ -299,7 +310,7 @@ ROWS = [
     ),
     # two finite elements whose product leaves double range, and an exp(log_c) = exp(800)
     # that overflows inside the step
-    compose_row("compose-overflowing-product", "su11", [entry([1e200, 0], ZERO, ZERO), entry(ZERO, ZERO, [1e200, 0])]),
+    compose_row("compose-overflowing-product", "su11", [entry([1e300, 0], [700, 0], ZERO)] * 2),
     compose_row("compose-overflowing-power", "su11", [entry(ZERO, [800, 0], ZERO), entry([0.1, 0], ZERO, [0.1, 0])]),
     compose_row("compose-power-of-zero", "su11", POWER_OF_ZERO),
     compose_row("compose-power-of-zero-fraction", "su11", POWER_OF_ZERO, CF),
@@ -307,6 +318,13 @@ ROWS = [
     # where the product does not
     compose_row("compose-division-intermediate", "su11", seed_then_one([1e308, 1e308], ZERO, [0.1, 0]), CF),
     compose_row("compose-numerator-overflow", "su11", seed_then_one([1e300, 0], [700, 0], [1.0, 0]), CF),
+    # d = 1 - L1+ L2- is not finite, has a modulus beyond double range, or is past the bound
+    # of Smith's division, or the continued fraction's partial denominator is, where the
+    # product is in range
+    compose_row("compose-d-not-finite", "su11", [entry([1e200, 0], ZERO, ZERO), entry(ZERO, ZERO, [1e200, 0])], CF),
+    compose_row("compose-d-modulus-beyond", "su11", D_MODULUS_BEYOND, CF),
+    compose_row("compose-d-beyond-smith-bound", "so21", SMITH_PAIR, CF),
+    compose_row("fraction-beyond-smith-bound", "su11", FRACTION_SMITH, CF),
     compose_row("compose-huge-then-identity", "su11", [entry([1e13, 0], ZERO, ZERO), entry(ZERO, ZERO, ZERO)]),
     # cosh(800) overflows; the product is still no squeeze, named as for r = 30
     squeeze_row("squeeze-no-magnitude-30", (30.0, 0.0), (0.0, 0.0)),

@@ -3,6 +3,7 @@ import decimal
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,7 +25,7 @@ from bchkit import (
 )
 from bchkit.compose import _series
 from frozen import complex_bits, element_bits, frozen_pair_product, random_element, random_params
-from reference import CENSUS_BOUND, gauss_coordinates, relative_error, worst_relative_error
+from reference import CENSUS_BOUND, gauss_coordinates, product_coordinates, relative_error, worst_relative_error
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +325,10 @@ def test_compose_pair_associativity_in_components():
 
 def test_overflowing_product_raises_instead_of_returning_non_finite():
     cases = [
-        # L+ = 1e200 followed by L- = 1e200: each finite, the product is not
-        ((1e200 + 0j, 0j, 0j), (0j, 0j, 1e200 + 0j)),
         # exp(800) of the first element's log_c leaves double range inside the step
         ((0j, 800 + 0j, 0j), (0.1 + 0j, 0j, 0.1 + 0j)),
-        # d = 1 - L1+ L2- is finite, but |d| is about 2.1e308
-        ((1.5e300 + 0j, 0j, 0j), (0j, 0j, 1e8 + 1e8j)),
+        # d = 1, and L+ = 1e300 + 1e300 exp(700) leaves double range
+        ((1e300 + 0j, 700 + 0j, 0j), (1e300 + 0j, 700 + 0j, 0j)),
     ]
     for coords1, coords2 in cases:
         first = GroupElement(AlgebraKind.SU11, *coords1)
@@ -338,6 +337,59 @@ def test_overflowing_product_raises_instead_of_returning_non_finite():
             compose_pair(second, first)
         with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
             compose_many([first, second])
+
+
+# (algebra, pair) where d = 1 - delta eps L1+ L2-, or the continued fraction's partial
+# denominator, leaves double range or passes the bound of Smith's division, though the
+# product is in range
+EDGE_STEPS = {
+    # L+ = 1e200 followed by L- = 1e200: d = 1 - 1e400 is not finite
+    "d-not-finite": ("su11", ((1e200 + 0j, 0j, 0j), (0j, 0j, 1e200 + 0j))),
+    # d is finite, but |d| is about 2.1e308
+    "d-modulus-beyond": ("su11", ((1.5e300 + 0j, 0j, 0j), (0j, 0j, 1e8 + 1e8j))),
+    # d = 1 - 1e308: below the largest double, past the bound of Smith's division
+    "d-beyond-smith-bound": ("su11", ((1e300 + 0j, 0.5j, 0.2 + 0j), (0.1 - 0.3j, 2 + 0j, 1e8 + 0j))),
+    # |d| is above half the largest double: Python's division forms Smith's denominator
+    # b.imag + b.real*(b.real/b.imag), which overflows, and gave the fold's term as 0, so
+    # the fold returned the second element's L+
+    "so21-smith-overflow": ("so21", (
+        (-6.911499537148892e262 - 4.2824235975023426e262j, 0.6068014566628955 - 0.2631619903046233j,
+         3.9674193721644396e23 - 2.6645798166502327e23j),
+        (-8.640622430809308e-181 + 3.259397406621332e-181j, -25.447963758613422 - 32.87611304502988j,
+         2.854701438310627e45 + 3.342754478235407e45j),
+    )),
+    # the same overflow in the fraction's partial denominator 1.7e308(1+i) - 1 gave L+ = 0
+    "fraction-smith-overflow": ("su11", ((1.0 + 0j, 0j, 0j), (0j, 100 + 0j, 1.7e308 + 1.7e308j))),
+}
+
+
+@pytest.mark.parametrize("name, pair", list(EDGE_STEPS.values()), ids=list(EDGE_STEPS))
+def test_edge_steps_match_the_matrix_product(name, pair):
+    # the fold takes each term divided through by its coordinate where d is not finite, and
+    # scaled operands past 2**1022, as the fraction does; mpmath's product of the two element
+    # matrices gives every coordinate (log_c modulo its period)
+    kind = AlgebraKind(name)
+    elements = [GroupElement(kind, *coords) for coords in pair]
+    big_plus, log_c, big_minus, period = product_coordinates(name, pair)
+    g = compose_many(elements)
+    assert relative_error(g.big_plus, big_plus) <= 1e-15
+    assert relative_error(g.log_c, log_c, period) <= 1e-15
+    assert relative_error(g.big_minus, big_minus) <= 1e-15
+    assert relative_error(alpha_continued_fraction(elements), big_plus) <= 1e-15
+    assert element_bits(compose_pair(elements[1], elements[0])) == element_bits(g)
+
+
+@pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda a: a.value)
+def test_fold_appends_the_principal_log_of_a_d_that_is_not_finite(kind):
+    # arg(L1+) + arg(L2-) = 6 > pi: log d, taken apart as log(-delta eps) + log L1+ + log L2-
+    # + ..., is brought back to the principal branch, so log_c gains -(2/delta) Log d exactly
+    # as the plain step appends it; the period alone would not tell the branches apart
+    first, second = (1e200 * cmath.exp(3j), 0.1j, 0.2 + 0j), (0.3 + 0j, -0.2 + 0j, 1e200 * cmath.exp(3j))
+    g = compose_many([GroupElement(kind, *first), GroupElement(kind, *second)])
+    with mpmath.workdps(40):
+        d = 1 - mpmath.mpc(kind.delta * kind.epsilon) * mpmath.mpc(first[0]) * mpmath.mpc(second[2])
+        expected = first[1] + second[1] - (2 / mpmath.mpc(kind.delta)) * mpmath.log(d)
+    assert relative_error(g.log_c, expected) <= 1e-15
 
 
 def test_fold_takes_a_product_whose_division_intermediate_overflows():
