@@ -349,7 +349,8 @@ def load_schedule(path: str) -> HamiltonianSchedule:
     with open(path) as fh:
         raw = json.load(fh)
     _require(isinstance(raw, dict), "schedule must be a JSON object")
-    _require(raw.get("format") == 1, 'schedule "format" must be the number 1')
+    version = raw.get("format")
+    _require(_is_number(version) and version == 1, 'schedule "format" must be the number 1')
     algebra_name = raw.get("algebra")
     _require(isinstance(algebra_name, str), 'schedule: "algebra" must be a string')
     algebra = make_algebra(algebra_name)

@@ -5,8 +5,8 @@ element (-e^{i phi} tanh r, sech^2 r, e^{-i phi} tanh r); a rotation by phi
 is Cartan-only with coordinate e^{2 i phi} and a scalar prefactor
 exp(-i phi / 2).  The product of two squeezes is generally not a squeeze but
 factors as squeeze times rotation; :func:`factor_squeeze_rotation` recovers
-that factorization, keeping the leftover scalar explicit so recomposition is
-exact including the prefactor.
+that factorization at any magnitude, keeping the leftover scalar explicit so
+recomposition is exact including the prefactor.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from .algebra import (
     AlgebraKind, GroupElement, _as_complex, _as_float, _Frozen, _setters, identity_element,
 )
-from .compose import compose_pair
+from .compose import _principal, compose_pair
 from .errors import NonFiniteInput, NotFactorizable
 
 __all__ = [
@@ -169,15 +169,16 @@ def compose_squeezes(z2: SqueezeParams, z1: SqueezeParams) -> GroupElement:
 def factor_squeeze_rotation(g: GroupElement) -> SqueezeRotationFactorization:
     """Split an su(1,1) element into squeeze times rotation, if possible.
 
-    The squeeze part is read off the raising coordinate (e^{i phi} tanh r =
-    -L+).  The rotation angle is fixed by the Cartan coordinate only up to
-    half a turn, because adding pi to it changes nothing but the scalar
-    prefactor; the candidate whose leftover scalar exp(phase_shift) is closer
-    to unity wins.  Both shifts share their real part, so that is the larger
-    cos(Im phase_shift), at any finite phase; a tie keeps the first.  This
-    reproduces the closed-form angle for squeeze products and the exact
-    angle for pure rotations.  Raises NotFactorizable for elements outside
-    the squeeze-rotation orbit.
+    The squeeze phase is read off the raising coordinate (e^{i phi} tanh r =
+    -L+), and r from sinh r = |L+| cosh r with log cosh r = -Re(log_c)/2, which
+    keeps every digit of r as tanh r nears 1.  The rotation angle, half the
+    principal Im log_c, is fixed only up to half a turn, because adding pi to
+    it changes nothing but the scalar prefactor; the candidate whose leftover
+    scalar exp(phase_shift) is closer to unity wins.  Both shifts share their
+    real part, so that is the larger cos(Im phase_shift), at any finite phase;
+    a tie keeps the first.  This reproduces the closed-form angle for squeeze
+    products and the exact angle for pure rotations.  Raises NotFactorizable
+    for elements outside the squeeze-rotation orbit.
     """
     if g.algebra is not AlgebraKind.SU11:
         raise NotFactorizable("only su(1,1) elements factor as squeeze times rotation")
@@ -187,22 +188,19 @@ def factor_squeeze_rotation(g: GroupElement) -> SqueezeRotationFactorization:
             "raising and lowering magnitudes differ: "
             f"|{mag_plus:.6g}| vs |{mag_minus:.6g}|"
         )
-    if mag_plus >= 1.0:
-        raise NotFactorizable(f"no real squeeze magnitude for |L+| = {mag_plus:.6g}")
-
-    r = math.atanh(mag_plus)
-    phi = cmath.phase(-g.big_plus) if r > 0 else 0.0
-    squeeze = SqueezeParams(r, phi)
-
-    # exp(2i angle) = Lambda_c cosh^2 r when g factors; the half-angle leaves
-    # two rotations a half turn apart.
     try:
-        doubled = g.big_c() * math.cosh(r) ** 2
+        big_c = g.big_c()
     except NonFiniteInput:  # |Lambda_c| = exp(Re log_c) leaves double range, far above sech^2 r <= 1
         raise NotFactorizable(
             f"no squeeze-rotation form: Lambda_c = exp({g.log_c:.6g}) leaves double range"
         ) from None
-    half = 0.5 * cmath.phase(doubled)
+    # past sinh r of 1e304, asinh(x) is ln(2x) and |L+| = tanh r is 1 to the last bit
+    y = -0.5 * g.log_c.real
+    sinh_r = mag_plus * math.exp(y) if y < 700.0 else math.inf
+    r = math.asinh(sinh_r) if sinh_r < math.inf else _LN2 + y
+    phi = cmath.phase(-g.big_plus) if r > 0 else 0.0
+    squeeze = SqueezeParams(r, phi)
+    half = 0.5 * _principal(g.log_c.imag)
     rotation = max(
         (RotationParams(half), RotationParams(half + math.pi)),
         key=lambda rot: math.cos(g.phase.imag + 0.5 * rot.angle),
@@ -212,7 +210,7 @@ def factor_squeeze_rotation(g: GroupElement) -> SqueezeRotationFactorization:
     redone = SqueezeRotationFactorization(squeeze, rotation, phase_shift=shift).recompose()
     residual = max(
         abs(redone.big_plus - g.big_plus),
-        abs(redone.big_c() - g.big_c()),
+        abs(redone.big_c() - big_c),
         abs(redone.big_minus - g.big_minus),
         abs(cmath.exp(redone.phase - g.phase) - 1.0),
     )

@@ -221,7 +221,7 @@ def squeeze_battery(h, rng) -> None:
         _call(h, "factor-random", lambda: factor_squeeze_rotation(_element(rng, SU11, 0.5, 0.5)))
         shift = _complex(rng, 1.0)
         _call(h, "recompose", lambda: SqueezeRotationFactorization(z1, rotation, shift).recompose())
-    for r in (0.0, 30.0, 800.0, 1e5):
+    for r in (0.0, 8.0, 15.0, 19.1, 30.0, 800.0, 1e5):
         _call(h, "squeeze-large", lambda: squeeze_element(SqueezeParams(r, 0.25)))
         _call(h, "factor-large", lambda: factor_squeeze_rotation(squeeze_element(SqueezeParams(r, 0.25))))
     for field in ("r", "phi", "angle"):

@@ -26,6 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COMPOSE = "src/bchkit/compose.py"
+SQUEEZE = "src/bchkit/squeeze.py"
+ORACLE = "src/bchkit/oracle.py"
 
 # (file, exact old text, new text, what it breaks, test files that must catch it)
 MUTANTS = [
@@ -95,6 +97,26 @@ MUTANTS = [
         COMPOSE, "            beyond = True\n", "            beyond = False\n",
         "the continued fraction takes 1/value where the modulus of value overflows",
         ["tests/test_compose.py"],
+    ),
+    (
+        SQUEEZE, "    rotation = max(\n", "    rotation = min(\n",
+        "the factorization keeps the rotation whose leftover scalar is further from 1",
+        ["tests/test_squeeze.py"],
+    ),
+    (
+        SQUEEZE, "log_cosh_r = p.r - _LN2", "log_cosh_r = p.r + _LN2",
+        "a squeeze past cosh range takes log cosh r = r + ln 2",
+        ["tests/test_squeeze.py"],
+    ),
+    (
+        SQUEEZE, "else _LN2 + y", "else _LN2 - y",
+        "a squeeze whose sinh r is past 1e304 is read back with r = ln 2 - log cosh r",
+        ["tests/test_squeeze.py"],
+    ),
+    (
+        ORACLE, "if abs(s) < _SERIES_S_THRESHOLD:", "if abs(s) > _SERIES_S_THRESHOLD:",
+        "the oracle's exponential sums the short series away from s = 0 and divides by s = 0",
+        ["tests/test_oracle.py"],
     ),
 ]
 

@@ -326,9 +326,11 @@ ROWS = [
     compose_row("compose-d-beyond-smith-bound", "so21", SMITH_PAIR, CF),
     compose_row("fraction-beyond-smith-bound", "su11", FRACTION_SMITH, CF),
     compose_row("compose-huge-then-identity", "su11", [entry([1e13, 0], ZERO, ZERO), entry(ZERO, ZERO, ZERO)]),
-    # cosh(800) overflows; the product is still no squeeze, named as for r = 30
-    squeeze_row("squeeze-no-magnitude-30", (30.0, 0.0), (0.0, 0.0)),
-    squeeze_row("squeeze-no-magnitude-800", (800.0, 0.0), (0.0, 0.0)),
+    # |L+| = tanh r rounds to 1 from r of about 19.06, and cosh(800) overflows; each factors
+    squeeze_row("squeeze-large-12", (12.0, 0.0), (0.5, 1.0)),
+    squeeze_row("squeeze-large-20", (20.0, 0.0), (0.5, 1.0)),
+    squeeze_row("squeeze-large-30", (30.0, 0.0), (0.0, 0.0)),
+    squeeze_row("squeeze-large-800", (800.0, 0.0), (0.0, 0.0)),
 ]
 
 
@@ -411,6 +413,13 @@ def test_squeeze_compose_rejects_negative_magnitude(capsys):
         main(["squeeze-compose", "--z1", "-0.5,0", "--z2", "0.4,0"])
     assert excinfo.value.code == 2
     assert capsys.readouterr().err.endswith("argument --z1: squeeze magnitude must be >= 0, got -0.5\n")
+
+
+def test_squeeze_compose_prints_a_large_magnitude_to_the_last_digit(capsys):
+    # mpmath: acosh|cosh 12 cosh 0.5 + sinh 12 sinh 0.5 e^{i}| = 12.389213739331686
+    code, out = run_cli(capsys, "squeeze-compose", "--z1", "12,0", "--z2", "0.5,1")
+    assert code == 0
+    assert json.loads(out)["factorization"]["r"] == pytest.approx(12.389213739331686, rel=1e-15, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +608,15 @@ def test_input_error_bodies(tmp_path, capsys, command, content, message):
         code, out = run_cli(capsys, "compose", "--algebra", "su11", path)
     assert code == 2
     assert json.loads(out) == {"error": message}
+
+
+def test_schedule_format_is_the_number_one(tmp_path, capsys):
+    # JSON has one number type, so 1.0 is the number 1; true is no number, though True == 1
+    schedule = oscillator_with({"type": "constant", "omega": 1.0})
+    assert load_schedule(write_schedule(tmp_path, dict(schedule, format=1.0))).t_final == 1.0
+    path = write_schedule(tmp_path, dict(schedule, format=True))
+    code, out = run_cli(capsys, "evolve", "--schedule", path, "--steps", "4")
+    assert (code, json.loads(out)) == (2, {"error": 'schedule "format" must be the number 1'})
 
 
 def test_schedule_interpolation_values(tmp_path):

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,6 +23,7 @@ from bchkit import (
     rotation_element,
     squeeze_element,
 )
+from bchkit.compose import _principal
 from bchkit.squeeze import _wrap_angle
 from frozen import complex_bits
 
@@ -283,10 +285,9 @@ def test_factorization_takes_any_finite_phase(phase):
 
 
 def frozen_rotation_choice(g):
-    """factor_squeeze_rotation's (rotation, phase_shift) as first written: of the two
+    """factor_squeeze_rotation's (rotation, phase_shift) by the rule first written: of the two
     rotations a half turn apart, the one whose exp(phase_shift) is nearer 1."""
-    r = math.atanh(abs(g.big_plus))
-    half = 0.5 * cmath.phase(g.big_c() * math.cosh(r) ** 2)
+    half = 0.5 * _principal(g.log_c.imag)
     candidates = []
     for angle in (half, half + math.pi):
         rotation = RotationParams(angle)
@@ -352,12 +353,71 @@ def test_factorization_rejects_off_orbit_elements():
         factor_squeeze_rotation(warped)
 
 
-@pytest.mark.parametrize("r", [30, 800])
+@pytest.mark.parametrize("r", [1e-8, 1e-3, 0.3, 1, 3, 8, 12, 15, 19])
+def test_factorization_reads_back_a_squeeze_of_any_magnitude(r):
+    # r is read from sinh r = |L+| cosh r, which loses no digits as tanh r nears 1
+    factored = factor_squeeze_rotation(squeeze_element(SqueezeParams(r, 0.3)))
+    assert abs(factored.squeeze.r - r) <= 1e-15 * r
+    assert factored.squeeze.phi == pytest.approx(0.3, abs=1e-15) and factored.rotation.angle == 0.0
+
+
+@pytest.mark.parametrize("r", [19.1, 20, 30, 800, 1e5])
 def test_factorization_names_a_squeeze_whose_magnitude_rounds_to_one(r):
-    # |L+| = tanh r rounds to 1, which no real r gives back, also where cosh r overflows
-    product = compose_squeezes(SqueezeParams(0.0, 0.0), SqueezeParams(r, 0.0))
-    with pytest.raises(NotFactorizable, match=r"^no real squeeze magnitude for \|L\+\| = 1$"):
-        factor_squeeze_rotation(product)
+    # |L+| = tanh r rounds to 1 from r of about 19.06, and cosh r overflows from about 710;
+    # log cosh r = -Re(log_c)/2 still holds r
+    g = squeeze_element(SqueezeParams(r, 0.3))
+    assert abs(g.big_plus) == 1.0
+    factored = factor_squeeze_rotation(g)
+    assert abs(factored.squeeze.r - r) <= 1e-15 * r
+    assert factored.residual <= 1e-15
+
+
+def test_factored_magnitude_of_two_squeezes_matches_extended_precision():
+    # cosh r = |cosh r1 cosh r2 + sinh r1 sinh r2 e^{i(phi2 - phi1)}| for the product's squeeze
+    rng = random.Random(5)
+    for _ in range(500):
+        z1, z2 = random_squeeze(rng), random_squeeze(rng)
+        r = factor_squeeze_rotation(compose_squeezes(z2, z1)).squeeze.r
+        with mpmath.workdps(40):
+            r1, r2 = mpmath.mpf(z1.r), mpmath.mpf(z2.r)
+            mixed = mpmath.sinh(r1) * mpmath.sinh(r2) * mpmath.expj(mpmath.mpf(z2.phi) - z1.phi)
+            exact = mpmath.acosh(abs(mpmath.cosh(r1) * mpmath.cosh(r2) + mixed))
+            assert abs(r - exact) <= 1e-15 * exact, (z1, z2)
+
+
+def _wigner_gap(z1, z2, half_epsilon):
+    """How far the product's rotation angle is from half_epsilon, modulo pi."""
+    angle = factor_squeeze_rotation(compose_squeezes(z2, z1)).rotation.angle
+    return abs(math.remainder(angle - half_epsilon, math.pi))
+
+
+def test_rotation_of_two_squeezes_is_half_the_thomas_wigner_angle():
+    # two squeezes are two 2+1 boosts of rapidities 2 r1, 2 r2 at relative angle
+    # phi = phi2 - phi1, whose Thomas-Wigner rotation epsilon has
+    # tan(epsilon/2) = sin phi / (coth r1 coth r2 + cos phi) (Kim & Noz, Theory and
+    # Applications of the Poincare Group, 1986); on SU(1,1) the rotation is epsilon/2
+    rng = random.Random(5)
+    for _ in range(2000):
+        z1 = SqueezeParams(rng.uniform(0.01, 3), rng.uniform(-math.pi, math.pi))
+        z2 = SqueezeParams(rng.uniform(0.01, 3), rng.uniform(-math.pi, math.pi))
+        phi = z2.phi - z1.phi
+        coth_product = 1.0 / (math.tanh(z1.r) * math.tanh(z2.r))
+        assert _wigner_gap(z1, z2, math.atan2(math.sin(phi), coth_product + math.cos(phi))) <= 1e-14, (z1, z2)
+
+
+@pytest.mark.parametrize(
+    "r1, r2, phi",
+    [(r1, r2, phi) for r1, r2 in ((20, 20), (20, 0.5), (10, 15), (3, 20)) for phi in (1, -1, 3, -3)]
+    + [(r1, r2, phi) for r1, r2 in ((20, 0.5), (3, 20)) for phi in (math.pi - 1e-6, 1e-6 - math.pi)],
+)
+def test_rotation_of_two_large_squeezes_is_half_the_thomas_wigner_angle(r1, r2, phi):
+    # coth r is 1 to double precision from r of about 19; the angle is taken in extended precision
+    z1, z2 = SqueezeParams(r1, 0.0), SqueezeParams(r2, phi)
+    with mpmath.workdps(40):
+        relative = mpmath.mpf(z2.phi) - z1.phi
+        denominator = mpmath.coth(z1.r) * mpmath.coth(z2.r) + mpmath.cos(relative)
+        half_epsilon = float(mpmath.atan2(mpmath.sin(relative), denominator))
+    assert _wigner_gap(z1, z2, half_epsilon) <= 1e-14
 
 
 @pytest.mark.parametrize("log_c", [700, 710, 1e5], ids=lambda x: f"log_c={x:g}")
