@@ -7,8 +7,8 @@ time-evolution operators, with an independent 2x2 matrix oracle for
 cross-checking every identity.
 
 The calculus, the command line and the matrix oracle (``element_matrix``
-and its companions) run on the standard library alone; numpy is needed
-only by the tests.  The oracle's names, and those of the squeeze module,
+and its companions) run on the standard library alone; the tests add only
+pytest and mpmath.  The oracle's names, and those of the squeeze module,
 are imported on first access, so ``import bchkit`` compiles neither
 ``bchkit.oracle`` nor ``bchkit.squeeze``.  The value types are frozen
 ``__slots__`` classes, not dataclasses.

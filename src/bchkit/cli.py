@@ -35,10 +35,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SINGULAR = 3
 
-# argparse mistakes "-0.3,0" for an option flag; tokens that start like a
-# negative number and contain a comma get a protective leading space, which
-# the pair parsers strip again.
-_NEGATIVE_PAIR = re.compile(r"-\.?\d[^ ]*,")
+# argparse mistakes "-0.3,0" or "-inf,0" for an option flag; tokens that start
+# like a negative number, finite or not, and contain a comma get a protective
+# leading space, which the pair parsers strip again.
+_NEGATIVE_PAIR = re.compile(r"-(\.?\d|inf|nan)[^ ]*,", re.IGNORECASE)
 
 
 def _fmt(value: float) -> str:

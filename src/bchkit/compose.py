@@ -112,8 +112,11 @@ def _disentangle_raw(kernel, lp, lc, lm):
         return _triangular(half_c, lp, lm, minus_two_over_delta)
     nu = cmath.sqrt(half_c * half_c - x)
     a_nu = abs(nu)
-    if not a_nu <= 1.0:  # a NaN nu too
-        ratio, log_w = _beyond_one(nu, a_nu, half_c, x)
+    if not a_nu <= 1.0:  # a NaN nu too; the exact root may still land within 1
+        nu, nu_lo = _root(nu, half_c, lp, lm, delta_eps.real)
+        a_nu = abs(nu)
+    if not a_nu <= 1.0:
+        ratio, log_w = _beyond_one(nu, nu_lo, half_c, x)
     else:
         if a_nu < _SERIES_NU_THRESHOLD:
             cosh_nu, sinhc_nu = _series(nu)
@@ -149,7 +152,52 @@ def _principal(angle: float) -> float:
     return math.atan2(math.sin(angle), math.cos(angle))
 
 
-def _beyond_one(nu, a_nu, half_c, x):
+# Veltkamp's constant 2**27 + 1: a double times it splits into two halves of 26 bits.
+_SPLIT = 134217729.0
+
+
+def _exact_product(a: float, b: float) -> tuple[float, float]:
+    """(p, e) with p = a*b rounded and p + e = a*b exactly (Dekker), for |a|, |b| below 2**996."""
+    p = a * b
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    t = _SPLIT * b
+    b_hi = t - (t - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _root(nu, half_c, lp, lm, de):
+    """(nu, nu_lo): the principal root of half_c^2 - de*lp*lm, and its low part.
+
+    Each part of the radicand is a sum of exact products of parts (de is real:
+    1, -1 or -1/2), so fsum rounds it correctly even where half_c^2 and
+    de*lp*lm cancel, and nu is its root.  One Newton step, the residual
+    radicand - nu^2 summed the same way over 2 nu, gives nu_lo: nu + nu_lo is
+    the root to about twice double precision (an exact root 0 has nu_lo = 0).
+    Where a part is too large to split, or a sum leaves double range, the
+    plain root ``nu`` comes back with nu_lo = 0.
+    """
+    hr, hi, pr, pi, mr, mi = half_c.real, half_c.imag, lp.real, lp.imag, lm.real, lm.imag
+    real = (
+        *_exact_product(hr, hr), *_exact_product(-hi, hi),
+        *_exact_product(-de * pr, mr), *_exact_product(de * pi, mi),
+    )
+    imag = (*_exact_product(2.0 * hr, hi), *_exact_product(-de * pr, mi), *_exact_product(-de * pi, mr))
+    try:
+        root = cmath.sqrt(complex(math.fsum(real), math.fsum(imag)))
+        nr, ni = root.real, root.imag
+        residual = complex(
+            math.fsum((*real, *_exact_product(-nr, nr), *_exact_product(ni, ni))),
+            math.fsum((*imag, *_exact_product(-2.0 * nr, ni))),
+        )
+        low = residual / (2.0 * root) if root else 0j
+    except (ArithmeticError, ValueError):  # fsum met +inf and -inf, or overflowed
+        return nu, 0j
+    return (root, low) if isfinite(root) and isfinite(low) else (nu, 0j)
+
+
+def _beyond_one(nu, nu_lo, half_c, x):
     """(sinh(nu)/(nu w), principal log w) where |nu| > 1, on the exp(-nu) scale.
 
     With Re nu >= 0 (the principal root), m = exp(-2 nu) and
@@ -163,13 +211,17 @@ def _beyond_one(nu, a_nu, half_c, x):
     far that moves the form; a singular w_s is reported as |w exp(-nu)|.
     The caller forms L+- = l+- * ratio and checks them, as for |nu| <= 1; a
     non-finite nu (x or half_c^2 overflowed) is returned as the ratio, so
-    that check reports it.
+    that check reports it.  nu itself is off by up to half an ulp, which would
+    move m by a relative 2.2e-16 |nu| and log w by that much absolutely, a loss
+    that grows with |nu|; so m is exp(-2 nu) times 1 - 2 nu_lo (see _root),
+    log w adds nu_lo, and Im nu is reduced to its principal angle before log w_s
+    is added, so a log w near 0 keeps its digits.
     """
     if not isfinite(nu):  # lp and lm are nonzero here, so lp * nu is not finite either
         return nu, nu
-    m = cmath.exp(-2.0 * nu)
+    m = cmath.exp(-2.0 * nu) * (1.0 - 2.0 * nu_lo)
     s = (1.0 - m) / (2.0 * nu)
-    ah, a_m, a_s = abs(half_c), abs(m), abs(s)
+    ah, a_nu, a_m, a_s = abs(half_c), abs(nu), abs(m), abs(s)
     a_c = 0.5 * (1.0 + a_m)
     tol_nu2 = _HALF_TOL * (ah * ah + abs(x))
     if (nu.conjugate() * half_c).real > 0:
@@ -186,8 +238,9 @@ def _beyond_one(nu, a_nu, half_c, x):
         # dw_s/dnu = -m - half_c (m - s)/nu (dm/dnu = -2m, ds/dnu = (m - s)/nu): no factor grows as m -> 0
         tol_w = tol_nu2 * (min(a_s, a_m / a_nu) + ah / (a_nu * a_nu) * (a_m + a_s))
         _check_w(w_s, TOL_SINGULAR * (a_c + abs(h_s)) + tol_w, "|w exp(-nu)|")
-    log_w = nu + cmath.log(w_s)
-    return s / w_s, complex(log_w.real, _principal(log_w.imag))
+    log_w_s = cmath.log(w_s)
+    log_w_imag = _principal(nu.imag) + nu_lo.imag + log_w_s.imag
+    return s / w_s, complex(nu.real + log_w_s.real + nu_lo.real, _principal(log_w_imag))
 
 
 def _triangular(half_c, lp, lm, minus_two_over_delta):

@@ -6,10 +6,10 @@ independent of the composition formulas it verifies: it shares no numeric
 kernels with them, only the value types.
 
 The matrices are ``Mat2`` objects, four plain complex numbers, so the oracle
-runs on the standard library; numpy is not needed.  A ``Mat2`` converts to a
-numpy array wherever numpy asks for one (``np.asarray``, ``np.abs``,
-``np.linalg.det``, an ndarray on either side of ``@``, ``+`` or ``-``), so
-callers that hold numpy arrays can mix the two.
+runs on the standard library; numpy is not needed.  A ``Mat2`` still converts
+to a numpy array wherever numpy asks for one (``np.asarray``, an ndarray on
+either side of ``@``, ``+`` or ``-``), for the benchmark's evolve-drive
+checks, which hold ndarray constants.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ class Mat2:
     either side and ``/`` by a scalar, unary ``-``, entrywise ``abs()``,
     ``.max()``, ``.conj()``, ``.T`` and ``m[i, j]``.  Any other operand is left
     to its own type: an ndarray on either side of ``@``, ``+`` or ``-`` gives
-    the ndarray result, through ``__array__``.
+    the ndarray result, through ``__array__``, which stays while the
+    benchmark's evolve-drive checks hold ndarray constants.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -99,11 +100,9 @@ class Mat2:
         i, j = key
         return ((self.a, self.b), (self.c, self.d))[i][j]
 
-    def max(self, axis=None, out=None):
-        """Largest entry; ``axis`` and ``out`` (which ``np.max`` passes) go to numpy."""
-        if axis is None and out is None:
-            return max(self.a, self.b, self.c, self.d)
-        return self.__array__().max(axis=axis, out=out)
+    def max(self):
+        """Largest entry."""
+        return max(self.a, self.b, self.c, self.d)
 
     def conj(self) -> Mat2:
         return Mat2(self.a.conjugate(), self.b.conjugate(), self.c.conjugate(), self.d.conjugate())

@@ -5,13 +5,15 @@ precision and independently of bchkit's kernels.  This module instead holds
 what the tests compare with and draw from: the bit patterns of complex
 numbers and group elements, the pair product as first written (the fold
 must keep its bits), the uniform-square draws of exponents and elements, and
-the copies of a value by pickle and copy.  It imports no numpy: a draw takes
-the caller's generator, so the numpy-free CLI tests can import it too.
+the copies of a value by pickle and copy, the entrywise bound on a 2x2
+matrix, and a float subclass for the numeric boundary.  It runs on the
+standard library: a draw takes the caller's ``random.Random``.
 """
 
 import cmath
 import copy
 import pickle
+import random
 import struct
 
 from bchkit import ExponentParams, GroupElement, disentangle
@@ -42,17 +44,17 @@ def frozen_pair_product(g2: GroupElement, g1: GroupElement) -> GroupElement:
     )
 
 
-def random_params(rng, scale=0.5) -> ExponentParams:
-    """An exponent whose six real parts are six ``rng.uniform(-scale, scale)`` draws.
-
-    ``rng`` is a numpy Generator or a ``random.Random``: numpy's six scalar
-    draws are bit for bit its one vector of six.
-    """
-    parts = [rng.uniform(-scale, scale) for _ in range(6)]
-    return ExponentParams(complex(*parts[0:2]), complex(*parts[2:4]), complex(*parts[4:6]))
+def random_complex(rng: random.Random, bound=1.0) -> complex:
+    """A complex number whose real and imaginary parts are two ``rng.uniform(-bound, bound)`` draws."""
+    return complex(rng.uniform(-bound, bound), rng.uniform(-bound, bound))
 
 
-def random_element(rng, kind, scale=0.5) -> GroupElement:
+def random_params(rng: random.Random, scale=0.5) -> ExponentParams:
+    """An exponent whose three coordinates are random_complex draws within ``scale``."""
+    return ExponentParams(*(random_complex(rng, scale) for _ in range(3)))
+
+
+def random_element(rng: random.Random, kind, scale=0.5) -> GroupElement:
     """The disentangled element of a random_params exponent on algebra ``kind``."""
     return disentangle(kind, random_params(rng, scale)).element
 
@@ -61,3 +63,18 @@ def clones(value) -> list:
     """Copies of ``value`` made by every pickle protocol, copy.copy and copy.deepcopy."""
     pickled = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     return pickled + [copy.copy(value), copy.deepcopy(value)]
+
+
+def assert_close(actual, desired, atol=0.0) -> None:
+    """Fail unless each entry of the 2x2 ``actual`` is within ``atol + 1e-7 |desired|`` of ``desired``'s.
+
+    The bound of an allclose check with rtol 1e-7, entry by entry; a NaN fails it.
+    """
+    for i in (0, 1):
+        for j in (0, 1):
+            x, y = actual[i, j], desired[i, j]
+            assert abs(x - y) <= atol + 1e-7 * abs(y), ((i, j), x, y)
+
+
+class Float(float):
+    """A float subclass: a float that fails ``x.__class__ is float``, so it takes the conversion."""

@@ -28,6 +28,9 @@ ROOT = Path(__file__).resolve().parents[1]
 COMPOSE = "src/bchkit/compose.py"
 SQUEEZE = "src/bchkit/squeeze.py"
 ORACLE = "src/bchkit/oracle.py"
+EVOLVE = "src/bchkit/evolve.py"
+ALGEBRA = "src/bchkit/algebra.py"
+CLI = "src/bchkit/cli.py"
 
 # (file, exact old text, new text, what it breaks, test files that must catch it)
 MUTANTS = [
@@ -112,6 +115,67 @@ MUTANTS = [
         SQUEEZE, "else _LN2 + y", "else _LN2 - y",
         "a squeeze whose sinh r is past 1e304 is read back with r = ln 2 - log cosh r",
         ["tests/test_squeeze.py"],
+    ),
+    (
+        COMPOSE, "cmath.exp(-2.0 * nu) * (1.0 - 2.0 * nu_lo)", "cmath.exp(-2.0 * nu)",
+        "exp(-2 nu) takes nu as rounded, off by a relative 2.2e-16 |nu|",
+        ["tests/test_reference.py"],
+    ),
+    (
+        COMPOSE, "root = cmath.sqrt(complex(math.fsum(real), math.fsum(imag)))", "root = nu",
+        "nu is the root of the radicand formed in plain double, where its terms cancel",
+        ["tests/test_reference.py"],
+    ),
+    (
+        COMPOSE, "_principal(nu.imag) + nu_lo.imag", "nu.imag + nu_lo.imag",
+        "log w keeps the rounding of a large |Im nu| where it wraps to near 0",
+        ["tests/test_reference.py"],
+    ),
+    (
+        COMPOSE, "TOL_SINGULAR * (a_m + a_t) + tol_w,", "TOL_SINGULAR * (a_m + a_t) + 1e9 * tol_w,",
+        "beyond |nu| = 1 the guard refuses a clear w, far from roundoff of w = 0",
+        ["tests/test_fold.py"],
+    ),
+    (
+        EVOLVE, "shift = 0.5 * tau if midpoint", "shift = 0.25 * tau if midpoint",
+        "midpoint samples are taken a quarter step early instead of half",
+        ["tests/test_fold.py", "tests/test_evolve.py"],
+    ),
+    (
+        EVOLVE, "islice(slices, stride), acc, done)", "islice(slices, stride), None, done)",
+        "each checkpoint chunk folds from its own first slice, not from the product so far",
+        ["tests/test_fold.py", "tests/test_evolve.py"],
+    ),
+    (
+        EVOLVE, "acc = _fold(algebra, slices, acc, done)", "acc = _fold(algebra, slices, acc, 0)",
+        "the last chunk numbers its steps from 1, so a singular step is misreported",
+        ["tests/test_evolve.py"],
+    ),
+    (
+        EVOLVE, "t_right = exc.step * tau", "t_right = (exc.step - 1) * tau",
+        "a singular evolution reports the left end of its step as the time",
+        ["tests/test_evolve.py"],
+    ),
+    (
+        EVOLVE, "            step=exc.step,\n", "            step=exc.step - 1,\n",
+        "a singular evolution reports the step before the one that broke",
+        ["tests/test_evolve.py"],
+    ),
+    (
+        ALGEBRA, "return x if x.__class__ is float else", "return x if isinstance(x, float) else",
+        "a float subclass enters the package unconverted",
+        ["tests/test_algebra.py", "tests/test_evolve.py"],
+    ),
+    (
+        ALGEBRA, "            return cmath.exp(self.log_c)\n        except OverflowError:\n",
+        "            return cmath.exp(self.log_c)\n        except ZeroDivisionError:\n",
+        "a Cartan coordinate beyond double range leaks a bare OverflowError from big_c()",
+        ["tests/test_algebra.py"],
+    ),
+    (
+        CLI, "            EXIT_SINGULAR,\n", "            EXIT_INPUT,\n",
+        "a singular result exits with the input-error code 2 instead of 3",
+        ["tests/test_cli.py"],
     ),
     (
         ORACLE, "if abs(s) < _SERIES_S_THRESHOLD:", "if abs(s) > _SERIES_S_THRESHOLD:",

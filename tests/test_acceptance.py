@@ -8,15 +8,15 @@ always accompanied by a test failure.
 import cmath
 import json
 import math
+import random
 import time
-
-import numpy as np
 
 from bchkit import (
     AlgebraKind,
     ExponentParams,
     GroupElement,
     HamiltonianSchedule,
+    Mat2,
     SingularDecomposition,
     SqueezeParams,
     alpha_continued_fraction,
@@ -31,6 +31,7 @@ from bchkit import (
     oscillator_schedule,
 )
 from bchkit.cli import main as cli_main
+from frozen import random_complex
 
 ALGEBRAS = (AlgebraKind.SU11, AlgebraKind.SU2, AlgebraKind.SO21)
 
@@ -42,8 +43,8 @@ def _verdict(name: str, ok: bool, detail: str) -> None:
 
 def _random_params(rng, scale: float) -> ExponentParams:
     # each component drawn with magnitude <= scale
-    mags = rng.uniform(0.0, scale, 3)
-    phases = rng.uniform(0.0, 2 * math.pi, 3)
+    mags = [rng.uniform(0.0, scale) for _ in range(3)]
+    phases = [rng.uniform(0.0, 2 * math.pi) for _ in range(3)]
     return ExponentParams(*(m * cmath.exp(1j * p) for m, p in zip(mags, phases)))
 
 
@@ -52,7 +53,7 @@ def _random_element(rng, algebra: AlgebraKind, scale: float = 0.5) -> GroupEleme
 
 
 def test_disentangle_matches_matrix_oracle_at_scale():
-    rng = np.random.default_rng(2024)
+    rng = random.Random(2024)
     start = time.perf_counter()
     worst = 0.0
     for algebra in ALGEBRAS:
@@ -63,7 +64,7 @@ def test_disentangle_matches_matrix_oracle_at_scale():
                 result = disentangle(algebra, lam)
             except SingularDecomposition:
                 continue
-            gap = np.max(np.abs(element_matrix(result.element) - exponent_matrix(algebra, lam)))
+            gap = abs(element_matrix(result.element) - exponent_matrix(algebra, lam)).max()
             worst = max(worst, gap)
             accepted += 1
     elapsed = time.perf_counter() - start
@@ -75,7 +76,7 @@ def test_disentangle_matches_matrix_oracle_at_scale():
 
 
 def test_pairwise_composition_matches_matrix_products():
-    rng = np.random.default_rng(2025)
+    rng = random.Random(2025)
     start = time.perf_counter()
     worst_product = 0.0
     for algebra in ALGEBRAS:
@@ -83,7 +84,7 @@ def test_pairwise_composition_matches_matrix_products():
             g1 = _random_element(rng, algebra)
             g2 = _random_element(rng, algebra)
             combined = compose_pair(g2, g1)
-            gap = np.max(np.abs(element_matrix(combined) - element_matrix(g2) @ element_matrix(g1)))
+            gap = abs(element_matrix(combined) - element_matrix(g2) @ element_matrix(g1)).max()
             worst_product = max(worst_product, gap)
     worst_assoc = 0.0
     for index in range(300):
@@ -91,7 +92,7 @@ def test_pairwise_composition_matches_matrix_products():
         g1, g2, g3 = (_random_element(rng, algebra) for _ in range(3))
         left = element_matrix(compose_pair(g3, compose_pair(g2, g1)))
         right = element_matrix(compose_pair(compose_pair(g3, g2), g1))
-        worst_assoc = max(worst_assoc, np.max(np.abs(left - right)))
+        worst_assoc = max(worst_assoc, abs(left - right).max())
     elapsed = time.perf_counter() - start
     _verdict(
         "pairwise-composition",
@@ -101,7 +102,7 @@ def test_pairwise_composition_matches_matrix_products():
 
 
 def test_recurrence_equals_continued_fraction():
-    rng = np.random.default_rng(2026)
+    rng = random.Random(2026)
     start = time.perf_counter()
     worst = 0.0
     for length in range(2, 11):
@@ -126,7 +127,7 @@ def test_squeeze_composition_and_factorization():
     )
     equal_gap = max(abs(equal.squeeze.r - 1.5), abs(equal.rotation.angle))
 
-    rng = np.random.default_rng(2027)
+    rng = random.Random(2027)
     worst_round = 0.0
     worst_print = 0.0
     for _ in range(1000):
@@ -204,10 +205,10 @@ def test_evolution_first_order_convergence():
 
 def test_su2_hermitian_evolution_is_unitary():
     start = time.perf_counter()
-    rng = np.random.default_rng(2028)
+    rng = random.Random(2028)
     worst = 0.0
     for _ in range(3):
-        amp = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        amp = random_complex(rng, 0.5)
         rate = rng.uniform(0.3, 1.4)
         base = rng.uniform(0.2, 1.0)
 
@@ -217,7 +218,7 @@ def test_su2_hermitian_evolution_is_unitary():
 
         schedule = HamiltonianSchedule(AlgebraKind.SU2, eta, 4.0)
         matrix = element_matrix(evolve(schedule, 1000).element)
-        defect = np.max(np.abs(matrix.conj().T @ matrix - np.eye(2)))
+        defect = abs(matrix.conj().T @ matrix - Mat2(1, 0, 0, 1)).max()
         worst = max(worst, defect)
     elapsed = time.perf_counter() - start
     _verdict(

@@ -36,7 +36,7 @@ from bchkit import (
 )
 import bchkit
 from bchkit.cli import _render, load_schedule, main
-from frozen import complex_bits, random_element, random_params
+from frozen import Float, complex_bits, random_element, random_params
 
 # json.dumps writes this as a 401-digit integer, far beyond double range
 HUGE = int("9" * 401)
@@ -133,10 +133,12 @@ def evolve_fields(schedule, steps, midpoint=False):
 
 
 def disentangle_row(row_id, algebra, *lam):
-    lam = [complex(z) for z in lam]
-    argv = ["disentangle", "--algebra", algebra, "--lambda", *(f"{z.real!r},{z.imag!r}" for z in lam)]
+    """A disentangle row; each of ``lam`` is a number or an "re,im" token as the command line spells it."""
+    tokens = [z if isinstance(z, str) else f"{complex(z).real!r},{complex(z).imag!r}" for z in lam]
+    argv = ["disentangle", "--algebra", algebra, "--lambda", *tokens]
 
     def fields(path):
+        lam = (complex(*map(float, token.split(","))) for token in tokens)
         result = disentangle(AlgebraKind(algebra), ExponentParams(*lam))
         g = result.element
         return {
@@ -235,6 +237,10 @@ ROWS = [
     disentangle_row("disentangle-cartan", "su2", 0, 0.5, 0),
     # tokens such as "-0.3,0.1", which argparse would take for options
     disentangle_row("disentangle-negative-pairs", "su2", -0.3 + 0.1j, 0.5, -0.2 - 0.4j),
+    # and negative non-finite tokens, in each spelling float() reads
+    disentangle_row("disentangle-negative-inf", "su11", "-inf,0", 0, 0),
+    disentangle_row("disentangle-negative-nan", "su2", 0, "-NaN,1", 0),
+    disentangle_row("disentangle-negative-infinity", "so21", 0, 0, "-Infinity,0"),
     disentangle_row("disentangle-general", "su11", 0.1 + 0.2j, -0.4, 0.3 + 0.3j),
     # w = cos(pi/2)
     disentangle_row("disentangle-singular", "su11", math.pi / 2, 0, math.pi / 2),
@@ -409,10 +415,12 @@ def test_compose_restores_garbage_collection(tmp_path, capsys):
 # squeeze-compose
 
 def test_squeeze_compose_rejects_negative_magnitude(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["squeeze-compose", "--z1", "-0.5,0", "--z2", "0.4,0"])
-    assert excinfo.value.code == 2
-    assert capsys.readouterr().err.endswith("argument --z1: squeeze magnitude must be >= 0, got -0.5\n")
+    # "-inf,0" as well, which argparse would take for an option
+    for z1, shown in (("-0.5,0", "-0.5"), ("-inf,0", "-inf")):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["squeeze-compose", "--z1", z1, "--z2", "0.4,0"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(f"argument --z1: squeeze magnitude must be >= 0, got {shown}\n")
 
 
 def test_squeeze_compose_prints_a_large_magnitude_to_the_last_digit(capsys):
@@ -673,15 +681,6 @@ def frozen_samples_eta(times, triples, t):
     return tuple(x + (y - x) * frac for x, y in zip(triples[i], triples[i + 1]))
 
 
-def numpy_float64s(values):
-    """values as numpy.float64 scalars, or none where numpy cannot be imported."""
-    try:
-        float64 = importlib.import_module("numpy").float64
-    except ImportError:
-        return []
-    return [float64(v) for v in values]
-
-
 def test_samples_eta_is_bit_for_bit_the_first_blend(tmp_path):
     rng = random.Random(101)
     times = [0, *itertools.accumulate(rng.uniform(0.1, 2.0) for _ in range(11))]  # an int first knot
@@ -699,7 +698,7 @@ def test_samples_eta_is_bit_for_bit_the_first_blend(tmp_path):
     schedule = load_schedule(path)
     triples = [tuple(complex(*v) for v in knot) for knot in knots]
     between = [rng.uniform(-1.0, times[-1] + 1.0) for _ in range(200)]
-    for t in [*times, *between, *numpy_float64s(between[:20])]:
+    for t in [*times, *between, *map(Float, between[:20])]:
         got = schedule.eta(t)
         assert [complex_bits(z) for z in got] == [complex_bits(z) for z in frozen_samples_eta(times, triples, t)], t
 

@@ -4,7 +4,6 @@ import math
 import random
 
 import mpmath
-import numpy as np
 import pytest
 
 from bchkit import (
@@ -13,6 +12,7 @@ from bchkit import (
     EmptySequence,
     ExponentParams,
     GroupElement,
+    Mat2,
     NonFiniteInput,
     SingularDecomposition,
     alpha_continued_fraction,
@@ -24,7 +24,7 @@ from bchkit import (
     identity_element,
 )
 from bchkit.compose import _series
-from frozen import complex_bits, element_bits, frozen_pair_product, random_element, random_params
+from frozen import complex_bits, element_bits, frozen_pair_product, random_complex, random_element, random_params
 from reference import CENSUS_BOUND, gauss_coordinates, product_coordinates, relative_error, worst_relative_error
 
 
@@ -56,7 +56,7 @@ def test_disentangle_nilpotent_raising():
 
 
 def test_disentangle_reports_consistent_nu():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for kind in AlgebraKind:
         eps, delta = kind.epsilon, kind.delta
         for _ in range(50):
@@ -67,17 +67,17 @@ def test_disentangle_reports_consistent_nu():
 
 
 def test_disentangle_matches_matrix_oracle():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for kind in AlgebraKind:
         for _ in range(150):
             lam = random_params(rng, 0.6)
             g = disentangle(kind, lam).element
-            gap = np.max(np.abs(element_matrix(g) - exponent_matrix(kind, lam)))
+            gap = abs(element_matrix(g) - exponent_matrix(kind, lam)).max()
             assert gap <= 1e-12
     # an su(2) exponent whose parts are mostly negative
     lam = ExponentParams(-0.3 + 0.1j, 0.5, -0.2 - 0.4j)
     g = disentangle(AlgebraKind.SU2, lam).element
-    assert np.max(np.abs(element_matrix(g) - exponent_matrix(AlgebraKind.SU2, lam))) <= 1e-12
+    assert abs(element_matrix(g) - exponent_matrix(AlgebraKind.SU2, lam)).max() <= 1e-12
 
 
 def test_disentangle_rejects_non_finite():
@@ -116,13 +116,13 @@ def test_disentangle_triangular_exponent_keeps_its_normal_ordered_form():
 def test_disentangle_triangular_exponent_keeps_lambda_c_exactly(kind):
     # w = exp(-delta*lc/2) is kept as its principal log, and an angle Im(delta*lc/2)
     # already on that branch stays as it is, so -(2/delta) log w gives back lc bit for bit
-    rng = np.random.default_rng(73)
+    rng = random.Random(73)
     kept = 0
-    for re, im, l in rng.uniform(-2 * math.pi, 2 * math.pi, (4000, 3)):
+    for _ in range(4000):
+        re, im, l = (rng.uniform(-2 * math.pi, 2 * math.pi) for _ in range(3))
         lc = complex(re, im)
         if abs((kind.delta * lc).imag) / 2 > math.pi:
             continue
-        l = float(l)
         lam = ExponentParams(l, lc, 0) if kept % 2 else ExponentParams(0, lc, l)
         assert disentangle(kind, lam).element.log_c == lc
         kept += 1
@@ -262,10 +262,10 @@ def test_disentangle_takes_an_exponent_whose_x_underflows_beyond_cosh_range():
 
 
 def test_cosh_sinhc_is_even():
-    rng = np.random.default_rng(13)
+    rng = random.Random(13)
     for scale in (1e-6, 1e-4, 0.5, 2.0):
         for _ in range(20):
-            nu = scale * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            nu = scale * random_complex(rng)
             assert _series(nu) == _series(-nu)
             assert (cmath.cosh(nu), cmath.sinh(nu) / nu) == (cmath.cosh(-nu), cmath.sinh(-nu) / -nu)
 
@@ -292,14 +292,14 @@ def test_compose_pair_cartan_subgroup():
 
 
 def test_compose_pair_matches_matrix_product():
-    rng = np.random.default_rng(17)
+    rng = random.Random(17)
     for kind in AlgebraKind:
         for _ in range(150):
             g1 = random_element(rng, kind)
             g2 = random_element(rng, kind)
             left = element_matrix(compose_pair(g2, g1))
             right = element_matrix(g2) @ element_matrix(g1)
-            assert np.max(np.abs(left - right)) <= 1e-12
+            assert abs(left - right).max() <= 1e-12
 
 
 def test_compose_pair_adds_phases():
@@ -309,7 +309,7 @@ def test_compose_pair_adds_phases():
 
 
 def test_compose_pair_associativity_in_components():
-    rng = np.random.default_rng(19)
+    rng = random.Random(19)
     for kind in AlgebraKind:
         for _ in range(40):
             g1 = random_element(rng, kind)
@@ -468,7 +468,7 @@ def test_compose_pair_singular_denominator():
 # compose_many and the continued fraction
 
 def test_compose_many_single_element_passthrough():
-    rng = np.random.default_rng(23)
+    rng = random.Random(23)
     g = random_element(rng, AlgebraKind.SO21)
     assert compose_many([g]) is g
 
@@ -540,13 +540,13 @@ def test_compose_many_of_identities():
 
 
 def test_compose_many_matches_matrix_product():
-    rng = np.random.default_rng(29)
+    rng = random.Random(29)
     for _ in range(40):
         elements = [random_element(rng, AlgebraKind.SU2, 0.4) for _ in range(5)]
-        product = np.eye(2, dtype=complex)
+        product = Mat2(1, 0, 0, 1)
         for g in elements:
             product = element_matrix(g) @ product
-        gap = np.max(np.abs(element_matrix(compose_many(elements)) - product))
+        gap = abs(element_matrix(compose_many(elements)) - product).max()
         assert gap <= 1e-11
 
 
@@ -556,7 +556,7 @@ def test_compose_many_empty_rejected():
 
 
 def test_continued_fraction_single_element():
-    rng = np.random.default_rng(37)
+    rng = random.Random(37)
     g = random_element(rng, AlgebraKind.SU11)
     assert alpha_continued_fraction([g]) == g.big_plus
 
@@ -576,7 +576,7 @@ def test_continued_fraction_never_returns_non_finite():
 
 
 def test_continued_fraction_matches_pair_composition():
-    rng = np.random.default_rng(41)
+    rng = random.Random(41)
     for kind in AlgebraKind:
         for _ in range(60):
             g1 = random_element(rng, kind)
@@ -586,7 +586,7 @@ def test_continued_fraction_matches_pair_composition():
 
 
 def test_continued_fraction_matches_fold_for_long_products():
-    rng = np.random.default_rng(43)
+    rng = random.Random(43)
     for kind in AlgebraKind:
         for _ in range(30):
             elements = [random_element(rng, kind, 0.4) for _ in range(8)]
@@ -600,7 +600,7 @@ def test_continued_fraction_matches_fold_for_long_products():
 
 def test_continued_fraction_survives_identity_seed():
     # a zero innermost term is removable, not singular
-    rng = np.random.default_rng(47)
+    rng = random.Random(47)
     kind = AlgebraKind.SU11
     elements = [identity_element(kind)] + [random_element(rng, kind) for _ in range(3)]
     expected = compose_many(elements).big_plus
@@ -751,7 +751,7 @@ ZERO_PARTIAL_MINUS = {AlgebraKind.SU11: 0.5 + 0j, AlgebraKind.SU2: -0.5 + 0j, Al
 
 @pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda a: a.value)
 def test_continued_fraction_is_bit_for_bit_the_attribute_loop(kind):
-    rng = np.random.default_rng(53)
+    rng = random.Random(53)
     ident = identity_element(kind)
     for length in (1, 2, 3, 8, 40):
         for _ in range(20):
@@ -774,7 +774,7 @@ def test_continued_fraction_is_bit_for_bit_the_attribute_loop(kind):
 
 @pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda a: a.value)
 def test_pair_product_is_bit_for_bit_the_first_formula(kind):
-    rng = np.random.default_rng(59)
+    rng = random.Random(59)
     # signed zeros: negative-zero Cartan coordinates meet a log(d) of zero
     zeros = [GroupElement(kind, 0j, complex(-0.0, -0.0), 0j, complex(-0.0, 0.0)), identity_element(kind)]
     elements = zeros + [random_element(rng, kind) for _ in range(30)]

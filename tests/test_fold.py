@@ -23,9 +23,9 @@ compose_pair chain with phases.
 
 import cmath
 import math
+import random
 from cmath import isfinite
 
-import numpy as np
 import pytest
 
 from bchkit import (
@@ -51,8 +51,8 @@ from bchkit.compose import (
     _series,
     _triangular,
 )
-from frozen import complex_bits, element_bits, frozen_pair_product, random_params
-from reference import CENSUS_BOUND, worst_relative_error
+from frozen import complex_bits, element_bits, frozen_pair_product, random_complex, random_params
+from reference import CENSUS_BOUND, gauss_coordinates, worst_relative_error
 
 
 # Smooth drives that stay clear of every chart singularity on [0, t_final].
@@ -212,7 +212,7 @@ def test_kernels_keep_the_first_arithmetic_bit_for_bit(algebra, scale):
     # not reorder a single operation, or CLI output and old results would change; an
     # exponent with |nu| > 1 is taken on the exp(-nu) scale instead, and checked
     # against the extended-precision reference
-    rng = np.random.default_rng(47)
+    rng = random.Random(47)
     acc = ref = identity_element(algebra)
     beyond_one = 0
     for _ in range(60):
@@ -227,7 +227,7 @@ def test_kernels_keep_the_first_arithmetic_bit_for_bit(algebra, scale):
         else:
             beyond_one += 1
             assert worst_relative_error(algebra.value, *coords, got) <= CENSUS_BOUND, coords
-        g = GroupElement(algebra, g.big_plus, g.log_c, g.big_minus, complex(*rng.uniform(-1, 1, 2)))
+        g = GroupElement(algebra, g.big_plus, g.log_c, g.big_minus, random_complex(rng))
         acc, ref = compose_pair(g, acc), frozen_pair_product(g, ref)
         assert element_bits(acc) == element_bits(ref)
     if scale == 2.0:
@@ -243,7 +243,7 @@ def seed_cosh_sinhc_series(nu):
 
 
 def test_cosh_sinhc_series_is_the_plain_sum_bit_for_bit():
-    rng = np.random.default_rng(43)
+    rng = random.Random(43)
     values = [0j, -0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324j]
     for _ in range(3000):
         magnitude = 10.0 ** rng.uniform(-320, -4)
@@ -252,7 +252,7 @@ def test_cosh_sinhc_series_is_the_plain_sum_bit_for_bit():
         values.append(complex(rng.choice([0.0, -0.0]), rng.uniform(-1e-4, 1e-4)))
         # near the axes, where Im(nu^2) is tiny and the dropped terms come closest to a bit,
         # and within 1e-9 of the threshold, where they are largest
-        angle = rng.integers(-4, 5) * (math.pi / 2) + rng.choice([-1, 1]) * 10.0 ** -rng.uniform(0, 300)
+        angle = rng.randrange(-4, 5) * (math.pi / 2) + rng.choice([-1, 1]) * 10.0 ** -rng.uniform(0, 300)
         values.append(10.0 ** rng.uniform(-320, -4) * cmath.exp(1j * angle))
         values.append(_SERIES_NU_THRESHOLD * (1 - 10.0 ** -rng.uniform(9, 15)) * cmath.exp(1j * angle))
         values.append((_SERIES_NU_THRESHOLD - rng.uniform(0, 1e-9)) * cmath.exp(1j * rng.uniform(-4, 4)))
@@ -353,13 +353,13 @@ def guard_draws(algebra, rng):
 
     def exponent(half_c, nu):
         # lp*lm = (half_c^2 - nu^2)/delta_eps, split between lp and lm at random
-        lp = complex(*rng.uniform(-1.5, 1.5, 2))
+        lp = random_complex(rng, 1.5)
         x = half_c * half_c - nu * nu
         return lp, half_c / half_delta, x / delta_eps / lp if lp else 0j
 
     for scale in (1e-6, 1e-3, 0.3, 1.0, 3.0):
         for _ in range(40):
-            yield tuple(scale * complex(*rng.uniform(-1, 1, 2)) for _ in range(3))
+            yield tuple(scale * random_complex(rng) for _ in range(3))
     for _ in range(300):
         # w = 0 where half_c = nu coth(nu); kept there or moved off by 10^-u, and by
         # 10^-9.5 to 10^-12, where |w| meets the roundoff scale of the full test
@@ -374,7 +374,7 @@ def guard_draws(algebra, rng):
         yield exponent(10.0 ** rng.uniform(0, 8) * unit(), rng.uniform(0, 1) * unit())
         # half_c = 0 and nu = i y with y near (k + 1/2) pi: w = cos(y) ~ 1e-6 to 1e-12,
         # against a roundoff scale that grows with y^2 = |x|
-        y = (rng.integers(300, 30000) + 0.5) * math.pi + rng.choice([-1, 1]) * 10.0 ** -rng.uniform(6, 12)
+        y = (rng.randrange(300, 30000) + 0.5) * math.pi + rng.choice([-1, 1]) * 10.0 ** -rng.uniform(6, 12)
         yield exponent(0j, 1j * y)
 
 
@@ -382,9 +382,9 @@ def guard_draws(algebra, rng):
 def test_early_pass_of_the_w_test_changes_no_outcome(algebra):
     # bits where |nu| <= 1; where |nu| > 1, w is taken on the exp(-nu) scale, so
     # only the kind of outcome (a result, or the type raised) must match
-    rng = np.random.default_rng(71)
+    rng = random.Random(71)
     kernel = algebra._kernel
-    _, half_delta, delta_eps, _, _ = kernel
+    _, half_delta, delta_eps, _, minus_two_over_delta = kernel
     kinds = set()
     for lp, lc, lm in guard_draws(algebra, rng):
         expected = outcome(seed_guarded_disentangle, kernel, lp, lc, lm)
@@ -392,9 +392,18 @@ def test_early_pass_of_the_w_test_changes_no_outcome(algebra):
         if kind_of(got) == "result":  # what a fold takes from a slice unchecked
             assert all(cmath.isfinite(z) for z in _disentangle_raw(kernel, lp, lc, lm)), (lp, lc, lm)
         half_c = half_delta * lc
-        if abs(cmath.sqrt(half_c * half_c - delta_eps * lp * lm)) <= 1.0:
+        nu = cmath.sqrt(half_c * half_c - delta_eps * lp * lm)
+        if abs(nu) <= 1.0:
             assert got == expected, (lp, lc, lm)
-        else:
-            assert kind_of(got) == kind_of(expected), (lp, lc, lm)
+        elif kind_of(got) != kind_of(expected):
+            # the two scales' guards part only near w = 0, and one way: the kernel
+            # refuses a w whose reference value, exp(log_c / minus_two_over_delta),
+            # has |w exp(-nu)| < 1e-9, where the seed returned a value that misses
+            # the reference
+            assert (kind_of(got), kind_of(expected)) == (SingularDecomposition, "result"), (lp, lc, lm)
+            log_c = complex(gauss_coordinates(algebra.value, lp, lc, lm)[1])
+            assert math.exp((log_c / minus_two_over_delta).real - abs(nu.real)) < 1e-9, (lp, lc, lm)
+            seed = seed_guarded_disentangle(kernel, lp, lc, lm)[:3]
+            assert worst_relative_error(algebra.value, lp, lc, lm, seed) > CENSUS_BOUND, (lp, lc, lm)
         kinds.add(kind_of(expected))
     assert kinds == {"result", SingularDecomposition}
