@@ -146,7 +146,12 @@ def _check_w(w, scale, name):
 
 
 def _principal(angle: float) -> float:
-    """The angle on [-pi, pi], kept as it is if it is there already."""
+    """The angle on [-pi, pi], kept as it is if it is there already.
+
+    Exact at any magnitude, as cmath.exp(1j*angle) sees the double: libm's
+    sine and cosine reduce their argument exactly.  The package's one angle
+    reduction; the value types map its tie at -pi to pi.
+    """
     if -math.pi <= angle <= math.pi:
         return angle
     return math.atan2(math.sin(angle), math.cos(angle))
@@ -430,6 +435,8 @@ def _continued_fraction(algebra: AlgebraKind, coords: Iterable[tuple]) -> comple
                 except OverflowError:  # the power left double range: the fold's term
                     value = big_plus - _term(1.0, delta * log_c, partial)
                 continue
+        if not isfinite(value):  # 1.0 / value is 0 because value left double range, not a zero partial
+            raise NonFiniteInput("group element coordinates must be finite")
         raise SingularDecomposition(
             "continued fraction hit a zero partial denominator",
             denominator_abs=0.0,

@@ -38,16 +38,12 @@ _TOL_RESIDUAL = 1e-8
 _LN2 = math.log(2.0)
 
 
-def _wrap_angle(theta: float) -> float:
-    """Wrap to (-pi, pi]; the tie at -pi maps to +pi."""
-    wrapped = math.remainder(theta, math.tau)
-    if wrapped <= -math.pi:
-        wrapped += math.tau
-    return wrapped
-
-
 class SqueezeParams(_Frozen):
-    """Squeeze magnitude and phase, normalized so r >= 0 and phi in (-pi, pi]."""
+    """Squeeze magnitude and phase, normalized so r >= 0 and phi in (-pi, pi].
+
+    phi is reduced exactly at any magnitude, as cmath.exp(1j*phi) sees the
+    double given, and a negative r folds its sign into phi by a half turn.
+    """
 
     __slots__ = ("r", "phi")
 
@@ -55,11 +51,12 @@ class SqueezeParams(_Frozen):
         r, phi = _as_float("r", r), _as_float("phi", phi)
         if not (math.isfinite(r) and math.isfinite(phi)):
             raise NonFiniteInput("squeeze parameters must be finite")
+        phi = _principal(phi)
         if r < 0:
-            # z = r e^{i phi} is what matters; fold the sign into the phase
-            r, phi = -r, phi + math.pi
+            # z = r e^{i phi} is what matters; fold the sign into the phase by a half turn in range
+            r, phi = -r, phi - math.pi if phi > 0 else phi + math.pi
         _set_r(self, r)
-        _set_phi(self, _wrap_angle(phi))
+        _set_phi(self, math.pi if phi == -math.pi else phi)
 
     @property
     def z(self) -> complex:
@@ -70,7 +67,11 @@ _set_r, _set_phi = _setters(SqueezeParams)
 
 
 class RotationParams(_Frozen):
-    """Rotation angle, normalized to (-pi, pi]."""
+    """Rotation angle, reduced to (-pi, pi] exactly at any magnitude.
+
+    An angle is a rotation modulo 2 pi: the double given and its reduction
+    name the same rotation, as cmath.exp(1j*angle) sees them.
+    """
 
     __slots__ = ("angle",)
 
@@ -78,7 +79,8 @@ class RotationParams(_Frozen):
         angle = _as_float("angle", angle)
         if not math.isfinite(angle):
             raise NonFiniteInput("rotation angle must be finite")
-        _set_angle(self, _wrap_angle(angle))
+        angle = _principal(angle)
+        _set_angle(self, math.pi if angle == -math.pi else angle)
 
 
 (_set_angle,) = _setters(RotationParams)
@@ -150,7 +152,9 @@ def rotation_element(p: RotationParams) -> GroupElement:
     """Cartan-only su(1,1) element of the rotation operator.
 
     The operator carries a scalar prefactor exp(-i angle / 2) on top of its
-    normal-ordered part; it lives in the phase field.
+    normal-ordered part; it lives in the phase field.  It is taken of the
+    reduced angle, so after an odd number of turns its sign differs from
+    exp(-i angle / 2) of the angle given: the metaplectic sign.
     """
     return GroupElement(
         AlgebraKind.SU11,

@@ -178,6 +178,35 @@ MUTANTS = [
         ["tests/test_cli.py"],
     ),
     (
+        COMPOSE,
+        "            if not (isfinite(p) and isfinite(lc) and isfinite(m)):\n                raise",
+        "            if False:\n                raise",
+        "a fold step whose edge route leaves double range hands an infinite L+ to the next step",
+        ["tests/test_compose.py"],
+    ),
+    (
+        COMPOSE,
+        "        if not isfinite(value):  # 1.0 / value is 0",
+        "        if False:  # 1.0 / value is 0",
+        "the continued fraction calls a value beyond double range a zero partial denominator",
+        ["tests/test_compose.py"],
+    ),
+    (
+        SQUEEZE, "        phi = _principal(phi)\n", "        phi = math.remainder(phi, math.tau)\n",
+        "a squeeze phase is reduced by the double nearest 2 pi, off by 3.9e-17 |phi|",
+        ["tests/test_squeeze.py"],
+    ),
+    (
+        SQUEEZE, "_set_angle(self, math.pi if angle == -math.pi else angle)", "_set_angle(self, angle)",
+        "a rotation angle of -pi is kept, outside (-pi, pi]",
+        ["tests/test_squeeze.py"],
+    ),
+    (
+        SQUEEZE, "_set_phi(self, math.pi if phi == -math.pi else phi)", "_set_phi(self, phi)",
+        "a negative r with a tiny positive phase folds to -pi, outside (-pi, pi]",
+        ["tests/test_squeeze.py"],
+    ),
+    (
         ORACLE, "if abs(s) < _SERIES_S_THRESHOLD:", "if abs(s) > _SERIES_S_THRESHOLD:",
         "the oracle's exponential sums the short series away from s = 0 and divides by s = 0",
         ["tests/test_oracle.py"],

@@ -141,8 +141,10 @@ def test_numbers_enter_at_one_boundary(name, kind, entry):
         with pytest.raises(NonFiniteInput, match=rf"^{field} must be within double range, got an integer of {bits} bits$"):
             entry(huge)
     noun = "a number" if kind is complex else "a real number"
-    with pytest.raises(TypeError, match=rf"^{field} must be {noun}, got str$"):
-        entry("1")
+    # a str, which complex() and float() would parse, and values that are no number at all
+    for value, shown in (("1", "str"), (None, "NoneType"), ([1.0], "list"), (object(), "object")):
+        with pytest.raises(TypeError, match=rf"^{field} must be {noun}, got {shown}$"):
+            entry(value)
     for value in (1, True, Float(0.5)):
         got, want = entry(value), entry(kind(value))
         assert got == want and type(got) is type(want)

@@ -23,7 +23,8 @@ and alpha_continued_fraction is classified against product_coordinates:
 
 No region may hold a false raise or a wrong value.  Run as a script, the
 module prints the tallies of a larger census of one region, with the test's
-seeds: ``PYTHONPATH=src python tests/test_census.py double 4000``.
+seeds, and exits 1 if a tally holds either:
+``PYTHONPATH=src python tests/test_census.py double 4000``.
 """
 
 import cmath
@@ -162,6 +163,9 @@ def test_census_has_no_false_raise_and_no_wrong_value(kind, region):
 
 if __name__ == "__main__":
     region, count = sys.argv[1], int(sys.argv[2])
+    clean = True
     for kind in AlgebraKind:
         tally = census(region, kind, count)
         print(kind.value, region, {name: {k: len(v) for k, v in t.items()} for name, t in tally.items()})
+        clean = clean and not any("false raise" in t or "wrong value" in t for t in tally.values())
+    sys.exit(0 if clean else 1)

@@ -337,6 +337,8 @@ ROWS = [
     squeeze_row("squeeze-large-20", (20.0, 0.0), (0.5, 1.0)),
     squeeze_row("squeeze-large-30", (30.0, 0.0), (0.0, 0.0)),
     squeeze_row("squeeze-large-800", (800.0, 0.0), (0.0, 0.0)),
+    # a phase of 1e15 is reduced exactly, as cmath.exp(1e15j) sees it
+    squeeze_row("squeeze-large-phase", (0.5, 1e15), (0.3, 0.0)),
 ]
 
 

@@ -324,19 +324,26 @@ def test_compose_pair_associativity_in_components():
 
 
 def test_overflowing_product_raises_instead_of_returning_non_finite():
+    su11 = AlgebraKind.SU11
     cases = [
         # exp(800) of the first element's log_c leaves double range inside the step
-        ((0j, 800 + 0j, 0j), (0.1 + 0j, 0j, 0.1 + 0j)),
+        [GroupElement(su11, 0j, 800 + 0j, 0j), GroupElement(su11, 0.1 + 0j, 0j, 0.1 + 0j)],
         # d = 1, and L+ = 1e300 + 1e300 exp(700) leaves double range
-        ((1e300 + 0j, 700 + 0j, 0j), (1e300 + 0j, 700 + 0j, 0j)),
+        [GroupElement(su11, 1e300 + 0j, 700 + 0j, 0j)] * 2,
+        # on every algebra, L+ = 2.5e308 leaves double range at step 2 after the edge route;
+        # taken on, it would make step 3 divide by zero
+        *(
+            [GroupElement(kind, 1e308 + 0j, 0j, 0j), GroupElement(kind, 1.5e308 + 0j, 0j, 0j),
+             GroupElement(kind, 0.1 + 0j, 0j, 0j)]
+            for kind in AlgebraKind
+        ),
     ]
-    for coords1, coords2 in cases:
-        first = GroupElement(AlgebraKind.SU11, *coords1)
-        second = GroupElement(AlgebraKind.SU11, *coords2)
+    for elements in cases:
         with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
-            compose_pair(second, first)
-        with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
-            compose_many([first, second])
+            compose_many(elements)
+        if len(elements) == 2:
+            with pytest.raises(NonFiniteInput, match="^group element coordinates must be finite$"):
+                compose_pair(*elements[::-1])
 
 
 # (algebra, pair) where d = 1 - delta eps L1+ L2-, or the continued fraction's partial
@@ -685,14 +692,23 @@ def parity_rows():
     Every row reaches both routes: an element with a NaN or inf coordinate or
     phase is refused where it is built (test_algebra.py pins that per field),
     so what is left to compare is a sum of finite phases that overflows,
-    mixed algebras and an empty sequence.
+    a running product that leaves double range (where the fraction's 1/value
+    is 0, no zero partial denominator), mixed algebras and an empty sequence.
     """
     su11 = AlgebraKind.SU11
     ident = identity_element(su11)
     h = GroupElement(su11, 0.1 + 0j, 0j, 0.1 + 0j)
     big_phase = GroupElement(su11, 0j, 0j, 0j, 1e308 + 0j)
+    overflowing = [
+        (f"overflowing-product-{kind.value}", lambda kind=kind: [
+            GroupElement(kind, 1e308 + 0j, 0j, 0j), GroupElement(kind, 1.5e308 + 0j, 0j, 0j),
+            GroupElement(kind, 0.1 + 0j, 0j, 0j),
+        ])
+        for kind in AlgebraKind
+    ]
     return [
         ("overflowing-phase-sum", lambda: [h, big_phase, big_phase, h]),
+        *overflowing,
         ("mixed-algebras", lambda: [ident, h, identity_element(AlgebraKind.SO21)]),
         ("empty", lambda: []),
     ]

@@ -23,7 +23,6 @@ from bchkit import (
     squeeze_element,
 )
 from bchkit.compose import _principal
-from bchkit.squeeze import _wrap_angle
 from frozen import complex_bits
 
 
@@ -34,24 +33,52 @@ def random_squeeze(rng, r_max=3.0):
 # ---------------------------------------------------------------------------
 # parameter types
 
-def test_wrap_angle_lands_on_half_open_interval():
+def test_angles_reduce_to_the_half_open_interval():
     # the ends of [-50, 50], signed zeros, the smallest subnormals, and each odd
-    # multiple of pi in range (15 pi < 50 < 17 pi) with its two neighbouring doubles
+    # multiple of pi in range (15 pi < 50 < 17 pi) with its two neighbouring doubles;
+    # a negative r turns the phase by a half turn
     edges = [-50.0, 50.0, -0.0, 0.0, -5e-324, 5e-324]
     for k in range(-15, 16, 2):
         edges += [math.nextafter(k * math.pi, -math.inf), k * math.pi, math.nextafter(k * math.pi, math.inf)]
     rng = random.Random(3)
     draws = [rng.uniform(-50.0, 50.0) for _ in range(2000)]
     for theta in edges + draws:
-        wrapped = _wrap_angle(theta)
-        assert -math.pi < wrapped <= math.pi, theta
-        assert abs(cmath.exp(1j * wrapped) - cmath.exp(1j * theta)) <= 1e-9, theta
+        turn = cmath.exp(1j * theta)
+        for angle, want in (
+            (RotationParams(theta).angle, turn),
+            (SqueezeParams(0.5, theta).phi, turn),
+            (SqueezeParams(-0.5, theta).phi, -turn),
+        ):
+            assert -math.pi < angle <= math.pi, theta
+            assert abs(cmath.exp(1j * angle) - want) <= 1e-15, theta
+        # an angle already in range is kept as it is
+        if -math.pi < theta <= math.pi:
+            assert RotationParams(theta).angle == SqueezeParams(0.5, theta).phi == theta
 
 
-def test_wrap_angle_tie_goes_positive():
-    assert _wrap_angle(math.pi) == math.pi
-    assert _wrap_angle(-math.pi) == math.pi
-    assert _wrap_angle(3 * math.pi) == math.pi
+def test_angle_tie_goes_positive():
+    for theta in (math.pi, -math.pi):
+        assert RotationParams(theta).angle == SqueezeParams(0.5, theta).phi == math.pi
+    # mpmath: 3 pi_d - 2 pi = 3.14159265358979287..., one ulp below pi_d
+    assert RotationParams(3 * math.pi).angle == 3.1415926535897927
+    # a negative r folds its sign by a half turn in range and takes the same tie
+    assert SqueezeParams(-0.5, math.pi) == SqueezeParams(0.5)
+    for phi in (1e-17, 5e-324, 0.0, -0.0):
+        assert SqueezeParams(-0.5, phi).phi == math.pi, phi
+
+
+@pytest.mark.parametrize("theta", [s * m for m in (1e3, 1e6, 1e10, 1e15, 1e308) for s in (1, -1)])
+def test_angles_reduce_exactly_at_any_magnitude(theta):
+    # the reduction is exact for the double given, as cmath.exp(1j * theta) is; 1e308
+    # needs about 310 digits of pi
+    with mpmath.workdps(400):
+        turn = mpmath.expj(theta)
+        for angle in (RotationParams(theta).angle, SqueezeParams(0.5, theta).phi):
+            assert abs(mpmath.expj(angle) - turn) <= 1e-15
+        want = -turn * mpmath.tanh(0.5)
+        assert abs(squeeze_element(SqueezeParams(0.5, theta)).big_plus - want) <= 1e-15 * abs(want)
+    # mpmath: 2.67102031456246519...
+    assert RotationParams(1e308).angle == 2.6710203145624654
 
 
 def test_squeeze_params_normalize_negative_magnitude():
