@@ -170,10 +170,6 @@ class ExponentParams(_Frozen):
         _set_lambda_c(self, lambda_c)
         _set_lambda_minus(self, lambda_minus)
 
-    def is_finite(self) -> bool:
-        """Whether every coordinate is finite."""
-        return isfinite(self.lambda_plus) and isfinite(self.lambda_c) and isfinite(self.lambda_minus)
-
 
 _set_lambda_plus, _set_lambda_c, _set_lambda_minus = _setters(ExponentParams)
 

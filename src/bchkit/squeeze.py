@@ -58,10 +58,6 @@ class SqueezeParams(_Frozen):
         _set_r(self, r)
         _set_phi(self, math.pi if phi == -math.pi else phi)
 
-    @property
-    def z(self) -> complex:
-        return self.r * cmath.exp(1j * self.phi)
-
 
 _set_r, _set_phi = _setters(SqueezeParams)
 

@@ -66,14 +66,13 @@ def clones(value) -> list:
 
 
 def assert_close(actual, desired, atol=0.0) -> None:
-    """Fail unless each entry of the 2x2 ``actual`` is within ``atol + 1e-7 |desired|`` of ``desired``'s.
+    """Fail unless each entry of the Mat2 ``actual`` is within ``atol + 1e-7 |desired|`` of ``desired``'s.
 
     The bound of an allclose check with rtol 1e-7, entry by entry; a NaN fails it.
     """
-    for i in (0, 1):
-        for j in (0, 1):
-            x, y = actual[i, j], desired[i, j]
-            assert abs(x - y) <= atol + 1e-7 * abs(y), ((i, j), x, y)
+    for field in ("a", "b", "c", "d"):
+        x, y = getattr(actual, field), getattr(desired, field)
+        assert abs(x - y) <= atol + 1e-7 * abs(y), (field, x, y)
 
 
 class Float(float):

@@ -211,6 +211,11 @@ MUTANTS = [
         "the oracle's exponential sums the short series away from s = 0 and divides by s = 0",
         ["tests/test_oracle.py"],
     ),
+    (
+        ORACLE, "    if not isinstance(m, Mat2):\n", "    if False:\n",
+        "the oracle's exponential takes nested lists and fails on a missing field instead of naming the type",
+        ["tests/test_oracle.py"],
+    ),
 ]
 
 

@@ -90,12 +90,6 @@ def test_big_c_names_a_cartan_coordinate_beyond_double_range(log_c):
         g.big_c()
 
 
-def test_finiteness_helpers():
-    assert ExponentParams(0.1, 0.2j, -0.3).is_finite()
-    assert not ExponentParams(math.nan, 0, 0).is_finite()
-    assert not ExponentParams(0, complex(0, math.inf), 0).is_finite()
-
-
 def _in_field(cls, name, *head):
     """entry(x) for field ``name`` of ``cls``: the value stored from x, every later field 0.5j."""
     fields = cls.__slots__[len(head):]

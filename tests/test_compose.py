@@ -81,8 +81,9 @@ def test_disentangle_matches_matrix_oracle():
 
 
 def test_disentangle_rejects_non_finite():
-    with pytest.raises(NonFiniteInput):
-        disentangle(AlgebraKind.SU2, ExponentParams(math.nan, 0, 0))
+    for lam in ((math.nan, 0, 0), (0, complex(0, math.inf), 0)):
+        with pytest.raises(NonFiniteInput):
+            disentangle(AlgebraKind.SU2, ExponentParams(*lam))
 
 
 @pytest.mark.parametrize("index, name", [(0, "lambda_plus"), (1, "lambda_c"), (2, "lambda_minus")])
@@ -259,6 +260,19 @@ def test_disentangle_takes_an_exponent_whose_x_underflows_beyond_cosh_range():
     g = disentangle(AlgebraKind.SU11, lam).element
     coords = (lam.lambda_plus, lam.lambda_c, lam.lambda_minus)
     assert worst_relative_error("su11", *coords, (g.big_plus, g.log_c, g.big_minus)) <= CENSUS_BOUND
+
+
+@pytest.mark.xfail(strict=True, reason="cmath.log(w) takes a w = 1 + O(|lambda|) rounded to double")
+def test_disentangle_keeps_log_c_digits_near_the_identity():
+    # L+- stay within 2.5e-16, but log_c = O(|lambda|) keeps only the digits of w - 1 that
+    # survive rounding w: 2e-12 relative off at s = 1e-5, 9e-9 at s = 1e-8
+    worst = 0.0
+    for s in (1e-5, 1e-8):
+        coords = (complex(0.3 * s, 0.1 * s), complex(0, s), complex(0.2 * s, -0.4 * s))
+        for algebra in AlgebraKind:
+            g = disentangle(algebra, ExponentParams(*coords)).element
+            worst = max(worst, worst_relative_error(algebra.value, *coords, (g.big_plus, g.log_c, g.big_minus)))
+    assert worst <= CENSUS_BOUND, worst
 
 
 def test_cosh_sinhc_is_even():

@@ -360,7 +360,7 @@ def test_oscillator_coefficients_reproduce_the_hamiltonian():
     omega0 = 1.3
     schedule = oscillator_schedule(omega0, lambda t: 1.0 + 0.4 * math.sin(3 * t), 10.0)
     gens = generators_for(AlgebraKind.SU11)
-    q_sq = (gens.m_plus + gens.m_minus + 2 * gens.m_c) / omega0
+    q_sq = (1 / omega0) * (gens.m_plus + gens.m_minus + 2 * gens.m_c)
     p_sq = omega0 * (2 * gens.m_c - gens.m_plus - gens.m_minus)
     rng = random.Random(89)
     for t in [rng.uniform(0, 10) for _ in range(10)]:

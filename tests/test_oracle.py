@@ -53,7 +53,7 @@ def test_mat_exp_trivial_cases():
 def _taylor_exp(m, terms=30):
     out = power = IDENTITY
     for k in range(1, terms):
-        power = power @ m / k
+        power = power @ m * (1 / k)
         out = out + power
     return out
 
@@ -97,11 +97,17 @@ def test_mat_exp_rejects_non_finite():
         mat_exp(Mat2(complex(math.inf), 0j, 0j, 0j))
 
 
+@pytest.mark.parametrize("m", [[[1, 0], [0, 1]], ((1, 0), (0, 1))], ids=["list", "tuple"])
+def test_mat_exp_takes_only_a_mat2(m):
+    with pytest.raises(TypeError, match=f"^mat_exp takes a Mat2, got {type(m).__name__}$"):
+        mat_exp(m)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
-        # mat_exp takes raw matrices; its conversion to float would raise a bare OverflowError
-        (lambda: mat_exp([[10**400, 0], [0, 0]]), "matrix entries must be finite"),
+        # a Mat2 may hold an int beyond double range; its conversion to float would raise a bare OverflowError
+        (lambda: mat_exp(Mat2(10**400, 0, 0, 0)), "matrix entries must be finite"),
     ],
     ids=["mat_exp"],
 )
@@ -113,7 +119,7 @@ def test_oracle_rejects_an_integer_beyond_double_range(call, message):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: mat_exp([[2000, 0], [0, 0]]), "matrix exponential"),
+        (lambda: mat_exp(Mat2(2000, 0, 0, 0)), "matrix exponential"),
         (lambda: element_matrix(GroupElement(AlgebraKind.SU11, 0, 2000, 0)), "matrix exponential"),
         (lambda: exponent_matrix(AlgebraKind.SU11, ExponentParams(0, 2000, 0)), "matrix exponential"),
         (lambda: element_matrix(GroupElement(AlgebraKind.SU11, 0, 0, 0, 800)), "group element matrix"),
@@ -180,7 +186,7 @@ def test_mat2_works_with_numpy_arrays():
     assert isinstance(m, Mat2)
     a = np.asarray(m)
     assert a.shape == (2, 2) and a.dtype == complex
-    assert [[m[i, j] for j in range(2)] for i in range(2)] == a.tolist()
+    assert [[m.a, m.b], [m.c, m.d]] == a.tolist()
     n = np.array([[1.0, 2j], [-0.5, 0.25 - 1j]])
     for got, expected in (
         (m @ n, a @ n),
@@ -199,9 +205,8 @@ def test_mat2_works_with_numpy_arrays():
     assert np.max(np.abs(m)) == np.abs(a).max()
     np.testing.assert_array_equal(-m, -a)
     np.testing.assert_array_equal(2 * m, m * 2)
-    np.testing.assert_array_equal(m / 2, a / 2)
     assert np.linalg.det(m) == pytest.approx(np.linalg.det(a), rel=1e-15)
-    assert np.trace(m) == m[0, 0] + m[1, 1]
+    assert np.trace(m) == m.a + m.d
 
 
 @pytest.mark.parametrize("kind", list(AlgebraKind), ids=lambda a: a.value)
@@ -214,9 +219,9 @@ def test_exponent_matrix_matches_the_reference(kind):
             lp, lc, lm = complex(parts[0], parts[1]), complex(parts[2], parts[3]), complex(parts[4], parts[5])
             got = exponent_matrix(kind, ExponentParams(lp, lc, lm))
             ref = exponential(kind.value, lp, lc, lm)
-            entries = [(i, j) for i in range(2) for j in range(2)]
-            size = max(abs(ref[i, j]) for i, j in entries)
-            gap = float(max(abs(mpmath.mpc(got[i, j]) - ref[i, j]) for i, j in entries) / size)
+            pairs = list(zip((got.a, got.b, got.c, got.d), (ref[0, 0], ref[0, 1], ref[1, 0], ref[1, 1])))
+            size = max(abs(r) for _, r in pairs)
+            gap = float(max(abs(mpmath.mpc(g) - r) for g, r in pairs) / size)
             if gap > worst:
                 worst, where = gap, (lp, lc, lm)
     assert worst <= EXPONENT_MATRIX_BOUND, (worst, where)

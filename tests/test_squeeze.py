@@ -86,7 +86,7 @@ def test_squeeze_params_normalize_negative_magnitude():
     assert p.r == 0.7
     assert abs(p.phi - (0.3 - math.pi)) <= 1e-15
     # the represented complex number is unchanged by the normalization
-    assert abs(p.z - (-0.7) * cmath.exp(0.3j)) <= 1e-15
+    assert abs(p.r * cmath.exp(1j * p.phi) - (-0.7) * cmath.exp(0.3j)) <= 1e-15
 
 
 def test_rotation_params_wrap():
