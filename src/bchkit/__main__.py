@@ -1,5 +1,7 @@
 """``python -m bchkit``: the command line of :mod:`bchkit.cli`."""
 
-from .cli import entry_point
+import sys
 
-entry_point()
+from .cli import main
+
+sys.exit(main())

@@ -29,7 +29,7 @@ from .evolve import (
     oscillator_schedule,
 )
 
-__all__ = ["main", "entry_point", "build_parser"]
+__all__ = ["main", "load_schedule"]
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -409,7 +409,7 @@ def cmd_evolve(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
-def build_parser() -> argparse.ArgumentParser:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bchkit",
         description="Disentangling and composition calculus for su(1,1), su(2), so(2,1).",
@@ -472,7 +472,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = [" " + token if _NEGATIVE_PAIR.match(token) else token for token in argv]
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SingularDecomposition as exc:
@@ -483,16 +483,13 @@ def main(argv=None) -> int:
             step=exc.step,
             time=exc.time,
         )
-    except (OSError, OverflowError, ValueError) as exc:
+    except (OSError, OverflowError, RecursionError, ValueError) as exc:
         # every error type of this package but SingularDecomposition, caught
-        # above, subclasses ValueError; OverflowError: a value left double
-        # range in a kernel's cmath call
+        # above, subclasses ValueError; OverflowError: a value left double range
+        # in a kernel's cmath call; RecursionError: a file nested too deep for
+        # the JSON parser, since no kernel recurses
         return _fail(EXIT_INPUT, str(exc))
 
 
-def entry_point() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry_point()
+    sys.exit(main())

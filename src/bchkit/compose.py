@@ -29,7 +29,7 @@ import cmath
 import math
 import sys
 from cmath import isfinite
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .algebra import AlgebraKind, ExponentParams, GroupElement, _Frozen, _setters
 from .errors import (

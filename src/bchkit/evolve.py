@@ -11,9 +11,9 @@ the step coefficients sampled at the right endpoint by default.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from itertools import islice
 from operator import index
-from typing import Callable, Optional
 
 from .algebra import AlgebraKind, GroupElement, _as_complex, _as_float, _Frozen, _setters, identity_element
 from .compose import _disentangle_raw, _fold
@@ -60,7 +60,7 @@ class EvolutionResult(_Frozen):
     __slots__ = ("element", "steps", "tau", "trajectory")
 
     def __init__(
-        self, element: GroupElement, steps: int, tau: float, trajectory: Optional[tuple] = None
+        self, element: GroupElement, steps: int, tau: float, trajectory: tuple | None = None
     ):
         _set_element(self, element)
         _set_steps(self, steps)
@@ -95,7 +95,7 @@ def default_checkpoint_stride(steps: int) -> int:
 def evolve(
     schedule: HamiltonianSchedule,
     steps: int,
-    checkpoint_every: Optional[int] = None,
+    checkpoint_every: int | None = None,
     midpoint: bool = False,
 ) -> EvolutionResult:
     """Fold N per-step elements into the evolution operator over [0, t_final].

@@ -178,6 +178,16 @@ MUTANTS = [
         ["tests/test_cli.py"],
     ),
     (
+        CLI, "RecursionError, ", "",
+        "a file nested deeper than the JSON parser allows ends in a traceback, not exit 2",
+        ["tests/test_cli.py"],
+    ),
+    (
+        EVOLVE, "from collections.abc import Callable\n", "from typing import Callable\n",
+        "import bchkit.cli loads typing, which nothing in the package runs",
+        ["tests/test_cli.py"],
+    ),
+    (
         COMPOSE,
         "            if not (isfinite(p) and isfinite(lc) and isfinite(m)):\n                raise",
         "            if False:\n                raise",

@@ -1,6 +1,6 @@
 """What the command line adds to the library: exit codes 0, 2 and 3, strict JSON bodies,
 argument and file errors, schedule parsing, checkpoints and CSV, ``python -m`` and a
-start without numpy.  The library tests and the census pin the numbers;
+start without numpy or typing.  The library tests and the census pin the numbers;
 test_main_prints_what_the_library_gives runs each input, ordinary or at an edge, through
 main and checks the exit code and the whole stdout against the library's result on the
 same input.  Needs pytest and nothing else."""
@@ -620,6 +620,32 @@ def test_input_error_bodies(tmp_path, capsys, command, content, message):
     assert json.loads(out) == {"error": message}
 
 
+# 100,000 nested lists: deeper than the JSON parser goes (Python 3.13 on Linux allows 10,000
+# C-level calls), and json.dumps cannot write them either
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        pytest.param("compose", TOO_DEEP, id="compose"),
+        pytest.param(
+            "evolve", '{"format": 1, "algebra": "su11", "t_final": 1.0, "samples": ' + TOO_DEEP + "}", id="evolve"
+        ),
+    ],
+)
+def test_a_file_nested_too_deep_for_the_parser_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    if command == "evolve":
+        code, out = run_cli(capsys, "evolve", "--schedule", str(path), "--steps", "4")
+    else:
+        code, out = run_cli(capsys, "compose", "--algebra", "su11", str(path))
+    assert code == 2
+    body = json.loads(out)
+    assert list(body) == ["error"] and body["error"].startswith("maximum recursion depth exceeded"), body
+
+
 def test_schedule_format_is_the_number_one(tmp_path, capsys):
     # JSON has one number type, so 1.0 is the number 1; true is no number, though True == 1
     schedule = oscillator_with({"type": "constant", "omega": 1.0})
@@ -912,6 +938,13 @@ for module in ("numpy", "dataclasses"):
 
 def test_import_bchkit_leaves_numpy_unloaded_until_the_oracle_is_used():
     proc = run_python("-c", LAZY_ORACLE)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_bchkit_cli_leaves_typing_unloaded():
+    # -S: a site hook may load typing before any user code runs, and then this check
+    # could not see what bchkit imports
+    proc = run_python("-S", "-c", "import sys, bchkit.cli; assert 'typing' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
 
 

@@ -275,6 +275,30 @@ def test_disentangle_keeps_log_c_digits_near_the_identity():
     assert worst <= CENSUS_BOUND, worst
 
 
+# two elements whose running product leaves double range, then one that brings it back;
+# so21 takes no (0.1, -800, 0): delta = i makes exp(-800 delta) a phase, so its product
+# is itself out of range
+RANGE_RETURNS = [
+    ("su11", (0.1, -800, 0)),
+    ("su2", (0.1, -800, 0)),
+    ("su11", (0.1, 0, 1)),
+    ("su2", (0.1, 0, 1)),
+    ("so21", (0.1, 0, 1)),
+]
+
+
+@pytest.mark.xfail(raises=NonFiniteInput, strict=True, reason="the fold refuses a running product beyond double range")
+@pytest.mark.parametrize("name, last", RANGE_RETURNS, ids=[f"{name}-{last}" for name, last in RANGE_RETURNS])
+def test_compose_many_takes_a_running_product_that_leaves_double_range(name, last):
+    coords = [(1e308, 0, 0), (1.5e308, 0, 0), last]
+    big_plus, log_c, _, period = product_coordinates(name, coords)
+    elements = [GroupElement(AlgebraKind(name), *c) for c in coords]
+    g = compose_many(elements)
+    assert relative_error(g.big_plus, big_plus) <= CENSUS_BOUND
+    assert relative_error(g.log_c, log_c, period) <= CENSUS_BOUND
+    assert relative_error(alpha_continued_fraction(elements), big_plus) <= CENSUS_BOUND
+
+
 def test_cosh_sinhc_is_even():
     rng = random.Random(13)
     for scale in (1e-6, 1e-4, 0.5, 2.0):
